@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import ast
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -48,7 +47,7 @@ from .edits import (
     rebase_edit,
     render_diff,
 )
-from .sandbox import SandboxError, analyze_instance, load_patched
+from .sandbox import SandboxError, analyze_instance, load_patched, sandbox_dir
 from .synthesize import FixContext, Refusal, synthesize_fixes
 
 __all__ = ["AppliedFix", "RemediationResult", "remediate", "write_patches"]
@@ -274,7 +273,7 @@ def remediate(
 
     cur_text, cur_build, cur_ir = original_text, factory, base.ir or ir0
     cur_findings = _sorted_active(base.findings)
-    with tempfile.TemporaryDirectory(prefix="mapfix-") as tmpdir:
+    with sandbox_dir() as tmpdir:
         for rnd in range(1, max_rounds + 1):
             if not cur_findings:
                 break

@@ -14,18 +14,24 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import linecache
 import os
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from ....workloads.base import Workload
 from ...findings import CheckReport, Finding
 from ..extract import extract_workload
 from ..ir import WorkloadIR
 
-__all__ = ["SandboxError", "SandboxAnalysis", "analyze_instance", "load_patched"]
+__all__ = [
+    "SandboxError", "SandboxAnalysis", "analyze_instance", "load_patched",
+    "sandbox_dir",
+]
 
 _counter = itertools.count(1)
 
@@ -73,6 +79,30 @@ def analyze_instance(build: Callable[[], Workload],
         findings=sorted(report.findings, key=Finding.sort_key),
         ir=ir, build=build,
     )
+
+
+@contextmanager
+def sandbox_dir() -> Iterator[str]:
+    """Temp directory for patched sources, cleaned up with its modules.
+
+    Every ``_mapfix_sandboxN`` module loaded from the directory is dropped
+    from ``sys.modules`` on exit, together with the files and the source
+    lines ``inspect`` cached for them: the factories built from them are
+    dead by then, and each would otherwise stay pinned for the life of
+    the process.
+    """
+    with tempfile.TemporaryDirectory(prefix="mapfix-") as tmpdir:
+        try:
+            yield tmpdir
+        finally:
+            prefix = os.path.join(tmpdir, "")
+            for name, module in list(sys.modules.items()):
+                if ("_mapfix_sandbox" in name and (
+                        getattr(module, "__file__", None) or ""
+                ).startswith(prefix)):
+                    del sys.modules[name]
+            for path in [p for p in linecache.cache if p.startswith(prefix)]:
+                del linecache.cache[path]
 
 
 def _load_module(text: str, origin_module: str, tmpdir: str) -> ModuleType:

@@ -70,15 +70,18 @@ def page_base(addr: int, page_size: int) -> int:
 def page_span(start: int, nbytes: int, page_size: int) -> tuple[int, int]:
     """(first_page_base, n_pages) covering ``[start, start+nbytes)``.
 
-    A zero-length range covers zero pages.
+    A zero-length range covers zero pages.  The alignment arithmetic is
+    inline: this sits on every page-table walk.
     """
     if nbytes < 0:
         raise ValueError(f"negative span: {nbytes}")
+    if page_size <= 0 or page_size & (page_size - 1):
+        raise ValueError(f"alignment must be a power of two, got {page_size}")
+    mask = ~(page_size - 1)
+    first = start & mask
     if nbytes == 0:
-        return (page_base(start, page_size), 0)
-    first = page_base(start, page_size)
-    last = page_base(start + nbytes - 1, page_size)
-    return (first, (last - first) // page_size + 1)
+        return (first, 0)
+    return (first, (((start + nbytes - 1) & mask) - first) // page_size + 1)
 
 
 def pages_in(start: int, nbytes: int, page_size: int) -> Iterator[int]:

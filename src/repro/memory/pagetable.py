@@ -20,7 +20,9 @@ list of ``(start_page, frames, origin)`` extents with ``bisect``-based
 lookup.  Batched operations (:meth:`install_range`, :meth:`evict_range`,
 :meth:`missing_runs`, :meth:`coverage`) are O(log runs + touched runs)
 instead of O(pages); the single-page API survives as thin wrappers so
-existing callers and tests keep working unchanged.
+existing callers and tests keep working unchanged.  The residency
+queries answer the common "one run already covers the whole range" case
+in O(log runs) before building any walk.
 
 PTEs record which mechanism installed them so traces can attribute MI
 (memory initialization) cost to the right configuration behaviour
@@ -125,6 +127,21 @@ class PageTable:
             return None
         return run, (page - run.start) // self.page_size
 
+    def _covers(self, rng: AddressRange) -> bool:
+        """True when one run translates every page of ``rng``.
+
+        The usual answer for a kernel's or an Eager prefault's range once
+        its buffer is resident: one ``bisect`` to the run holding the
+        first page, which must reach past the last byte.  On False the
+        callers fall through to the general walk.
+        """
+        start = rng.start
+        i = bisect_right(self._starts, start) - 1
+        if i < 0:
+            return False
+        run = self._runs[i]
+        return run.start + len(run.frames) * self.page_size >= start + rng.nbytes
+
     def _overlapping(self, rng: AddressRange) -> Iterator[Tuple[int, _Run, int, int]]:
         """Yield ``(run_index, run, lo_idx, hi_idx)`` for every run that
         overlaps ``rng``, clipped to the range, in ascending order."""
@@ -175,6 +192,8 @@ class PageTable:
     def coverage(self, rng: AddressRange) -> Tuple[int, int]:
         """(present, missing) page counts over the range."""
         total = rng.n_pages(self.page_size)
+        if self._covers(rng):
+            return total, 0
         present = sum(hi - lo for _, _, lo, hi in self._overlapping(rng))
         return present, total - present
 
@@ -182,6 +201,8 @@ class PageTable:
         """Maximal contiguous untranslated extents of ``rng``, page
         aligned, in ascending order.  The batch-shaped complement of
         :meth:`missing_pages`."""
+        if self._covers(rng):
+            return []
         first, n = rng.page_span(self.page_size)
         if n == 0:
             return []

@@ -29,17 +29,23 @@ Design constraints that shaped this module:
     one clock jump, no heap event — before anything observable: reading
     ``env.now``, scheduling any event, or suspending on a real event.
     A contended charge falls back to a real per-charge timeout, which is
-    byte-for-byte the reference behaviour.
+    byte-for-byte the reference behaviour.  Fusion is also held off
+    while an event with several waiters runs their callbacks: the later
+    waiters must still see the event's own time.  Free resource grants are
+    fused the same way, as zero-µs counts: a grant made while no heap
+    entry is at or before the current time stays off the heap, and the
+    trampoline consumes it inline when the acquiring process yields it
+    straight back (see :meth:`Environment._grant`).
   - *dispatch*: ``run(until=Event)`` inlines the pop/advance/process
     loop with hoisted locals instead of calling :meth:`step` per event.
 
 * **Auditability.**  :class:`ReferenceEnvironment` retains the historical
   one-heap-event-per-delay scheduler (the ``FlatPageTable`` precedent):
-  ``charge`` degrades to a real timeout and nothing is recycled or fused.
-  Both engines count one processed event per charge, so
-  ``processed_events`` — and every simulated-time observable — is
-  bit-identical between them; ``repro bench`` pins that equivalence with
-  a randomized differential.
+  ``charge`` degrades to a real timeout, every grant is a heap event, and
+  nothing is recycled or fused.  Both engines count one processed event
+  per charge and per grant, so ``processed_events`` — and every
+  simulated-time observable — is bit-identical between them;
+  ``repro bench`` pins that equivalence with a randomized differential.
 * **Debuggability.**  Failures inside a process propagate to whoever waits
   on it, and unhandled failures abort :meth:`Environment.run` with the
   original traceback.
@@ -201,9 +207,22 @@ class Event:
     def _process(self) -> None:
         self._state = PROCESSED
         callbacks, self.callbacks = self.callbacks, []
-        for fn in callbacks:
+        if len(callbacks) == 1:
+            fn = callbacks[0]
             if fn is not None:  # None = tombstone left by Process.interrupt
                 fn(self)
+            return
+        # Several waiters: each one's actions must happen at this event's
+        # time, before the next waiter runs, so fusion is held off until
+        # the last callback returns (see Environment._grant).
+        env = self.env
+        env._hold += 1
+        try:
+            for fn in callbacks:
+                if fn is not None:
+                    fn(self)
+        finally:
+            env._hold -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {PENDING: "pending", TRIGGERED: "triggered",
@@ -299,8 +318,8 @@ class Process(Event):
         # Iterative resume loop: if the yielded event is already processed we
         # feed its value straight back in rather than recursing through
         # add_callback — a process draining a long list of completed signals
-        # must not grow the Python stack.  Charge markers are consumed in
-        # the inner loop without ever suspending the generator.
+        # must not grow the Python stack.  Charge markers and fused grants
+        # are consumed in the inner loop without suspending the generator.
         env = self.env
         gen = self._gen
         send = gen.send
@@ -312,21 +331,36 @@ class Process(Event):
             try:
                 nxt = (send(trigger._value) if trigger._ok
                        else gen.throw(trigger._value))
-                while nxt is _CHARGE:
-                    d = env._charge_val
-                    q = env._queue
-                    # Uncontended: nothing else scheduled inside the charged
-                    # window (strictly — an exact-time tie must interleave in
-                    # FIFO order, which needs a real heap event).
-                    if not q or q[0][0] > env._now + env._pending + d:
-                        env._pending += d
+                while True:
+                    if nxt is _CHARGE:
+                        d = env._charge_val
+                        q = env._queue
+                        # Uncontended: nothing else scheduled inside the
+                        # charged window (strictly — an exact-time tie must
+                        # interleave in FIFO order, which needs a real heap
+                        # event) and no other waiter of the resuming event
+                        # still to run at the current time.
+                        if ((not q or q[0][0] > env._now + env._pending + d)
+                                and not env._hold):
+                            env._pending += d
+                            env._pending_n += 1
+                            nxt = send(None)
+                        else:
+                            # Contended fallback: one real timeout.
+                            # Creating it settles the accumulator first (via
+                            # _schedule), so it lands at exactly the
+                            # reference engine's time.
+                            nxt = env.timeout(d)
+                            break
+                    elif nxt is env._fused and not nxt.callbacks:
+                        # Fused grant yielded straight back: it is the event
+                        # the reference engine would pop next, so count it
+                        # and resume with its value without the heap.
+                        env._fused = None
                         env._pending_n += 1
-                        nxt = send(None)
+                        nxt._state = PROCESSED
+                        nxt = send(nxt._value)
                     else:
-                        # Contended fallback: one real timeout.  Creating it
-                        # settles the accumulator first (via _schedule), so
-                        # it lands at exactly the reference engine's time.
-                        nxt = env.timeout(d)
                         break
             except StopIteration as stop:
                 self.succeed(stop.value)
@@ -357,8 +391,10 @@ class Process(Event):
                     "(stale reference)"
                 )
             # Suspending on a real event: settle fused charges first so the
-            # clock the next event fires against is fully advanced.
-            if env._pending:
+            # clock the next event fires against is fully advanced.  (An
+            # unconsumed fused grant goes on the heap as soon as the
+            # engine loop gets control back.)
+            if env._pending_n:
                 env._settle()
             self._waiting_on = nxt
             self._waiting_slot = len(nxt.callbacks)
@@ -435,7 +471,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_event_count",
-                 "_pending", "_pending_n", "_charge_val",
+                 "_pending", "_pending_n", "_charge_val", "_fused", "_hold",
                  "_timeout_pool", "_event_pool")
 
     def __init__(self, initial_time: float = 0.0):
@@ -447,6 +483,10 @@ class Environment:
         self._pending = 0.0
         self._pending_n = 0
         self._charge_val = 0.0
+        # the one outstanding fused grant (triggered, not on the heap)
+        self._fused: Optional[Event] = None
+        # >0 while an event with several callbacks runs them (no fusion)
+        self._hold = 0
         # free lists of recycled event objects
         self._timeout_pool: List[Timeout] = []
         self._event_pool: List[Event] = []
@@ -454,14 +494,16 @@ class Environment:
     # -- clock -------------------------------------------------------------
     @property
     def now(self) -> float:
-        if self._pending:
+        if self._pending_n:
             self._settle()
         return self._now
 
     @now.setter
     def now(self, value: float) -> None:
-        if self._pending:
+        if self._pending_n:
             self._settle()
+        if self._fused is not None:
+            self._unfuse()
         self._now = value
 
     def _settle(self) -> None:
@@ -505,6 +547,8 @@ class Environment:
         """
         if delay < 0:
             raise ValueError(f"negative charge delay: {delay}")
+        if self._fused is not None:
+            self._unfuse()
         self._charge_val = delay
         return _CHARGE
 
@@ -519,10 +563,51 @@ class Environment:
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if self._pending:
+        if self._pending_n:
             self._settle()
+        if self._fused is not None:
+            self._unfuse()
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, self._seq, event._era, event))
+
+    def _grant(self, value: Any) -> Event:
+        """An event firing now with ``value``: a free resource's grant.
+
+        Fused like a zero-µs :meth:`charge`.  If no heap entry is at or
+        before the current time (the strict-tie rule), the reference
+        engine would pop this event next once the acquiring process
+        suspends on it, so it is handed out *unscheduled*: the trampoline
+        consumes it inline if it is yielded straight back and counts one
+        processed event.  Anything that would order against it first —
+        scheduling any event, a charge, :meth:`peek`, the engine loop
+        regaining control — puts it on the heap at this same time and
+        sequence position (:meth:`_unfuse`), exactly where the reference
+        engine scheduled it.  While an event with several callbacks runs
+        them, or when the strict-tie rule fails, it is scheduled at once.
+        """
+        if self._pending_n:
+            self._settle()
+        if self._fused is not None:
+            self._unfuse()
+        pool = self._event_pool
+        ev = pool.pop() if pool else Event(self)
+        ev._state = TRIGGERED
+        ev._ok = True
+        ev._value = value
+        q = self._queue
+        if self._hold or (q and q[0][0] <= self._now):
+            self._seq += 1
+            heapq.heappush(q, (self._now, self._seq, ev._era, ev))
+        else:
+            self._fused = ev
+        return ev
+
+    def _unfuse(self) -> None:
+        """Schedule the outstanding fused grant as a real heap event."""
+        ev = self._fused
+        self._fused = None
+        self._seq += 1
+        heapq.heappush(self._queue, (self._now, self._seq, ev._era, ev))
 
     def _bootstrap(self, fn: Callable[[Event], None]) -> Event:
         """An immediately-succeeding event carrying a process's first resume
@@ -544,21 +629,25 @@ class Environment:
     def processed_events(self) -> int:
         """Total number of events processed so far (diagnostics).
 
-        Fused charges count one each, so the total matches the reference
-        engine event-for-event.
+        Fused charges and grants count one each, so the total matches the
+        reference engine event-for-event.
         """
-        if self._pending:
+        if self._pending_n:
             self._settle()
         return self._event_count
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._pending:
+        if self._pending_n:
             self._settle()
+        if self._fused is not None:
+            self._unfuse()
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
+        if self._fused is not None:
+            self._unfuse()
         t, _seq, era, event = heapq.heappop(self._queue)
         if era != event._era:
             raise SimulationError(
@@ -569,6 +658,8 @@ class Environment:
         self._now = t
         self._event_count += 1
         event._process()
+        if self._fused is not None:  # granted by a non-process callback
+            self._unfuse()
         # Recycle iff the engine held the only reference (local + arg = 2):
         # user-held events keep their full post-processing semantics.
         cls = event.__class__
@@ -591,6 +682,8 @@ class Environment:
 
         Returns the event's value when ``until`` is an event.
         """
+        if self._fused is not None:  # granted outside any process
+            self._unfuse()
         if isinstance(until, Event):
             stop = until
             # Inlined stepping loop: hoists the queue, heap pop, free lists
@@ -619,6 +712,8 @@ class Environment:
                     self._now = t
                     count += 1
                     event._process()
+                    if self._fused is not None:
+                        self._unfuse()
                     cls = event.__class__
                     if (cls is Timeout and getref(event) == 2
                             and len(tpool) < _POOL_MAX):
@@ -652,7 +747,8 @@ class ReferenceEnvironment(Environment):
     """The retained pre-fast-path scheduler (differential reference).
 
     Every delay is its own heap-scheduled :class:`Timeout` (``charge``
-    degrades to one), nothing is recycled, and stepping goes through the
+    degrades to one), every resource grant is a heap-scheduled event,
+    nothing is recycled, and stepping goes through the
     un-inlined per-event loop.  Kept — like ``FlatPageTable`` — so a
     randomized differential can pin the fast path's equivalence on every
     simulated-time observable, including ``processed_events``.
@@ -671,6 +767,11 @@ class ReferenceEnvironment(Environment):
         ev = Event(self)
         ev.succeed()
         ev.add_callback(fn)
+        return ev
+
+    def _grant(self, value: Any) -> Event:
+        ev = Event(self)
+        ev.succeed(value)
         return ev
 
     def step(self) -> None:

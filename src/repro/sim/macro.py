@@ -472,16 +472,15 @@ class MacroExecutor:
         The event queue must be empty (no other runnable process — their
         float adds would interleave with ours) and both shared resources
         idle, so the operation's event path would run uncontended from
-        start to finish.  A pending zero-value charge cannot be settled
-        exactly (the engine's ``if pending:`` guards skip 0.0), so it
-        forces a fallback.
+        start to finish.  Fused charges are settled first; an unconsumed
+        fused grant is a pending heap event, and other waiters of the
+        resuming event still have to run at its time, so either forces a
+        fallback (the event path would not fuse there either).
         """
         env = self.env
-        if env._pending:
+        if env._pending_n:
             env._settle()
-        elif env._pending_n:
-            return False
-        if env._queue:
+        if env._queue or env._fused is not None or env._hold:
             return False
         if self.lock._in_use or self.queues._in_use:
             return False

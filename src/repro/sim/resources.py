@@ -87,22 +87,27 @@ class Resource:
         return self._busy_time / (horizon * self.capacity)
 
     def _account(self) -> None:
-        dt = self.env.now - self._last_change
+        now = self.env.now
+        dt = now - self._last_change
         if dt > 0:
             self._busy_time += dt * self._in_use
-            self._last_change = self.env.now
+            self._last_change = now
 
     # -- acquire/release -----------------------------------------------------
     def acquire(self) -> Event:
-        """Return an event firing with a :class:`Grant` when a unit frees."""
-        ev = self.env.event()
+        """Return an event firing with a :class:`Grant` when a unit frees.
+
+        A free unit is granted at once through the environment's grant
+        hook, which the fused engine can consume without a heap round
+        trip (:meth:`Environment._grant`).
+        """
         grant = Grant(self)
         if self._in_use < self.capacity and not self._waiters:
             self._account()
             self._in_use += 1
-            ev.succeed(grant)
-        else:
-            self._waiters.append((ev, grant))
+            return self.env._grant(grant)
+        ev = self.env.event()
+        self._waiters.append((ev, grant))
         return ev
 
     def try_acquire(self) -> Optional[Grant]:

@@ -7,7 +7,9 @@ cost-delta contract on every accepted fix, and the SARIF ``fixes[]``
 round trip.  Edit-layer behavior gets direct unit tests.
 """
 
+import linecache
 import os
+import sys
 
 import pytest
 
@@ -40,6 +42,15 @@ def diff():
 def test_fix_differential_is_clean(diff):
     assert diff.ok, "\n".join(diff.mismatches)
     assert set(diff.results) == set(EXPECTED_STATUS)
+
+
+def test_fix_differential_leaves_no_sandbox_module_behind(diff):
+    # ``diff`` already ran the dynamic pass; a static-only pass must not
+    # leave anything behind either, and must reach the same verdicts
+    static = fix_differential(dynamic=False)
+    assert static.ok, "\n".join(static.mismatches)
+    assert not [m for m in sys.modules if "_mapfix_sandbox" in m]
+    assert not [p for p in linecache.cache if "mapfix-" in p]
 
 
 def test_every_workload_lands_in_its_pinned_class(diff):

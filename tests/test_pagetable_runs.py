@@ -7,6 +7,8 @@ extent arithmetic — merging, splitting, unaligned ends — plus the
 randomized differential.
 """
 
+import random
+
 import pytest
 
 from repro.experiments.bench import pagetable_parity
@@ -211,3 +213,120 @@ def test_histogram_parity_after_identical_op_sequence():
     assert runs.install_count == flat.install_count == 7
     assert runs.evict_count == flat.evict_count == 2
     assert sorted(runs.pages()) == sorted(flat.pages())
+
+
+# ---------------------------------------------------------------------------
+# resident-range fast path vs. the flat oracle
+# ---------------------------------------------------------------------------
+
+
+def _both(ops):
+    """Apply the same install/evict sequence to both tables."""
+    tables = (PageTable(P), FlatPageTable(P))
+    for pt in tables:
+        for op, rng, *rest in ops:
+            if op == "install":
+                frames, origin = rest
+                pt.install_range(rng, frames, origin)
+            else:
+                pt.evict_range(rng)
+    return tables
+
+
+def _assert_queries_match(runs, flat, rng):
+    assert runs.coverage(rng) == flat.coverage(rng)
+    assert runs.missing_runs(rng) == flat.missing_runs(rng)
+    assert runs.missing_pages(rng) == flat.missing_pages(rng)
+
+
+_ONE_RUN = [("install", rng_pages(2, 4), [10, 11, 12, 13], MapOrigin.PREFAULT)]
+
+
+def test_fast_path_range_ending_at_run_end():
+    runs, flat = _both(_ONE_RUN)
+    exact = AddressRange(2 * P, 4 * P)
+    assert runs._covers(exact)
+    assert runs.coverage(exact) == (4, 0)
+    _assert_queries_match(runs, flat, exact)
+    # one byte past the run's end: the fast path declines
+    past = AddressRange(2 * P, 4 * P + 1)
+    assert not runs._covers(past)
+    assert runs.coverage(past) == (4, 1)
+    assert runs.missing_runs(past) == [AddressRange(6 * P, P)]
+    _assert_queries_match(runs, flat, past)
+    # one byte before the run's start also declines
+    before = AddressRange(2 * P - 1, 2)
+    assert not runs._covers(before)
+    _assert_queries_match(runs, flat, before)
+
+
+def test_fast_path_unaligned_range_inside_one_page():
+    runs, flat = _both(_ONE_RUN)
+    inner = AddressRange(3 * P + 100, 50)
+    assert runs._covers(inner)
+    assert runs.coverage(inner) == (1, 0)
+    assert runs.missing_runs(inner) == []
+    _assert_queries_match(runs, flat, inner)
+    straddle = AddressRange(3 * P + P // 2, P)  # crosses into page 4
+    assert runs._covers(straddle)
+    _assert_queries_match(runs, flat, straddle)
+
+
+def test_fast_path_zero_length_range():
+    runs, flat = _both(_ONE_RUN)
+    for start in (3 * P, 3 * P + 7, 40 * P):
+        empty = AddressRange(start, 0)
+        assert runs.coverage(empty) == (0, 0)
+        assert runs.missing_runs(empty) == []
+        _assert_queries_match(runs, flat, empty)
+
+
+def test_fast_path_declines_on_adjacent_runs_of_different_origin():
+    runs, flat = _both(_ONE_RUN + [
+        ("install", rng_pages(6, 2), [20, 21], MapOrigin.XNACK_REPLAY),
+    ])
+    assert runs.run_count == 2
+    both = AddressRange(4 * P, 4 * P)
+    assert not runs._covers(both)
+    assert runs.coverage(both) == (4, 0)
+    assert runs.missing_runs(both) == []
+    _assert_queries_match(runs, flat, both)
+
+
+def test_fast_path_after_partial_evict():
+    runs, flat = _both(_ONE_RUN + [("evict", rng_pages(3, 1))])
+    assert runs.run_count == 2
+    whole = rng_pages(2, 4)
+    assert not runs._covers(whole)
+    assert runs.missing_runs(whole) == [rng_pages(3, 1)]
+    _assert_queries_match(runs, flat, whole)
+    tail = AddressRange(4 * P + 1, 2 * P - 1)
+    assert runs._covers(tail)
+    _assert_queries_match(runs, flat, tail)
+    assert not runs._covers(rng_pages(3, 1))
+    _assert_queries_match(runs, flat, rng_pages(3, 1))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fast_path_random_probes_match_flat(seed):
+    rnd = random.Random(seed)
+    runs, flat = PageTable(P), FlatPageTable(P)
+    origins = list(MapOrigin)
+    frame = 0
+    for _ in range(60):
+        first, n = rnd.randrange(32), rnd.randint(1, 6)
+        rng = rng_pages(first, n)
+        if rnd.random() < 0.6:
+            if runs.coverage(rng)[0] == 0:
+                origin = rnd.choice(origins)
+                frames = list(range(frame, frame + n))
+                frame += n
+                for pt in (runs, flat):
+                    pt.install_range(rng, frames, origin)
+        else:
+            for pt in (runs, flat):
+                pt.evict_range(rng)
+        for _ in range(4):
+            start = rnd.randrange(40 * P)
+            probe = AddressRange(start, rnd.choice((0, 1, P - 1, P, 3 * P + 5)))
+            _assert_queries_match(runs, flat, probe)

@@ -1,7 +1,8 @@
-"""Engine fast path: charge fusion, event recycling, O(1) interrupt,
-and the retained reference scheduler."""
+"""Engine fast path: charge fusion, grant fusion, event recycling, O(1)
+interrupt, and the retained reference scheduler."""
 
 import contextlib
+import random
 
 import pytest
 
@@ -13,8 +14,11 @@ from repro.sim import (
     Interrupt,
     Mutex,
     ReferenceEnvironment,
+    Resource,
     SimulationError,
 )
+
+ENGINES = (Environment, ReferenceEnvironment)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +118,121 @@ def test_charge_contended_matches_timeout_interleaving():
         return log
 
     assert run(True) == run(False)
+
+
+def test_zero_charges_are_counted():
+    """A zero-µs charge raises only the pending count; every settle point
+    must still fold it into processed_events."""
+    results = {}
+    for cls in ENGINES:
+        env = cls()
+
+        def proc():
+            yield env.charge(0.0)
+            yield env.charge(0.0)
+
+        env.process(proc())
+        env.run()
+        results[cls] = (env.now, env.processed_events)
+    assert results[Environment] == results[ReferenceEnvironment] == (0.0, 4)
+
+
+def test_zero_charge_settles_before_suspend_and_schedule():
+    results = {}
+    for cls in ENGINES:
+        env = cls()
+        seen = []
+
+        def proc():
+            yield env.charge(0.0)
+            seen.append(env.processed_events)
+            yield env.charge(0.0)
+            yield env.timeout(1.0)
+            seen.append(env.processed_events)
+            yield env.charge(0.0)
+            env.process(iter_none())
+            seen.append(env.peek())
+
+        def iter_none():
+            return
+            yield  # pragma: no cover
+
+        # step loop: the inlined run(until=Event) loop batches its count
+        env.process(proc())
+        env.run()
+        results[cls] = (seen, env.now, env.processed_events)
+    assert results[Environment] == results[ReferenceEnvironment]
+
+
+def test_multi_waiter_event_holds_off_fusion():
+    """Two processes wait on one event; the first charges.  The second
+    must still run at the event's time, as with a real timeout."""
+    results = {}
+    for cls in ENGINES:
+        env = cls()
+        log = []
+        ev = env.event()
+
+        def first():
+            yield ev
+            yield env.charge(5.0)
+            grant = yield lock.acquire()
+            log.append(("first", env.now))
+            lock.release(grant)
+            yield env.timeout(100.0)
+
+        def second():
+            yield ev
+            log.append(("second", env.now))
+            grant = yield lock.acquire()
+            log.append(("second-locked", env.now))
+            lock.release(grant)
+
+        def kick():
+            yield env.timeout(1.0)
+            ev.succeed()
+            yield env.timeout(50.0)
+
+        lock = Mutex(env)
+        env.process(first())
+        env.process(second())
+        env.process(kick())
+        env.run()
+        results[cls] = (log, env.now, env.processed_events)
+    assert results[Environment] == results[ReferenceEnvironment]
+    assert results[Environment][0][0] == ("second", 1.0)
+
+
+def test_multi_waiter_event_holds_off_grant_fusion():
+    results = {}
+    for cls in ENGINES:
+        env = cls()
+        log = []
+        ev = env.event()
+        lock = Mutex(env)
+
+        def first():
+            yield ev
+            grant = yield lock.acquire()
+            log.append("first")
+            lock.release(grant)
+
+        def second():
+            yield ev
+            log.append("second")
+
+        def kick():
+            yield env.timeout(1.0)
+            ev.succeed()
+            yield env.timeout(50.0)
+
+        env.process(first())
+        env.process(second())
+        env.process(kick())
+        env.run()
+        results[cls] = (log, env.now, env.processed_events)
+    assert results[Environment] == results[ReferenceEnvironment]
+    assert results[Environment][0] == ["second", "first"]
 
 
 def test_charge_negative_raises():
@@ -424,3 +543,266 @@ def test_fused_and_reference_engines_bit_identical():
 
 def test_engine_version_exported():
     assert isinstance(ENGINE_VERSION, int) and ENGINE_VERSION >= 2
+
+
+# ---------------------------------------------------------------------------
+# grant fusion: fused vs. reference on resource programs
+# ---------------------------------------------------------------------------
+
+
+def _resource_program(env, seed):
+    """A seeded random program over Resource capacities 1, 2, 4 and a
+    Mutex: exact-time ties, acquires right after same-time timeouts,
+    interrupts while waiting in a FIFO, and AllOf over acquires.
+    Returns ``(log, resources, stop)``; ``stop`` is None or an event to
+    run until."""
+    rnd = random.Random(seed)
+    res = [Resource(env, 1, "r1"), Resource(env, 2, "r2"),
+           Resource(env, 4, "r4"), Mutex(env, "m")]
+    log = []
+
+    def hold(wid, grants):
+        if rnd.random() < 0.5:
+            yield env.charge(rnd.choice((0.0, 0.5, 1.0)))
+        else:
+            yield env.timeout(rnd.choice((0.0, 1.0, 2.0)))
+        log.append((wid, "held", [g.resource.name for g in grants], env.now))
+
+    def worker(wid, steps):
+        for step in steps:
+            kind = step[0]
+            try:
+                if kind == "charge":
+                    yield env.charge(step[1])
+                elif kind == "timeout":
+                    yield env.timeout(step[1])
+                elif kind in ("acquire", "tie-acquire"):
+                    if kind == "tie-acquire":
+                        yield env.timeout(0.0)
+                    grant = yield step[1].acquire()
+                    log.append((wid, "got", step[1].name, env.now))
+                    try:
+                        yield from hold(wid, [grant])
+                    finally:
+                        step[1].release(grant)
+                elif kind == "allof":
+                    a, b = step[1], step[2]
+                    got = yield AllOf(env, [a.acquire(), b.acquire()])
+                    grants = list(got.values())
+                    log.append((wid, "all", sorted(g.resource.name for g in grants),
+                                env.now))
+                    try:
+                        yield from hold(wid, grants)
+                    finally:
+                        for g in grants:
+                            g.resource.release(g)
+                log.append((wid, kind, env.now))
+            except Interrupt as exc:
+                log.append((wid, "intr", exc.cause, env.now))
+        return wid
+
+    def program(wid):
+        steps = []
+        for _ in range(rnd.randint(3, 8)):
+            roll = rnd.random()
+            if roll < 0.2:
+                steps.append(("charge", rnd.choice((0.0, 0.5, 1.0, 2.0))))
+            elif roll < 0.35:
+                steps.append(("timeout", rnd.choice((0.0, 1.0, 2.0))))
+            elif roll < 0.65:
+                steps.append(("acquire", rnd.choice(res)))
+            elif roll < 0.8:
+                steps.append(("tie-acquire", rnd.choice(res)))
+            else:
+                a, b = rnd.sample(res, 2)
+                steps.append(("allof", a, b))
+        return steps
+
+    workers = [env.process(worker(w, program(w)), name=f"w{w}")
+               for w in range(rnd.randint(3, 6))]
+
+    def interrupter():
+        for i in range(rnd.randint(0, 4)):
+            yield env.timeout(rnd.choice((0.0, 0.5, 1.0, 1.5, 3.0)))
+            victim = rnd.choice(workers)
+            waiting = [r.name for r in res if r.queue_length]
+            if victim.is_alive:
+                try:
+                    victim.interrupt(i)
+                    log.append(("interrupt", victim.name, waiting, env.now))
+                except SimulationError:
+                    log.append(("double", victim.name, env.now))
+
+    env.process(interrupter())
+    stop = env.timeout(10_000.0) if seed % 2 else None
+    return log, res, stop
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_resource_programs_fused_vs_reference(seed):
+    sides = {}
+    for cls in ENGINES:
+        env = cls()
+        log, res, stop = _resource_program(env, seed)
+        env.run(stop)
+        sides[cls] = (
+            log,
+            env.now,
+            env.processed_events,
+            [r.utilization() for r in res],
+            [(r.in_use, r.queue_length) for r in res],
+        )
+    assert sides[Environment] == sides[ReferenceEnvironment]
+
+
+def test_uncontended_grants_stay_off_the_heap():
+    """A lone process cycling a free mutex schedules only its bootstrap
+    and its terminal event, yet counts one event per grant."""
+    results = {}
+    for cls in ENGINES:
+        env = cls()
+        lock = Mutex(env)
+
+        def proc():
+            for _ in range(50):
+                grant = yield lock.acquire()
+                yield env.charge(1.0)
+                lock.release(grant)
+
+        env.run(env.process(proc()))
+        results[cls] = (env.now, env.processed_events, lock.utilization())
+        if cls is Environment:
+            assert env._seq == 2
+    assert results[Environment] == results[ReferenceEnvironment]
+
+
+def _hold_across_yield(env, log):
+    lock = Mutex(env)
+
+    def proc():
+        ev = lock.acquire()
+        yield env.timeout(1.0)
+        grant = yield ev
+        log.append(("timeout-first", env.now))
+        lock.release(grant)
+        ev = lock.acquire()
+        yield env.charge(2.0)
+        grant = yield ev
+        log.append(("charge-first", env.now, ev.processed))
+        lock.release(grant)
+
+    return env.process(proc())
+
+
+def _allof_acquires(env, log):
+    res = Resource(env, 2)
+
+    def proc():
+        a, b = res.acquire(), res.acquire()
+        got = yield AllOf(env, [a, b])
+        log.append(("both", env.now, len(got)))
+        for g in got.values():
+            res.release(g)
+
+    return env.process(proc())
+
+
+def _peek_and_spawn(env, log):
+    lock = Mutex(env)
+
+    def child():
+        log.append(("child", env.now, lock.locked))
+        yield env.charge(0.0)
+
+    def proc():
+        ev = lock.acquire()
+        log.append(("peek", env.peek()))
+        env.process(child())
+        grant = yield ev
+        log.append(("granted", env.now))
+        lock.release(grant)
+
+    return env.process(proc())
+
+
+def _allof_then_spawn(env, log):
+    lock = Mutex(env)
+
+    def child():
+        yield env.timeout(0.0)
+        log.append(("child", env.now))
+
+    def proc():
+        cond = AllOf(env, [lock.acquire()])
+        env.process(child())
+        got = yield cond
+        log.append(("proc", env.now))
+        for g in got.values():
+            lock.release(g)
+
+    return env.process(proc())
+
+
+def _callback_then_charge(env, log):
+    lock = Mutex(env)
+
+    def proc():
+        ev = lock.acquire()
+        ev.add_callback(lambda _e: log.append(("grant-cb", env.now)))
+        yield env.charge(2.0)
+        grant = yield ev
+        log.append(("resumed", env.now))
+        lock.release(grant)
+
+    return env.process(proc())
+
+
+def _acquire_outside_process(env, log):
+    lock = Mutex(env)
+    ev = lock.acquire()  # top-level: no trampoline to consume it
+    trigger = env.event()
+
+    def on_trigger(_e):
+        late = lock.acquire()  # the lock is busy: queued
+        free = Resource(env, 1).acquire()
+        free.add_callback(lambda _e: log.append(("cb-grant", env.now)))
+        log.append(("cb", late.triggered, free.triggered))
+
+    trigger.add_callback(on_trigger)
+
+    def proc():
+        grant = yield ev
+        log.append(("top", env.now))
+        yield env.timeout(1.0)
+        lock.release(grant)
+        trigger.succeed()
+        yield env.timeout(1.0)
+        log.append(("after-cb", lock.locked, env.now))
+
+    return env.process(proc())
+
+
+def test_top_level_grant_before_numeric_horizon():
+    sides = {}
+    for cls in ENGINES:
+        env = cls()
+        lock = Mutex(env)
+        ev = lock.acquire()
+        env.run(until=5.0)
+        sides[cls] = (env.now, env.processed_events, ev.processed)
+    assert sides[Environment] == sides[ReferenceEnvironment] == (5.0, 1, True)
+
+
+@pytest.mark.parametrize(
+    "shape", [_hold_across_yield, _allof_acquires, _peek_and_spawn,
+              _allof_then_spawn, _callback_then_charge,
+              _acquire_outside_process])
+def test_grant_shapes_fused_vs_reference(shape):
+    sides = {}
+    for cls in ENGINES:
+        env = cls()
+        log = []
+        shape(env, log)
+        env.run()
+        sides[cls] = (log, env.now, env.processed_events)
+    assert sides[Environment] == sides[ReferenceEnvironment]
