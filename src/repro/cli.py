@@ -3,7 +3,6 @@
 ::
 
     python -m repro fig3   [--sizes 2,8,32] [--threads 1,2,4,8] [--quick] [--jobs N] [--cache]
-                           [--engine fast|reference|macro]
     python -m repro fig4
     python -m repro table1 [--quick]
     python -m repro table2 [--reps 4] [--jobs N]
@@ -17,7 +16,7 @@
                           [--write-baseline FILE] [--jobs N]
                           [--fix-dry-run] [--fix-out DIR] [--fix-json FILE]
     python -m repro bench  [--quick] [--jobs N] [--bench-json BENCH.json]
-                           [--only scheduler|pagetable|meso|macro|static]
+                           [--only scheduler|pagetable|meso|static]
                            [--bench-history DIR]
 
 ``check`` runs the MapCheck sanitizer/lint over a bundled workload (or
@@ -56,8 +55,8 @@ content-addressed on-disk store (``--cache-dir``), so a warm rerun of
 fig3/fig4/table2 performs zero simulations; any input change (workload
 parameters, cost model, engine version) changes the digest and re-runs
 the cell.  ``bench`` times scheduler/pagetable micro-ops, a QMCPack run,
-a full ratio experiment and the steady-state macro engine, runs the
-fused-vs-reference and macro-vs-fused differentials, writes
+a full ratio experiment and the static pipeline, runs the
+fused-vs-reference differential, writes
 ``BENCH.json`` plus a timestamped history copy, and exits 1 if any
 run-equivalence invariant (never a timing) regresses.  ``--only TIER``
 restricts the run to one tier.
@@ -112,7 +111,6 @@ def _fig_grid(args, threads):
         progress=_progress,
         jobs=args.jobs,
         cache=_cell_cache(args),
-        engine=args.engine,
     )
 
 
@@ -137,7 +135,6 @@ def cmd_table2(args) -> str:
         progress=_progress,
         jobs=args.jobs,
         cache=_cell_cache(args),
-        engine=args.engine,
     )
     return render_table2(result)
 
@@ -506,23 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="cell-cache directory (default: .repro-cache)",
     )
     parser.add_argument(
-        "--engine", default="fast",
-        choices=("fast", "reference", "macro"),
-        help="simulation engine for fig3/fig4/table2 cells: the fused "
-        "fast path (default), the retained reference scheduler, or the "
-        "steady-state macro-execution engine — all three produce "
-        "bit-identical numbers (gated by 'bench'); only wall clock "
-        "differs",
-    )
-    parser.add_argument(
         "--bench-json", default="BENCH.json",
         help="for 'bench': where to write the JSON results",
     )
     parser.add_argument(
         "--only", default=None, metavar="TIER",
-        choices=("scheduler", "pagetable", "meso", "macro", "static"),
+        choices=("scheduler", "pagetable", "meso", "static"),
         help="for 'bench': run a single tier (scheduler|pagetable|meso|"
-        "macro|static) instead of all of them",
+        "static) instead of all of them",
     )
     parser.add_argument(
         "--bench-history", default="benchmarks/history", metavar="DIR",

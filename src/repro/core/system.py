@@ -18,7 +18,7 @@ from ..hsa.api import HsaRuntime
 from ..memory.os_alloc import OsAllocator
 from ..memory.pagetable import PageTable
 from ..memory.physical import PhysicalMemory
-from ..sim import Environment, Jitter, MacroEnvironment, ReferenceEnvironment, RngHub
+from ..sim import Environment, Jitter, ReferenceEnvironment, RngHub
 from ..trace.hsa_trace import HsaTrace
 from .params import CostModel
 
@@ -27,7 +27,6 @@ __all__ = ["ApuSystem"]
 _ENGINES = {
     "fast": Environment,
     "reference": ReferenceEnvironment,
-    "macro": MacroEnvironment,
 }
 
 
@@ -35,11 +34,10 @@ class ApuSystem:
     """A fully wired single-socket APU simulation.
 
     ``engine`` selects the simulation scheduler: ``"fast"`` (default —
-    charge fusion, event recycling, inlined stepping), ``"reference"``
-    (the retained one-heap-event-per-delay scheduler) or ``"macro"``
-    (MapWarp: the fused scheduler plus steady-state segment replay, see
-    ``repro.sim.macro``).  All engines produce bit-identical
-    simulated-time results; the bench differentials gate it.
+    charge fusion, event recycling, inlined stepping) or ``"reference"``
+    (the retained one-heap-event-per-delay scheduler, the test oracle).
+    Both produce bit-identical simulated-time results; the bench
+    differential gates it.
     """
 
     def __init__(

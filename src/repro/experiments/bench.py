@@ -1,8 +1,8 @@
 """``python -m repro bench`` — micro/meso benchmark harness.
 
-Seven tiers, each emitting ``{name, wall_s, sim_events, events_per_s,
+Six tiers, each emitting ``{name, wall_s, sim_events, events_per_s,
 engine}`` entries into ``BENCH.json`` (schema ``repro-bench-v4``;
-``--only scheduler|pagetable|meso|macro|static`` restricts the run, and
+``--only scheduler|pagetable|meso|static`` restricts the run, and
 every invocation also appends a timestamped copy of the report under
 ``benchmarks/history/``):
 
@@ -23,10 +23,6 @@ every invocation also appends a timestamped copy of the report under
   which doubles as the parallel-equivalence check;
 * **cell cache** — a small Fig. 3 grid collected cold then warm through
   a fresh :class:`~repro.experiments.cache.CellCache`;
-* **macro** — the steady-state macro engine (``engine="macro"``,
-  ``ENGINE_VERSION 3``) vs. the fused engine on a single-thread QMCPack
-  run, measured in interleaved rounds so machine-speed drift hits both
-  engines equally;
 * **static** — the static pipeline over the faulty corpus, per phase
   (extract, abstract interpretation, MapCost prediction, MapRace,
   MapFix remediation) plus an end-to-end ``check all --static --perf
@@ -36,20 +32,17 @@ Wall-clock numbers are hardware-dependent and never gate anything; the
 **run-equivalence invariants** do (CI fails on them):
 
 * fused fast-path engine vs. reference scheduler on a randomized
-  differential (QMCPack + one SPECaccel workload, several configs):
-  final ``env.now``, all ``*_us``/``*_faults`` telemetry, HSA call
-  counts/rows, event counts, and functional kernel outputs bit-identical;
+  differential (noisy multi-thread and noiseless single-thread QMCPack
+  plus one SPECaccel workload, several configs): final ``env.now``, all
+  ``*_us``/``*_faults`` telemetry, HSA call counts/rows, event counts,
+  and functional kernel outputs bit-identical;
 * run-table vs. flat-table parity on a randomized operation sequence
   (identical present/missing pages, per-origin histograms, per-page
   install/evict counters);
 * ``jobs=N`` ratio-experiment summaries, ledgers, and event counts
   bit-identical to ``jobs=1``;
 * the warm cache run performs **zero** simulation cells and reproduces
-  the cold run's ratio grid exactly;
-* macro engine vs. fused engine: the measured run's full observable
-  tuple (``macro_identical``) plus a randomized three-workload ×
-  four-configuration differential (``macro_differential``), all
-  bit-identical.
+  the cold run's ratio grid exactly.
 """
 
 from __future__ import annotations
@@ -81,16 +74,15 @@ __all__ = [
     "write_bench",
     "pagetable_parity",
     "engine_differential",
-    "macro_differential",
     "BENCH_TIERS",
 ]
 
 #: ``--only`` tier names.  ``meso`` covers the end-to-end simulation
-#: tiers (single QMCPack run, ratio experiment, cell cache); ``macro``
-#: is the steady-state macro-engine tier; ``static`` times the static
-#: pipeline (extract / interp / cost / race / fix) over the faulty
-#: corpus plus a ``check all --static --perf --no-sim`` end-to-end pass.
-BENCH_TIERS = ("scheduler", "pagetable", "meso", "macro", "static")
+#: tiers (single QMCPack run, ratio experiment, cell cache); ``static``
+#: times the static pipeline (extract / interp / cost / race / fix) over
+#: the faulty corpus plus a ``check all --static --perf --no-sim``
+#: end-to-end pass.
+BENCH_TIERS = ("scheduler", "pagetable", "meso", "static")
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ class BenchEntry:
     """One benchmark measurement (the BENCH.json entry schema).
 
     ``engine`` names the simulation engine that produced the entry
-    (``fast`` / ``reference`` / ``macro``), or ``n/a`` for measurements
+    (``fast`` / ``reference``), or ``n/a`` for measurements
     that do not run the event engine at all (pagetable micro-ops).
     """
 
@@ -242,7 +234,9 @@ def engine_differential(seed: int = 11, quick: bool = False) -> bool:
     scheduler on real workloads.
 
     QMCPack NiO and one SPECaccel proxy (403.stencil), several runtime
-    configurations, randomized per-case seeds.  Every simulated-time
+    configurations, randomized per-case seeds.  The noisy cases run
+    contended multi-thread QMCPack; the noiseless single-thread case is
+    the ``fig3 --quick`` t=1 shape.  Every simulated-time
     observable must be bit-identical: final clock, init/steady/elapsed
     times, phase marks, ledger telemetry (``*_us``/fault counts), HSA
     call rows, engine event counts, HBM high-water mark, and the
@@ -252,33 +246,30 @@ def engine_differential(seed: int = 11, quick: bool = False) -> bool:
     fidelity = Fidelity.TEST
     cases = [
         (partial(QmcPackNio, size=4, n_threads=2, fidelity=fidelity),
-         RuntimeConfig.COPY),
+         RuntimeConfig.COPY, True),
         (partial(QmcPackNio, size=4, n_threads=2, fidelity=fidelity),
-         RuntimeConfig.IMPLICIT_ZERO_COPY),
+         RuntimeConfig.IMPLICIT_ZERO_COPY, True),
         (partial(Stencil403, fidelity=fidelity),
-         RuntimeConfig.EAGER_MAPS),
+         RuntimeConfig.EAGER_MAPS, True),
+        (partial(QmcPackNio, size=2, n_threads=1, fidelity=fidelity),
+         RuntimeConfig.IMPLICIT_ZERO_COPY, False),
         (partial(Stencil403, fidelity=fidelity),
-         RuntimeConfig.UNIFIED_SHARED_MEMORY),
+         RuntimeConfig.UNIFIED_SHARED_MEMORY, True),
     ]
     if quick:
-        cases = cases[1:3]
-    for factory, config in cases:
+        cases = cases[1:4]
+    for factory, config, noise in cases:
         case_seed = rnd.randrange(1 << 30)
         sides = {}
         for eng in ("fast", "reference"):
             workload = factory()
             run = execute(
-                workload, config, seed=case_seed, noise=True, engine=eng
+                workload, config, seed=case_seed, noise=noise, engine=eng
             )
             sides[eng] = _run_observables(run, workload)
         if sides["fast"] != sides["reference"]:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# macro tier (steady-state macro engine vs. fused engine)
-# ---------------------------------------------------------------------------
 
 
 def _run_observables(run, workload) -> Tuple:
@@ -297,118 +288,6 @@ def _run_observables(run, workload) -> Tuple:
         {k: np.asarray(v).tobytes()
          for k, v in sorted(workload.outputs.values.items())},
     )
-
-
-def macro_differential(seed: int = 13, quick: bool = False) -> bool:
-    """Randomized differential: macro engine vs. the fused fast path.
-
-    QMCPack NiO, 403.stencil and 404.lbm under **all four** runtime
-    configurations with several randomized seeds each (noise randomized
-    too — noisy runs exercise the macro engine's eligibility fallback,
-    noiseless runs its replay path).  Every observable must be
-    bit-identical: clocks, phase marks, ledger telemetry, HSA call rows,
-    event counts, HBM high-water mark and functional kernel outputs.
-    """
-    from ..workloads.specaccel import Lbm404
-
-    rnd = random.Random(seed)
-    fidelity = Fidelity.TEST
-    factories = [
-        partial(QmcPackNio, size=2, n_threads=1, fidelity=fidelity),
-        partial(Stencil403, fidelity=fidelity),
-        partial(Lbm404, fidelity=fidelity),
-    ]
-    n_seeds = 1 if quick else 3
-    for factory in factories:
-        for config in RuntimeConfig:
-            for i in range(n_seeds):
-                case_seed = rnd.randrange(1 << 30)
-                # first seed per case always runs noiseless (replay
-                # engaged); later seeds flip a coin
-                noise = bool(rnd.getrandbits(1)) if i else False
-                sides = {}
-                for eng in ("fast", "macro"):
-                    workload = factory()
-                    run = execute(
-                        workload, config, seed=case_seed, noise=noise,
-                        engine=eng,
-                    )
-                    sides[eng] = _run_observables(run, workload)
-                if sides["fast"] != sides["macro"]:
-                    return False
-    return True
-
-
-def _bench_macro(
-    quick: bool,
-) -> Tuple[List[BenchEntry], Dict[str, float], Dict[str, bool]]:
-    """Steady-state macro engine vs. the fused engine, interleaved.
-
-    One single-thread QMCPack NiO run per engine per round (the macro
-    engine's replayable shape: multi-thread runs keep the event queue
-    non-empty and fall back wholesale).  Rounds alternate fused/macro so
-    machine-speed drift hits both engines equally; the recorded speedup
-    is the best paired-round ratio (the least noise-contaminated
-    estimate of the code-speed ratio) with the median alongside.
-    """
-    size = 8 if quick else 32
-    fidelity = Fidelity.TEST if quick else Fidelity.BENCH
-    rounds = 2 if quick else 5
-    config = RuntimeConfig.IMPLICIT_ZERO_COPY
-
-    def one(engine):
-        wl = QmcPackNio(size=size, n_threads=1, fidelity=fidelity)
-        t0 = time.perf_counter()
-        run = execute(wl, config, seed=0, engine=engine)
-        return time.perf_counter() - t0, run, wl
-
-    # warm-up pair (module imports, declared-period memo) — not timed
-    one("fast")
-    one("macro")
-    best = {"fast": float("inf"), "macro": float("inf")}
-    ratios = []
-    sides = {}
-    events = 0
-    for _ in range(rounds):
-        wf, rf, wlf = one("fast")
-        wm, rm, wlm = one("macro")
-        events = rf.sim_events
-        best["fast"] = min(best["fast"], wf)
-        best["macro"] = min(best["macro"], wm)
-        if wf > 0 and wm > 0:
-            ratios.append(wf / wm)  # same sim_events on both sides
-        sides = {
-            "fast": _run_observables(rf, wlf),
-            "macro": _run_observables(rm, wlm),
-        }
-    entries = [
-        BenchEntry(
-            name=f"qmcpack_s{size}_t1_izc_fused",
-            wall_s=best["fast"],
-            sim_events=events,
-            events_per_s=events / best["fast"] if best["fast"] > 0 else 0.0,
-            engine="fast",
-        ),
-        BenchEntry(
-            name=f"qmcpack_s{size}_t1_izc_macro",
-            wall_s=best["macro"],
-            sim_events=events,
-            events_per_s=events / best["macro"] if best["macro"] > 0 else 0.0,
-            engine="macro",
-        ),
-    ]
-    ratios.sort()
-    speedups = {
-        "macro_vs_fused": ratios[-1] if ratios else 0.0,
-        "macro_vs_fused_median": (
-            ratios[len(ratios) // 2] if ratios else 0.0
-        ),
-    }
-    equivalence = {
-        "macro_identical": sides.get("fast") == sides.get("macro"),
-        "macro_differential": macro_differential(quick=quick),
-    }
-    return entries, speedups, equivalence
 
 
 # ---------------------------------------------------------------------------
@@ -846,15 +725,7 @@ def run_bench(
         report.speedups.update(speedups)
         report.equivalence.update(equivalence)
 
-    # -- tier 6: steady-state macro engine ------------------------------
-    if want("macro"):
-        note("macro engine (steady-state replay vs fused, interleaved)")
-        entries, speedups, equivalence = _bench_macro(quick)
-        report.entries.extend(entries)
-        report.speedups.update(speedups)
-        report.equivalence.update(equivalence)
-
-    # -- tier 7: static pipeline (extract/interp/cost/race/fix) ---------
+    # -- tier 6: static pipeline (extract/interp/cost/race/fix) ---------
     if want("static"):
         note("static pipeline (corpus phases + check all --static --perf)")
         entries, speedups, equivalence = _bench_static(quick)

@@ -3,7 +3,7 @@
 Every ``(workload, configuration, repetition)`` cell of an experiment is
 a pure function of its spec: the workload's parameters, the runtime
 configuration, the explicit seed, the metric, the noise flag, the cost
-model and the simulation engine.  :func:`cell_digest` hashes exactly that
+model and the simulation engine version.  :func:`cell_digest` hashes exactly that
 closure — canonical JSON, SHA-256 — and :class:`CellCache` stores each
 :class:`~repro.experiments.parallel.CellOutcome` in a file named by its
 digest.  The consequences:
@@ -72,11 +72,6 @@ def cell_digest(cell: ExperimentCell) -> str:
     payload = {
         "schema": CACHE_SCHEMA,
         "engine_version": ENGINE_VERSION,
-        # engine *name* as well as version: macro/fast/reference results
-        # are equivalence-gated to be identical, but their cache entries
-        # must never alias — a macro regression could otherwise hide
-        # behind a fast-engine entry (and vice versa)
-        "engine": getattr(cell, "engine", "fast"),
         "workload": workload_fingerprint(cell.factory()),
         "config": cell.config.value,
         "seed": cell.seed,
@@ -84,8 +79,8 @@ def cell_digest(cell: ExperimentCell) -> str:
         "noise": bool(cell.noise),
         "cost": cost.describe(),
         # multi-socket card cells: socket count + placement spec join the
-        # digest (alongside engine/engine_version above) so a card entry
-        # can never alias a plain single-system entry or another topology
+        # digest so a card entry can never alias a plain single-system
+        # entry or another topology
         "topology": getattr(cell, "topology", None),
         "placement": getattr(cell, "placement", None),
     }

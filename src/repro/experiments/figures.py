@@ -66,7 +66,6 @@ def collect_qmcpack_grid(
     jobs: int = 1,
     seed0: int = 1000,
     cache=None,
-    engine: str = "fast",
 ) -> QmcPackGrid:
     """Run the full QMCPack measurement grid (the data behind Figs. 3+4).
 
@@ -101,7 +100,6 @@ def collect_qmcpack_grid(
                     metric="steady_us",
                     noise=noise,
                     cost=cost,
-                    engine=engine,
                 )
                 for config in all_configs
                 for rep in range(reps)

@@ -50,11 +50,6 @@ class ExperimentCell:
     metric: str = "steady_us"
     noise: bool = True
     cost: Optional[CostModel] = None
-    #: simulation engine (``fast`` / ``reference`` / ``macro``); part of
-    #: the cell's cache identity — results are engine-invariant by the
-    #: bench equivalence gates, but digests must never alias across
-    #: engines
-    engine: str = "fast"
     #: socket count of a multi-socket :class:`~repro.multisocket.card.ApuCard`
     #: cell; ``None`` (the default) runs a plain single-system cell.  Card
     #: cells must select a :class:`~repro.multisocket.card.CardResult`
@@ -114,7 +109,6 @@ def _execute_cell(cell: ExperimentCell) -> Tuple[Hashable, CellOutcome]:
         cost=cell.cost,
         seed=cell.seed,
         noise=cell.noise,
-        engine=cell.engine,
     )
     return cell.key, CellOutcome(
         value=float(getattr(run, cell.metric)),

@@ -60,14 +60,6 @@ def execute(
         cost=c, seed=seed, detailed_trace=detailed_trace, engine=engine
     )
     runtime = OpenMPRuntime(system, config, kernel_trace=kernel_trace)
-    if runtime.macro is not None:
-        # MapCost-declared periodicity lets the macro engine arm its
-        # segment tracker without waiting out the auto-detect window
-        from ..sim.macro import declared_period
-
-        hint = declared_period(workload)
-        if hint:
-            runtime.macro.hint = hint
     prepare = getattr(workload, "prepare", None)
     if prepare is not None:
         prepare(runtime)
@@ -162,7 +154,6 @@ def ratio_experiment(
     jobs: int = 1,
     progress=None,
     cache=None,
-    engine: str = "fast",
 ) -> RatioResult:
     """The paper's measurement protocol for one workload.
 
@@ -193,7 +184,6 @@ def ratio_experiment(
             metric=metric,
             noise=noise,
             cost=cost,
-            engine=engine,
         )
         for config in configs
         for rep in range(reps)

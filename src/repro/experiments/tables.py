@@ -145,7 +145,6 @@ def table2_specaccel(
     jobs: int = 1,
     seed0: int = 1000,
     cache=None,
-    engine: str = "fast",
 ) -> Table2Result:
     """Regenerate Table II (8 repetitions, medians, as in §V).
 
@@ -172,7 +171,6 @@ def table2_specaccel(
                 metric="elapsed_us",
                 noise=noise,
                 cost=cost,
-                engine=engine,
             )
             for config in configs
             for rep in range(reps)

@@ -98,19 +98,12 @@ class HsaRuntime:
         self.sdma = Resource(env, capacity=cost.n_sdma_engines, name="sdma")
         self.queues = Resource(env, capacity=cost.n_gpu_queues, name="gpu-queues")
         self.kernels_dispatched = 0
-        #: optional segment-boundary callback (``repro.sim.macro``): pool
-        #: allocations and SDMA copies mark phase boundaries for the
-        #: macro engine's steady-state segment detection.  None when no
-        #: macro executor is attached.
-        self.on_boundary = None
 
     # ------------------------------------------------------------------
     # memory pool
     # ------------------------------------------------------------------
     def memory_pool_allocate(self, nbytes: int):
         """(generator) Allocate device-pool memory; returns the range."""
-        if self.on_boundary is not None:
-            self.on_boundary("memory_pool_allocate")
         t0 = self.env.now
         rng, dur, _cached = self.pool.allocate(nbytes)
         dur = self.op_jitter.apply(dur)
@@ -120,8 +113,6 @@ class HsaRuntime:
 
     def memory_pool_free(self, rng: AddressRange):
         """(generator) Free device-pool memory."""
-        if self.on_boundary is not None:
-            self.on_boundary("memory_pool_free")
         t0 = self.env.now
         dur = self.op_jitter.apply(self.pool.free(rng))
         yield self.env.charge(dur)
@@ -145,8 +136,6 @@ class HsaRuntime:
         """
         if nbytes < 0:
             raise ValueError(f"negative copy size {nbytes}")
-        if self.on_boundary is not None:
-            self.on_boundary("memory_async_copy")
         sig = Signal(self.env, tag=tag or "copy")
         t_submit = self.env.now
 

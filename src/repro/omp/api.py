@@ -79,9 +79,6 @@ class OmpThread:
         immediately (host-side initialization is never the bottleneck in
         the paper's experiments).
         """
-        mx = self.rt.macro
-        if mx is not None:
-            mx.note(self.tid, ("alloc", int(nbytes), region))
         osalloc = self.rt.system.os_alloc
         rng = osalloc.alloc(nbytes, region=region)
         pages = osalloc.populate_cost_pages(nbytes)
@@ -94,9 +91,6 @@ class OmpThread:
         Freeing a buffer that is still mapped is a user error the real
         runtime cannot diagnose; we can, so we do.
         """
-        mx = self.rt.macro
-        if mx is not None:
-            mx.note(self.tid, ("free", buf.nbytes))
         if self.rt.table.is_present(buf):
             raise MappingError(f"freeing host buffer {buf.name!r} while still mapped")
         buf.check_alive()
@@ -109,9 +103,6 @@ class OmpThread:
     # ------------------------------------------------------------------
     def target_enter_data(self, maps: Sequence[MapClause]):
         """(generator) ``#pragma omp target enter data map(...)``."""
-        mx = self.rt.macro
-        if mx is not None and mx.enter_data(self.tid, maps):
-            return
         sigs = yield from self._policy.map_enter_all(maps, tid=self.tid)
         if sigs:
             t0 = self.env.now
@@ -120,16 +111,10 @@ class OmpThread:
 
     def target_exit_data(self, maps: Sequence[MapClause]):
         """(generator) ``#pragma omp target exit data map(...)``."""
-        mx = self.rt.macro
-        if mx is not None and mx.exit_data(self.tid, maps):
-            return
         yield from self._policy.map_exit_all(maps, tid=self.tid)
 
     def update_global(self, glob: GlobalVar):
         """(generator) ``map(always, to: g)`` / ``target update to(g)``."""
-        mx = self.rt.macro
-        if mx is not None:
-            mx.note(self.tid, ("gupd", glob.name))
         yield from self._policy.global_update(glob)
         if self.rt.recorder is not None:
             self.rt.recorder.note_global_sync(self.tid, self.env.now, glob)
@@ -141,13 +126,6 @@ class OmpThread:
         reference counts; absent ranges are skipped (OpenMP 5.x).  Under
         zero-copy configurations there is nothing to move.
         """
-        mx = self.rt.macro
-        if mx is not None:
-            mx.note(self.tid, (
-                "tupd",
-                tuple(b.nbytes for b in to),
-                tuple(b.nbytes for b in from_),
-            ))
         rec = self.rt.recorder
         for buf in to:
             yield from self._policy.motion_update(buf, to_device=True)
@@ -208,16 +186,6 @@ class OmpThread:
         """
         maps = tuple(maps)
         touches = tuple(touches)
-        mx = self.rt.macro
-        if mx is not None:
-            if nowait or touches:
-                mx.note(self.tid, ("xtarget", name, len(maps), len(touches)))
-            else:
-                rec = mx.target(
-                    self.tid, name, compute_us, maps, fn, globals_used
-                )
-                if rec is not None:
-                    return rec
         sigs = yield from self._policy.map_enter_all(maps, tid=self.tid)
         if sigs:
             t0 = self.env.now
@@ -258,15 +226,11 @@ class OmpThread:
         handle = AsyncTarget(sig, maps, check_info=check_info)
         if nowait:
             return handle
-        rec = yield from self.wait(handle, _from_target=True)
+        rec = yield from self.wait(handle)
         return rec
 
-    def wait(self, handle: AsyncTarget, _from_target: bool = False):
+    def wait(self, handle: AsyncTarget):
         """(generator) Complete a target region: kernel wait + map-exit."""
-        if not _from_target:
-            mx = self.rt.macro
-            if mx is not None:
-                mx.note(self.tid, ("wait",))
         t0 = self.env.now
         yield from self.rt.hsa.signal_wait_scacquire(handle.signal)
         self.rt.ledger.wait_us += self.env.now - t0

@@ -72,11 +72,6 @@ class MemoryManager:
         if free:
             block = free.pop()
             self.cache_hits += 1
-            # cache hits never reach HSA, so they must raise the macro
-            # engine's segment boundary themselves (device storage churn
-            # is never part of a replayable steady-state segment)
-            if self.hsa.on_boundary is not None:
-                self.hsa.on_boundary("memmgr_cache_hit")
             # cache hit is pure host-side bookkeeping
             yield self.hsa.env.charge(self.cost.zc_map_call_us)
             rng = AddressRange(block.start, nbytes)
@@ -98,8 +93,6 @@ class MemoryManager:
             self._buckets.setdefault(backing, []).append(
                 AddressRange(rng.start, backing)
             )
-            if self.hsa.on_boundary is not None:
-                self.hsa.on_boundary("memmgr_cache_free")
             yield self.hsa.env.charge(self.cost.zc_map_call_us)
             return
         yield from self.hsa.memory_pool_free(AddressRange(rng.start, backing))

@@ -31,7 +31,6 @@ from ..core.system import ApuSystem
 from ..hsa.api import HsaRuntime, KernelRecord
 from ..memory.layout import KIB, MIB
 from ..sim import Mutex
-from ..sim.macro import MacroEnvironment, MacroExecutor
 from ..trace.hsa_trace import HsaTrace
 from ..trace.kernel_trace import KernelTrace, RunLedger
 from .globals_ import GlobalRegistry, GlobalVar
@@ -139,16 +138,6 @@ class OpenMPRuntime:
         #: optional MapCheck event recorder (``repro.check.events``);
         #: attached via ``repro.check.instrument``, None in normal runs
         self.recorder = None
-        #: MapWarp macro-executor (``repro.sim.macro``): attached only when
-        #: the system runs ``engine="macro"`` and the configuration is
-        #: replayable (zero-copy policy, deterministic jitter); None
-        #: otherwise, making every OmpThread hook a no-op.
-        self.macro = None
-        if isinstance(self.env, MacroEnvironment):
-            mx = MacroExecutor(self)
-            if mx.eligible:
-                self.macro = mx
-                self.hsa.on_boundary = mx.on_boundary
         self._initialized = False
         self._init_us = 0.0
 
@@ -243,8 +232,6 @@ class OpenMPRuntime:
                 yield p
 
         env.run(env.process(_main(), name="omp-main"))
-        if self.macro is not None:
-            self.macro.flush()
         return RunResult(
             config=self.config,
             n_threads=n_threads,

@@ -6,9 +6,6 @@ Public surface:
   :class:`AllOf`, :class:`AnyOf` — the core engine (``repro.sim.core``).
 * :class:`ReferenceEnvironment` — the retained pre-fast-path scheduler
   used by the ``repro bench`` fused-vs-reference differential.
-* :class:`MacroEnvironment` — the MapWarp macro-execution engine
-  (``repro.sim.macro``): steady-state segment replay above the fused
-  scheduler, selected with ``engine="macro"``.
 * :class:`Resource`, :class:`Mutex` — contention primitives
   (``repro.sim.resources``).
 * :class:`RngHub`, :class:`Jitter` — reproducible noise (``repro.sim.rng``).
@@ -26,7 +23,6 @@ from .core import (
     SimulationError,
     Timeout,
 )
-from .macro import MacroEnvironment
 from .resources import Grant, Mutex, Resource
 from .rng import Jitter, RngHub
 
@@ -39,7 +35,6 @@ __all__ = [
     "Grant",
     "Interrupt",
     "Jitter",
-    "MacroEnvironment",
     "Mutex",
     "Process",
     "ReferenceEnvironment",

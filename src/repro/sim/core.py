@@ -73,9 +73,8 @@ __all__ = [
 #: Bumped whenever engine changes could alter simulated-time arithmetic or
 #: event accounting.  Part of the experiment cell-cache key: a cached
 #: result can never be served across an engine whose numbers might differ.
-#: Version 3 adds the MapWarp macro-execution engine (``repro.sim.macro``):
-#: steady-state segments replay outside the event loop, bit-identical to
-#: the fused path by construction and pinned by the bench differential.
+#: The fused and reference schedulers share one version: their numbers are
+#: bit-identical, pinned by the bench fused-vs-reference differential.
 ENGINE_VERSION = 3
 
 
@@ -120,6 +119,10 @@ _CHARGE = _Charge()
 
 #: free lists are bounded so a one-off burst cannot pin memory forever
 _POOL_MAX = 1024
+
+#: sequence number of the ``run(until=number)`` horizon marker: sorts
+#: after every real heap entry at the horizon time
+_HORIZON_SEQ = float("inf")
 
 
 class Event:
@@ -642,7 +645,11 @@ class Environment:
             self._settle()
         if self._fused is not None:
             self._unfuse()
-        return self._queue[0][0] if self._queue else float("inf")
+        q = self._queue
+        if q and q[0][3] is None:  # the horizon marker of run(until=number)
+            q = q[1:3]  # the heap's next-smallest entry is a root child
+            return min(q)[0] if q else float("inf")
+        return q[0][0] if q else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
@@ -687,55 +694,65 @@ class Environment:
         if isinstance(until, Event):
             stop = until
             # Inlined stepping loop: hoists the queue, heap pop, free lists
-            # and the refcount probe into locals, and batches the processed
-            # counter — per-event method dispatch through step() costs ~25%
-            # on charge-light runs.
+            # and the refcount probe into locals — per-event method
+            # dispatch through step() costs ~25% on charge-light runs.  The
+            # processed counter is bumped before each event runs, as in
+            # step(), so a process reading it mid-run sees the same count
+            # as on the reference engine.
             q = self._queue
             pop = heapq.heappop
             tpool = self._timeout_pool
             epool = self._event_pool
             getref = _getrefcount
-            count = 0
-            try:
-                while stop._state != PROCESSED:
-                    if not q:
-                        raise SimulationError(
-                            f"event queue drained before {stop!r} fired (deadlock?)"
-                        )
-                    t, _seq, era, event = pop(q)
-                    if era != event._era:
-                        raise SimulationError(
-                            "stale heap entry: event was recycled while scheduled"
-                        )
-                    if t < self._now:
-                        raise SimulationError("time went backwards; corrupted queue")
-                    self._now = t
-                    count += 1
-                    event._process()
-                    if self._fused is not None:
-                        self._unfuse()
-                    cls = event.__class__
-                    if (cls is Timeout and getref(event) == 2
-                            and len(tpool) < _POOL_MAX):
-                        event._state = RECYCLED
-                        event._era += 1
-                        event._value = None
-                        tpool.append(event)
-                    elif (cls is Event and getref(event) == 2
-                            and len(epool) < _POOL_MAX):
-                        event._state = RECYCLED
-                        event._era += 1
-                        event._value = None
-                        epool.append(event)
-            finally:
-                self._event_count += count
+            while stop._state != PROCESSED:
+                if not q:
+                    raise SimulationError(
+                        f"event queue drained before {stop!r} fired (deadlock?)"
+                    )
+                t, _seq, era, event = pop(q)
+                if era != event._era:
+                    raise SimulationError(
+                        "stale heap entry: event was recycled while scheduled"
+                    )
+                if t < self._now:
+                    raise SimulationError("time went backwards; corrupted queue")
+                self._now = t
+                self._event_count += 1
+                event._process()
+                if self._fused is not None:
+                    self._unfuse()
+                cls = event.__class__
+                if (cls is Timeout and getref(event) == 2
+                        and len(tpool) < _POOL_MAX):
+                    event._state = RECYCLED
+                    event._era += 1
+                    event._value = None
+                    tpool.append(event)
+                elif (cls is Event and getref(event) == 2
+                        and len(epool) < _POOL_MAX):
+                    event._state = RECYCLED
+                    event._era += 1
+                    event._value = None
+                    epool.append(event)
             if not stop.ok:
                 raise stop._value
             return stop._value
         if until is not None:
             horizon = float(until)
-            while self._queue and self._queue[0][0] <= horizon:
-                self.step()
+            # A marker entry at the horizon that sorts after every real
+            # entry at that time.  To the charge fusion test it is one
+            # more scheduled event, so a charge reaching or crossing the
+            # horizon becomes a real timeout instead of running the
+            # process past it — no per-charge horizon check needed.
+            q = self._queue
+            marker = (horizon, _HORIZON_SEQ, 0, None)
+            heapq.heappush(q, marker)
+            try:
+                while q[0] is not marker:
+                    self.step()
+            finally:
+                q.remove(marker)
+                heapq.heapify(q)
             self.now = max(self.now, horizon)
             return None
         while self._queue:

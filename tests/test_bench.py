@@ -48,7 +48,7 @@ def test_bench_json_written_with_schema(quick_bench):
         assert entry["wall_s"] > 0
         assert entry["sim_events"] > 0
         assert entry["events_per_s"] > 0
-        assert entry["engine"] in ("fast", "reference", "macro", "n/a")
+        assert entry["engine"] in ("fast", "reference", "n/a")
 
 
 def test_bench_history_entry_written(quick_bench):
@@ -73,9 +73,6 @@ def test_bench_covers_all_tiers(quick_bench):
     for phase in ("extract", "interp", "cost", "race", "fix"):
         assert f"static_{phase}_corpus" in names
     assert "static_check_all_e2e" in names
-    engines = {e.name: e.engine for e in report.entries}
-    assert engines["qmcpack_s8_t1_izc_fused"] == "fast"
-    assert engines["qmcpack_s8_t1_izc_macro"] == "macro"
 
 
 def test_bench_equivalence_invariants_hold(quick_bench):
@@ -88,8 +85,6 @@ def test_bench_equivalence_invariants_hold(quick_bench):
         "parallel_ledgers_identical": True,
         "cache_warm_zero_cells": True,
         "cache_values_identical": True,
-        "macro_identical": True,
-        "macro_differential": True,
         "static_fix_differential": True,
     }
     assert report.ok
@@ -106,7 +101,7 @@ def test_bench_only_rejects_unknown_tier():
     with pytest.raises(ValueError, match="unknown bench tier"):
         run_bench(quick=True, only="nonsense")
     assert set(BENCH_TIERS) == {
-        "scheduler", "pagetable", "meso", "macro", "static",
+        "scheduler", "pagetable", "meso", "static",
     }
 
 
@@ -126,9 +121,6 @@ def test_bench_records_speedups(quick_bench):
     assert report.speedups["scheduler_fused_vs_reference"] > 1.0
     assert report.speedups["cache_warm_vs_cold"] > 1.0
     assert "ratio_parallel_vs_serial" in report.speedups
-    # the macro engine must beat the event path it replays
-    assert report.speedups["macro_vs_fused"] > 1.0
-    assert "macro_vs_fused_median" in report.speedups
 
 
 def test_engine_differential_smoke():
@@ -139,9 +131,9 @@ def test_bench_render_mentions_invariants(quick_bench):
     report, _, _ = quick_bench
     text = report.render()
     assert "equivalence pagetable_parity: PASS" in text
-    assert "equivalence macro_identical: PASS" in text
+    assert "equivalence scheduler_differential: PASS" in text
     assert "speedup pagetable_runs_vs_flat" in text
-    assert "speedup macro_vs_fused" in text
+    assert "speedup scheduler_fused_vs_reference" in text
 
 
 def test_report_ok_false_when_any_invariant_fails():
@@ -153,14 +145,14 @@ def test_report_ok_false_when_any_invariant_fails():
 def test_entry_to_dict_roundtrip():
     e = BenchEntry(
         name="x", wall_s=1.5, sim_events=30, events_per_s=20.0,
-        engine="macro",
+        engine="reference",
     )
     assert e.to_dict() == {
         "name": "x",
         "wall_s": 1.5,
         "sim_events": 30,
         "events_per_s": 20.0,
-        "engine": "macro",
+        "engine": "reference",
     }
 
 

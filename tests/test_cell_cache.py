@@ -58,43 +58,12 @@ def test_digest_is_stable_and_key_independent():
         {"factory": partial(QmcPackNio, size=4, n_threads=1, fidelity=Fidelity.TEST)},
         {"factory": partial(QmcPackNio, size=2, n_threads=2, fidelity=Fidelity.TEST)},
         {"factory": partial(QmcPackNio, size=2, n_threads=1, fidelity=Fidelity.BENCH)},
-        {"engine": "macro"},
-        {"engine": "reference"},
+        {"topology": 2},
+        {"placement": "interleave"},
     ],
 )
 def test_digest_changes_with_any_input(override):
     assert cell_digest(_cell(**override)) != cell_digest(_cell())
-
-
-def test_digest_never_aliases_across_engines():
-    digests = {
-        engine: cell_digest(_cell(engine=engine))
-        for engine in ("fast", "reference", "macro")
-    }
-    assert len(set(digests.values())) == 3
-    # the default engine is the fast path
-    assert digests["fast"] == cell_digest(_cell())
-
-
-def test_warm_hit_is_per_engine(tmp_path):
-    """Each engine's cells store and warm-hit under their own digests."""
-    for engine in ("fast", "macro"):
-        cells = [_cell(key=("e", engine), engine=engine, noise=False)]
-        cold = CellCache(str(tmp_path))
-        first = run_cells(cells, cache=cold)
-        assert cold.misses == 1 and cold.stores == 1
-        warm = CellCache(str(tmp_path))
-        second = run_cells(cells, cache=warm)
-        assert warm.hits == 1 and warm.misses == 0 and warm.stores == 0
-        assert second == first
-    # after both engines ran once, a mixed batch is fully warm
-    mixed = [
-        _cell(key=("e", engine), engine=engine, noise=False)
-        for engine in ("fast", "macro")
-    ]
-    cache = CellCache(str(tmp_path))
-    run_cells(mixed, cache=cache)
-    assert cache.hits == 2 and cache.misses == 0
 
 
 def test_workload_fingerprint_includes_scalar_attrs():

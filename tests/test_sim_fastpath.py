@@ -157,7 +157,6 @@ def test_zero_charge_settles_before_suspend_and_schedule():
             return
             yield  # pragma: no cover
 
-        # step loop: the inlined run(until=Event) loop batches its count
         env.process(proc())
         env.run()
         results[cls] = (seen, env.now, env.processed_events)
@@ -494,6 +493,68 @@ def test_run_until_number_settles_pending_charges():
     assert env.now == 50.0
 
 
+def _charge_across_horizon(env, log):
+    def proc():
+        log.append(("start", env.now))
+        yield env.charge(100.0)
+        log.append(("after", env.now))
+
+    env.process(proc())
+
+
+def _charge_chain_onto_horizon(env, log):
+    def proc():
+        yield env.charge(20.0)
+        yield env.charge(30.0)  # ends exactly on the horizon
+        log.append(("on", env.now, env.peek()))
+        yield env.charge(10.0)
+        log.append(("past", env.now))
+
+    env.process(proc())
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize(
+    "shape, at_horizon, at_end",
+    [
+        (_charge_across_horizon, ([("start", 0.0)], 1),
+         ([("start", 0.0), ("after", 100.0)], 3)),
+        (_charge_chain_onto_horizon, ([("on", 50.0, float("inf"))], 3),
+         ([("on", 50.0, float("inf")), ("past", 60.0)], 5)),
+    ],
+    ids=["crossing", "chain-ends-on-horizon"],
+)
+def test_numeric_horizon_stops_fused_charges(engine, shape, at_horizon, at_end):
+    """Nothing runs past a numeric horizon, on either engine: a charge
+    that reaches or crosses it waits there like a timeout would."""
+    env = engine()
+    log = []
+    shape(env, log)
+    env.run(until=50.0)
+    assert (log, env.processed_events) == at_horizon
+    assert env.now == 50.0
+    env.run(until=200.0)
+    assert (log, env.processed_events) == at_end
+    assert env.now == 200.0
+
+
+def test_mid_run_processed_events_match_reference():
+    sides = {}
+    for cls in ENGINES:
+        env = cls()
+        seen = []
+
+        def proc():
+            yield env.timeout(1.0)
+            seen.append(env.processed_events)
+            yield env.timeout(1.0)
+            seen.append(env.processed_events)
+
+        env.run(env.process(proc()))
+        sides[cls] = (seen, env.processed_events)
+    assert sides[Environment] == sides[ReferenceEnvironment] == ([2, 3], 4)
+
+
 # ---------------------------------------------------------------------------
 # fused engine vs. reference engine equivalence
 # ---------------------------------------------------------------------------
@@ -543,6 +604,17 @@ def test_fused_and_reference_engines_bit_identical():
 
 def test_engine_version_exported():
     assert isinstance(ENGINE_VERSION, int) and ENGINE_VERSION >= 2
+
+
+def test_engine_version_is_3():
+    assert ENGINE_VERSION == 3
+
+
+def test_apusystem_rejects_unknown_engine():
+    from repro.core.system import ApuSystem
+
+    with pytest.raises(ValueError, match="engine"):
+        ApuSystem(engine="warp9")
 
 
 # ---------------------------------------------------------------------------
