@@ -65,9 +65,10 @@ class DataPolicy:
     def _bookkeep(self):
         """(generator) One libomptarget runtime-call bookkeeping charge,
         performed under the device lock."""
-        grant = yield self.rt.lock.acquire()
+        grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
         try:
-            yield self.env.charge(self.cost.omp_runtime_call_us)
+            if not self.env.fuse(self.cost.omp_runtime_call_us):
+                yield self.env.timeout(self.cost.omp_runtime_call_us)
         finally:
             self.rt.lock.release(grant)
 
@@ -134,9 +135,10 @@ class CopyPolicy(DataPolicy):
             buf.check_alive()
             self.ledger.n_map_enters += 1
             t_op = self.env.now
-            grant = yield self.rt.lock.acquire()
+            grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
             try:
-                yield self.env.charge(self.cost.omp_runtime_call_us)
+                if not self.env.fuse(self.cost.omp_runtime_call_us):
+                    yield self.env.timeout(self.cost.omp_runtime_call_us)
                 entry = self.table.lookup(buf)
                 is_new = entry is None
                 if is_new:
@@ -168,9 +170,10 @@ class CopyPolicy(DataPolicy):
             buf.check_alive()
             self.ledger.n_map_exits += 1
             t_op = self.env.now
-            grant = yield self.rt.lock.acquire()
+            grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
             try:
-                yield self.env.charge(self.cost.omp_runtime_call_us)
+                if not self.env.fuse(self.cost.omp_runtime_call_us):
+                    yield self.env.timeout(self.cost.omp_runtime_call_us)
                 entry = self.table.release(buf, delete=clause.kind is MapKind.DELETE)
                 last = entry.refcount == 0
             finally:
@@ -184,7 +187,7 @@ class CopyPolicy(DataPolicy):
                 self.ledger.mm_copy_us += self.env.now - t0
                 self.ledger.d2h_bytes += buf.nbytes
             if last:
-                grant = yield self.rt.lock.acquire()
+                grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
                 try:
                     t0 = self.env.now
                     yield from self.rt.device_mem.free(entry.device.range)
@@ -224,7 +227,8 @@ class CopyPolicy(DataPolicy):
         entry = self.table.lookup(buf)
         if entry is None or entry.device is None:
             # motion clauses for absent data are no-ops
-            yield self.env.charge(self.cost.omp_runtime_call_us)
+            if not self.env.fuse(self.cost.omp_runtime_call_us):
+                yield self.env.timeout(self.cost.omp_runtime_call_us)
             return
         t0 = self.env.now
         dst, src, tag = (
@@ -253,9 +257,10 @@ class ZeroCopyPolicy(DataPolicy):
             buf.check_alive()
             self.ledger.n_map_enters += 1
             t_op = self.env.now
-            grant = yield self.rt.lock.acquire()
+            grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
             try:
-                yield self.env.charge(self.cost.zc_map_call_us)
+                if not self.env.fuse(self.cost.zc_map_call_us):
+                    yield self.env.timeout(self.cost.zc_map_call_us)
                 entry = self.table.lookup(buf)
                 is_new = entry is None
                 if is_new:
@@ -279,9 +284,10 @@ class ZeroCopyPolicy(DataPolicy):
             clause.buffer.check_alive()
             self.ledger.n_map_exits += 1
             t_op = self.env.now
-            grant = yield self.rt.lock.acquire()
+            grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
             try:
-                yield self.env.charge(self.cost.zc_map_call_us)
+                if not self.env.fuse(self.cost.zc_map_call_us):
+                    yield self.env.timeout(self.cost.zc_map_call_us)
                 entry = self.table.release(
                     clause.buffer, delete=clause.kind is MapKind.DELETE
                 )
@@ -301,13 +307,15 @@ class ZeroCopyPolicy(DataPolicy):
     def motion_update(self, buf: HostBuffer, to_device: bool):
         """One shared copy of the data: the update is bookkeeping only."""
         buf.check_alive()
-        yield self.env.charge(self.cost.zc_map_call_us)
+        if not self.env.fuse(self.cost.zc_map_call_us):
+            yield self.env.timeout(self.cost.zc_map_call_us)
 
     def global_update(self, glob: GlobalVar):
         """Implicit Z-C / Eager handle globals "as if operating in Copy
         mode" (§IV.C): a system-scope transfer into the device copy."""
         dur = self.cost.copy_us(glob.nbytes)
-        yield self.env.charge(dur)
+        if not self.env.fuse(dur):
+            yield self.env.timeout(dur)
         np.copyto(glob.device_view(), glob.host_payload)
         self.hsa.trace.record("memory_copy", self.env.now - dur, dur)
         self.ledger.mm_copy_us += dur
@@ -325,7 +333,8 @@ class UsmPolicy(ZeroCopyPolicy):
     def global_update(self, glob: GlobalVar):
         """The device pointer aliases the host global: mapping a global
         moves no data (runtime bookkeeping only)."""
-        yield self.env.charge(self.cost.omp_runtime_call_us)
+        if not self.env.fuse(self.cost.omp_runtime_call_us):
+            yield self.env.timeout(self.cost.omp_runtime_call_us)
 
 
 class ImplicitZeroCopyPolicy(ZeroCopyPolicy):
@@ -357,7 +366,7 @@ class EagerMapsPolicy(ZeroCopyPolicy):
             # installing translations takes the process mm lock
             # exclusively; concurrent prefaults from many host threads
             # serialize here (§VI)
-            grant = yield self.rt.mm_lock.acquire()
+            grant = self.rt.mm_lock.grab() or (yield self.rt.mm_lock.acquire())
             try:
                 yield from self.hsa.svm_attributes_set(rng)
             finally:

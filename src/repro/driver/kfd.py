@@ -31,7 +31,7 @@ walk — only the number of Python-level operations changes.
 The driver itself never touches the simulation clock: every method
 returns *durations* (stall/work microseconds) that the calling layer
 charges, which is what lets the HSA facade fuse them through
-``env.charge(us)`` without this module knowing about the fast path.
+``env.fuse(us)`` without this module knowing about the fast path.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ every invocation also appends a timestamped copy of the report under
 ``benchmarks/history/``):
 
 * **scheduler micro** — a host-thread call-chain workout (fused
-  ``env.charge`` chains punctuated by real timeouts) run on the fast
+  ``env.fuse`` charge chains and ``grab`` lock grants punctuated by real
+  timeouts) run on the fast
   :class:`~repro.sim.Environment` and on
   :class:`~repro.sim.ReferenceEnvironment` — the events/sec ratio is the
   headline number for the engine fast path;
@@ -64,7 +65,7 @@ from ..memory.physical import PhysicalMemory
 from ..sim import Environment, Mutex, ReferenceEnvironment
 from ..workloads.base import Fidelity
 from ..workloads.qmcpack import QmcPackNio
-from ..workloads.specaccel import Stencil403
+from ..workloads.specaccel import Lbm404, Stencil403
 from .runner import execute, ratio_experiment
 
 __all__ = [
@@ -177,7 +178,8 @@ def _scheduler_workout(env, chains: int, chain_len: int) -> Tuple[float, int]:
     charges around an uncontended lock, punctuated by real waits.
 
     This is the shape the HSA facade and the policies produce on one
-    OpenMP host thread — exactly what ``env.charge`` fusion targets.
+    OpenMP host thread — exactly what ``env.fuse`` and ``Resource.grab``
+    target.
     Returns ``(final_now, processed_events)``.
     """
     lock = Mutex(env)
@@ -185,10 +187,12 @@ def _scheduler_workout(env, chains: int, chain_len: int) -> Tuple[float, int]:
     def worker():
         for i in range(chains):
             for _ in range(chain_len):
-                yield env.charge(0.25)
-            grant = yield lock.acquire()
+                if not env.fuse(0.25):
+                    yield env.timeout(0.25)
+            grant = lock.grab() or (yield lock.acquire())
             try:
-                yield env.charge(0.5)
+                if not env.fuse(0.5):
+                    yield env.timeout(0.5)
             finally:
                 lock.release(grant)
             if i % 8 == 0:
@@ -233,14 +237,16 @@ def engine_differential(seed: int = 11, quick: bool = False) -> bool:
     """Randomized differential: fused fast-path engine vs. the reference
     scheduler on real workloads.
 
-    QMCPack NiO and one SPECaccel proxy (403.stencil), several runtime
-    configurations, randomized per-case seeds.  The noisy cases run
-    contended multi-thread QMCPack; the noiseless single-thread case is
-    the ``fig3 --quick`` t=1 shape.  Every simulated-time
-    observable must be bit-identical: final clock, init/steady/elapsed
-    times, phase marks, ledger telemetry (``*_us``/fault counts), HSA
-    call rows, engine event counts, HBM high-water mark, and the
-    functional kernel outputs.
+    QMCPack NiO and two SPECaccel proxies (403.stencil, 404.lbm), several
+    runtime configurations, randomized per-case seeds.  The noisy QMCPack
+    cases run contended multi-thread QMCPack; the noiseless single-thread
+    case is the ``fig3 --quick`` t=1 shape; Copy lbm, the slowest Table II
+    cell, starts async copies whose bootstraps sit at the current time,
+    where a free-unit ``grab`` must refuse on the strict-tie rule.
+    Every simulated-time observable must be bit-identical: final clock,
+    init/steady/elapsed times, phase marks, ledger telemetry
+    (``*_us``/fault counts), HSA call rows, engine event counts, HBM
+    high-water mark, and the functional kernel outputs.
     """
     rnd = random.Random(seed)
     fidelity = Fidelity.TEST
@@ -253,11 +259,12 @@ def engine_differential(seed: int = 11, quick: bool = False) -> bool:
          RuntimeConfig.EAGER_MAPS, True),
         (partial(QmcPackNio, size=2, n_threads=1, fidelity=fidelity),
          RuntimeConfig.IMPLICIT_ZERO_COPY, False),
+        (partial(Lbm404, fidelity=fidelity), RuntimeConfig.COPY, True),
         (partial(Stencil403, fidelity=fidelity),
          RuntimeConfig.UNIFIED_SHARED_MEMORY, True),
     ]
     if quick:
-        cases = cases[1:4]
+        cases = cases[1:5]
     for factory, config, noise in cases:
         case_seed = rnd.randrange(1 << 30)
         sides = {}

@@ -12,10 +12,12 @@ Methods that consume simulated time are generators meant to be driven with
 asynchronously (SDMA copies, kernel dispatches) spawn their own process
 and hand back a :class:`Signal`.
 
-Fixed uncontended delays are charged via ``env.charge(us)`` rather than
-``env.timeout(us)``: back-to-back HSA calls on a host thread fuse into a
-single clock adjustment with no heap traffic, and the engine settles the
-accumulator before any resource acquire, signal wait or ``env.now`` read,
+Fixed delays are charged as ``if not env.fuse(us): yield env.timeout(us)``
+and free SDMA engines and GPU queues are taken with
+``res.grab() or (yield res.acquire())``: back-to-back uncontended HSA
+calls on a host thread fuse into a single clock adjustment with no heap
+traffic and no scheduler round trip, and the engine settles the
+accumulator before any resource grant, signal wait or ``env.now`` read,
 so every traced timestamp is identical to the per-timeout engine.
 """
 
@@ -107,7 +109,8 @@ class HsaRuntime:
         t0 = self.env.now
         rng, dur, _cached = self.pool.allocate(nbytes)
         dur = self.op_jitter.apply(dur)
-        yield self.env.charge(dur)
+        if not self.env.fuse(dur):
+            yield self.env.timeout(dur)
         self.trace.record("memory_pool_allocate", t0, dur)
         return rng
 
@@ -115,7 +118,8 @@ class HsaRuntime:
         """(generator) Free device-pool memory."""
         t0 = self.env.now
         dur = self.op_jitter.apply(self.pool.free(rng))
-        yield self.env.charge(dur)
+        if not self.env.fuse(dur):
+            yield self.env.timeout(dur)
         self.trace.record("memory_pool_free", t0, dur)
 
     # ------------------------------------------------------------------
@@ -140,10 +144,11 @@ class HsaRuntime:
         t_submit = self.env.now
 
         def _copy_proc():
-            grant = yield self.sdma.acquire()
+            grant = self.sdma.grab() or (yield self.sdma.acquire())
             try:
                 dur = self.op_jitter.apply(self.cost.copy_us(nbytes))
-                yield self.env.charge(dur)
+                if not self.env.fuse(dur):
+                    yield self.env.timeout(dur)
                 if dst is not None and src is not None:
                     _functional_copy(dst, src)
             finally:
@@ -166,7 +171,8 @@ class HsaRuntime:
         def _handler_proc():
             yield sig.event
             dur = self.op_jitter.apply(self.cost.signal_handler_us)
-            yield self.env.charge(dur)
+            if not self.env.fuse(dur):
+                yield self.env.timeout(dur)
             self.trace.record("signal_async_handler", sig.completed_at, dur, tag=sig.tag)
 
         self.env.process(_handler_proc(), name="async-handler")
@@ -185,7 +191,8 @@ class HsaRuntime:
         t0 = self.env.now
         yield sig.event
         base = self.op_jitter.apply(self.cost.signal_wait_base_us)
-        yield self.env.charge(base)
+        if not self.env.fuse(base):
+            yield self.env.timeout(base)
         self.trace.record("signal_wait_scacquire", t0, self.env.now - t0)
 
     def signal_wait_scacquire_all(self, sigs: Sequence[Signal]):
@@ -196,7 +203,8 @@ class HsaRuntime:
         if pending:
             yield AllOf(self.env, pending)
         base = self.op_jitter.apply(self.cost.signal_wait_base_us)
-        yield self.env.charge(base)
+        if not self.env.fuse(base):
+            yield self.env.timeout(base)
         self.trace.record("signal_wait_scacquire", t0, self.env.now - t0)
 
     # ------------------------------------------------------------------
@@ -211,7 +219,8 @@ class HsaRuntime:
         res: PrefaultResult = self.driver.prefault(rng)
         extra = max(0.0, self.cost.prefault_call_us - self.cost.syscall_base_us)
         dur = self.syscalls.duration(extra + res.work_us)
-        yield self.env.charge(dur)
+        if not self.env.fuse(dur):
+            yield self.env.timeout(dur)
         self.trace.record("svm_attributes_set", t0, dur)
         return res
 
@@ -241,14 +250,15 @@ class HsaRuntime:
         self.kernels_dispatched += 1
 
         def _kernel_proc():
-            grant = yield self.queues.acquire()
+            grant = self.queues.grab() or (yield self.queues.acquire())
             t_start = self.env.now
             try:
                 fr = self.driver.service_xnack_faults(fault_ranges or [])
                 dur = self.op_jitter.apply(
                     self.cost.dispatch_us + compute_us + fr.stall_us
                 )
-                yield self.env.charge(dur)
+                if not self.env.fuse(dur):
+                    yield self.env.timeout(dur)
                 if fn is not None:
                     fn()
             finally:

@@ -82,7 +82,9 @@ class OmpThread:
         osalloc = self.rt.system.os_alloc
         rng = osalloc.alloc(nbytes, region=region)
         pages = osalloc.populate_cost_pages(nbytes)
-        yield self.env.charge(pages * self._cost.os_populate_page_us)
+        us = pages * self._cost.os_populate_page_us
+        if not self.env.fuse(us):
+            yield self.env.timeout(us)
         return HostBuffer(name, rng, payload=payload, region=region)
 
     def free(self, buf: HostBuffer):
@@ -96,7 +98,8 @@ class OmpThread:
         buf.check_alive()
         self.rt.system.os_alloc.free(buf.range)
         buf.freed = True
-        yield self.env.charge(self._cost.syscall_base_us)
+        if not self.env.fuse(self._cost.syscall_base_us):
+            yield self.env.timeout(self._cost.syscall_base_us)
 
     # ------------------------------------------------------------------
     # data environment

@@ -73,7 +73,8 @@ class MemoryManager:
             block = free.pop()
             self.cache_hits += 1
             # cache hit is pure host-side bookkeeping
-            yield self.hsa.env.charge(self.cost.zc_map_call_us)
+            if not self.hsa.env.fuse(self.cost.zc_map_call_us):
+                yield self.hsa.env.timeout(self.cost.zc_map_call_us)
             rng = AddressRange(block.start, nbytes)
             self._backing[rng.start] = (bucket, True)
             return rng
@@ -93,7 +94,8 @@ class MemoryManager:
             self._buckets.setdefault(backing, []).append(
                 AddressRange(rng.start, backing)
             )
-            yield self.hsa.env.charge(self.cost.zc_map_call_us)
+            if not self.hsa.env.fuse(self.cost.zc_map_call_us):
+                yield self.hsa.env.timeout(self.cost.zc_map_call_us)
             return
         yield from self.hsa.memory_pool_free(AddressRange(rng.start, backing))
 

@@ -10,10 +10,13 @@ the runtime itself plus 10 per registered host thread for queues, signal
 pools and kernarg regions; the paper reports 19 calls with one thread and
 90 with eight).
 
-The runtime's fixed bookkeeping delays flow through ``env.charge(us)``
-(see :mod:`repro.sim.core`): sequential libomptarget/HSA call costs on a
-host thread fuse into one clock adjustment, and :attr:`RunResult.sim_events`
-still counts one event per charge, so run telemetry is bit-identical
+The runtime's fixed bookkeeping delays go through
+``if not env.fuse(us): yield env.timeout(us)`` and its device-lock grants
+through ``lock.grab() or (yield lock.acquire())`` (see
+:mod:`repro.sim.core`): sequential libomptarget/HSA call costs on an
+uncontended host thread fuse into one clock adjustment without a
+scheduler round trip, and :attr:`RunResult.sim_events` still counts one
+event per charge and per grant, so run telemetry is bit-identical
 between the fast and reference engines.
 """
 

@@ -21,30 +21,33 @@ Design constraints that shaped this module:
     their historical semantics, and a generation counter stored in every
     heap entry makes any engine-internal stale reference fail loudly
     instead of silently firing a reincarnated event.
-  - *heap traffic*: uncontended fixed delays are **fused**.  Modeled code
-    yields ``env.charge(us)`` instead of ``env.timeout(us)``; charges
-    accumulate in a scalar as long as no other scheduled event falls
-    inside the charged window (strict comparison, so exact-time ties
-    still interleave exactly as separate timeouts would) and settle —
-    one clock jump, no heap event — before anything observable: reading
-    ``env.now``, scheduling any event, or suspending on a real event.
-    A contended charge falls back to a real per-charge timeout, which is
-    byte-for-byte the reference behaviour.  Fusion is also held off
-    while an event with several waiters runs their callbacks: the later
-    waiters must still see the event's own time.  Free resource grants are
-    fused the same way, as zero-µs counts: a grant made while no heap
-    entry is at or before the current time stays off the heap, and the
-    trampoline consumes it inline when the acquiring process yields it
-    straight back (see :meth:`Environment._grant`).
+  - *heap traffic*: uncontended fixed delays and free resource grants
+    are **fused** inline.  The running process calls
+    ``if not env.fuse(us): yield env.timeout(us)``: :meth:`Environment.fuse`
+    accumulates the charge in a scalar as long as no other scheduled
+    event falls inside the charged window (strict comparison, so
+    exact-time ties still interleave exactly as separate timeouts would)
+    and returns ``True``; the accumulator settles — one clock jump, no
+    heap event — before anything observable: reading ``env.now``,
+    scheduling any event, or suspending on a real event.  A contended
+    charge returns ``False`` and the caller yields a real timeout, which
+    is byte-for-byte the reference behaviour.  Free grants work the same
+    way through ``res.grab() or (yield res.acquire())``
+    (:meth:`repro.sim.resources.Resource.grab`): a free unit taken while
+    no heap entry is at or before the current time counts one processed
+    event and never touches the heap.  Fusion is held off while an event
+    with several waiters runs their callbacks: the later waiters must
+    still see the event's own time.  Both calls are valid only inside
+    the generator of the running process.
   - *dispatch*: ``run(until=Event)`` inlines the pop/advance/process
     loop with hoisted locals instead of calling :meth:`step` per event.
 
 * **Auditability.**  :class:`ReferenceEnvironment` retains the historical
   one-heap-event-per-delay scheduler (the ``FlatPageTable`` precedent):
-  ``charge`` degrades to a real timeout, every grant is a heap event, and
-  nothing is recycled or fused.  Both engines count one processed event
-  per charge and per grant, so ``processed_events`` — and every
-  simulated-time observable — is bit-identical between them;
+  ``fuse`` and ``grab`` always refuse, so every delay and every grant is
+  a heap event, and nothing is recycled.  Both engines count one
+  processed event per charge and per grant, so ``processed_events`` —
+  and every simulated-time observable — is bit-identical between them;
   ``repro bench`` pins that equivalence with a randomized differential.
 * **Debuggability.**  Failures inside a process propagate to whoever waits
   on it, and unhandled failures abort :meth:`Environment.run` with the
@@ -100,22 +103,6 @@ TRIGGERED = 1  # scheduled, sitting in the queue
 PROCESSED = 2  # callbacks have run
 RECYCLED = 3   # returned to the environment's free list
 
-
-class _Charge:
-    """Marker yielded by :meth:`Environment.charge`.
-
-    Not an event: the process trampoline consumes it inline (accumulating
-    the charged microseconds) without touching the heap.  Yielding it
-    anywhere else — e.g. into :class:`AllOf` — fails immediately.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<charge marker (yield only from a Process)>"
-
-
-_CHARGE = _Charge()
 
 #: free lists are bounded so a one-off burst cannot pin memory forever
 _POOL_MAX = 1024
@@ -217,7 +204,7 @@ class Event:
             return
         # Several waiters: each one's actions must happen at this event's
         # time, before the next waiter runs, so fusion is held off until
-        # the last callback returns (see Environment._grant).
+        # the last callback returns (see Environment.fuse).
         env = self.env
         env._hold += 1
         try:
@@ -255,11 +242,6 @@ class Process(Event):
     succeeds, its value is sent back into the generator; when it fails, the
     exception is thrown into the generator (giving it a chance to handle
     failure).  The process event's value is the generator's return value.
-
-    Generators may also yield the marker returned by
-    :meth:`Environment.charge`: the trampoline consumes it inline (see the
-    module docstring) and resumes the generator immediately with ``None``
-    — exactly the value a plain ``Timeout`` would have delivered.
     """
 
     __slots__ = ("_gen", "_waiting_on", "_waiting_slot", "_interrupt_ev",
@@ -321,8 +303,7 @@ class Process(Event):
         # Iterative resume loop: if the yielded event is already processed we
         # feed its value straight back in rather than recursing through
         # add_callback — a process draining a long list of completed signals
-        # must not grow the Python stack.  Charge markers and fused grants
-        # are consumed in the inner loop without suspending the generator.
+        # must not grow the Python stack.
         env = self.env
         gen = self._gen
         send = gen.send
@@ -334,37 +315,6 @@ class Process(Event):
             try:
                 nxt = (send(trigger._value) if trigger._ok
                        else gen.throw(trigger._value))
-                while True:
-                    if nxt is _CHARGE:
-                        d = env._charge_val
-                        q = env._queue
-                        # Uncontended: nothing else scheduled inside the
-                        # charged window (strictly — an exact-time tie must
-                        # interleave in FIFO order, which needs a real heap
-                        # event) and no other waiter of the resuming event
-                        # still to run at the current time.
-                        if ((not q or q[0][0] > env._now + env._pending + d)
-                                and not env._hold):
-                            env._pending += d
-                            env._pending_n += 1
-                            nxt = send(None)
-                        else:
-                            # Contended fallback: one real timeout.
-                            # Creating it settles the accumulator first (via
-                            # _schedule), so it lands at exactly the
-                            # reference engine's time.
-                            nxt = env.timeout(d)
-                            break
-                    elif nxt is env._fused and not nxt.callbacks:
-                        # Fused grant yielded straight back: it is the event
-                        # the reference engine would pop next, so count it
-                        # and resume with its value without the heap.
-                        env._fused = None
-                        env._pending_n += 1
-                        nxt._state = PROCESSED
-                        nxt = send(nxt._value)
-                    else:
-                        break
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
@@ -394,9 +344,7 @@ class Process(Event):
                     "(stale reference)"
                 )
             # Suspending on a real event: settle fused charges first so the
-            # clock the next event fires against is fully advanced.  (An
-            # unconsumed fused grant goes on the heap as soon as the
-            # engine loop gets control back.)
+            # clock the next event fires against is fully advanced.
             if env._pending_n:
                 env._settle()
             self._waiting_on = nxt
@@ -465,7 +413,8 @@ class Environment:
 
     Time is a float in **microseconds**.  All scheduling goes through
     :meth:`_schedule`; user code creates events with :meth:`event`,
-    :meth:`timeout`, :meth:`charge` and :meth:`process`.
+    :meth:`timeout` and :meth:`process`, and fuses uncontended delays
+    with :meth:`fuse`.
 
     Reading :attr:`now` settles any fused-but-unsettled charges of the
     currently executing process, so the clock is always fully advanced at
@@ -474,7 +423,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_event_count",
-                 "_pending", "_pending_n", "_charge_val", "_fused", "_hold",
+                 "_pending", "_pending_n", "_hold",
                  "_timeout_pool", "_event_pool")
 
     def __init__(self, initial_time: float = 0.0):
@@ -485,10 +434,8 @@ class Environment:
         # fused-charge accumulator (owned by the running process)
         self._pending = 0.0
         self._pending_n = 0
-        self._charge_val = 0.0
-        # the one outstanding fused grant (triggered, not on the heap)
-        self._fused: Optional[Event] = None
-        # >0 while an event with several callbacks runs them (no fusion)
+        # >0 while an event with several callbacks runs them (no fusion;
+        # always >0 on the reference engine)
         self._hold = 0
         # free lists of recycled event objects
         self._timeout_pool: List[Timeout] = []
@@ -505,15 +452,13 @@ class Environment:
     def now(self, value: float) -> None:
         if self._pending_n:
             self._settle()
-        if self._fused is not None:
-            self._unfuse()
         self._now = value
 
     def _settle(self) -> None:
         """Fold accumulated charges into the clock.
 
         Safe whenever the accumulation invariant holds (no scheduled event
-        inside the charged window, maintained by :meth:`charge` and
+        inside the charged window, maintained by :meth:`fuse` and
         :meth:`_schedule`); each fused charge counts as one processed
         event so ``processed_events`` matches the reference engine.
         """
@@ -539,21 +484,36 @@ class Environment:
             return t
         return Timeout(self, delay, value)
 
-    def charge(self, delay: float):
-        """Consume ``delay`` fused microseconds: ``yield env.charge(us)``.
+    def fuse(self, delay: float) -> bool:
+        """Charge ``delay`` µs in place if nothing can tell the difference.
 
-        Semantically identical to ``yield env.timeout(us)`` (including the
-        ``None`` value delivered to the generator), but back-to-back
-        uncontended charges coalesce into a single clock adjustment with
-        no heap traffic.  Under :class:`ReferenceEnvironment` this *is* a
-        plain timeout.
+        ``if not env.fuse(us): yield env.timeout(us)`` is the fused form of
+        ``yield env.timeout(us)``.  If no heap entry is at or before
+        ``now + pending + delay`` (strictly: an exact-time tie must
+        interleave in FIFO order, which needs a real heap event) and no
+        other waiter of the resuming event still has to run at the
+        current time, the delay joins the accumulator, counts one
+        processed event once settled, and ``True`` is returned.
+        Otherwise nothing changes and ``False`` tells the caller to yield
+        the real timeout.  Valid only inside the generator of the running
+        process; :class:`ReferenceEnvironment` always refuses.
         """
         if delay < 0:
             raise ValueError(f"negative charge delay: {delay}")
-        if self._fused is not None:
-            self._unfuse()
-        self._charge_val = delay
-        return _CHARGE
+        q = self._queue
+        if (not q or q[0][0] > self._now + self._pending + delay) and not self._hold:
+            self._pending += delay
+            self._pending_n += 1
+            return True
+        return False
+
+    def charge(self, delay: float) -> Timeout:
+        """A plain :meth:`timeout`, never fused.
+
+        Kept for callers written against the old yielded-marker protocol
+        (the benchmark harness self-tests); modeled code uses :meth:`fuse`.
+        """
+        return self.timeout(delay)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
@@ -568,49 +528,8 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if self._pending_n:
             self._settle()
-        if self._fused is not None:
-            self._unfuse()
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, self._seq, event._era, event))
-
-    def _grant(self, value: Any) -> Event:
-        """An event firing now with ``value``: a free resource's grant.
-
-        Fused like a zero-µs :meth:`charge`.  If no heap entry is at or
-        before the current time (the strict-tie rule), the reference
-        engine would pop this event next once the acquiring process
-        suspends on it, so it is handed out *unscheduled*: the trampoline
-        consumes it inline if it is yielded straight back and counts one
-        processed event.  Anything that would order against it first —
-        scheduling any event, a charge, :meth:`peek`, the engine loop
-        regaining control — puts it on the heap at this same time and
-        sequence position (:meth:`_unfuse`), exactly where the reference
-        engine scheduled it.  While an event with several callbacks runs
-        them, or when the strict-tie rule fails, it is scheduled at once.
-        """
-        if self._pending_n:
-            self._settle()
-        if self._fused is not None:
-            self._unfuse()
-        pool = self._event_pool
-        ev = pool.pop() if pool else Event(self)
-        ev._state = TRIGGERED
-        ev._ok = True
-        ev._value = value
-        q = self._queue
-        if self._hold or (q and q[0][0] <= self._now):
-            self._seq += 1
-            heapq.heappush(q, (self._now, self._seq, ev._era, ev))
-        else:
-            self._fused = ev
-        return ev
-
-    def _unfuse(self) -> None:
-        """Schedule the outstanding fused grant as a real heap event."""
-        ev = self._fused
-        self._fused = None
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now, self._seq, ev._era, ev))
 
     def _bootstrap(self, fn: Callable[[Event], None]) -> Event:
         """An immediately-succeeding event carrying a process's first resume
@@ -643,8 +562,6 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._pending_n:
             self._settle()
-        if self._fused is not None:
-            self._unfuse()
         q = self._queue
         if q and q[0][3] is None:  # the horizon marker of run(until=number)
             q = q[1:3]  # the heap's next-smallest entry is a root child
@@ -653,8 +570,6 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one event."""
-        if self._fused is not None:
-            self._unfuse()
         t, _seq, era, event = heapq.heappop(self._queue)
         if era != event._era:
             raise SimulationError(
@@ -665,8 +580,6 @@ class Environment:
         self._now = t
         self._event_count += 1
         event._process()
-        if self._fused is not None:  # granted by a non-process callback
-            self._unfuse()
         # Recycle iff the engine held the only reference (local + arg = 2):
         # user-held events keep their full post-processing semantics.
         cls = event.__class__
@@ -689,8 +602,6 @@ class Environment:
 
         Returns the event's value when ``until`` is an event.
         """
-        if self._fused is not None:  # granted outside any process
-            self._unfuse()
         if isinstance(until, Event):
             stop = until
             # Inlined stepping loop: hoists the queue, heap pop, free lists
@@ -719,8 +630,6 @@ class Environment:
                 self._now = t
                 self._event_count += 1
                 event._process()
-                if self._fused is not None:
-                    self._unfuse()
                 cls = event.__class__
                 if (cls is Timeout and getref(event) == 2
                         and len(tpool) < _POOL_MAX):
@@ -740,10 +649,11 @@ class Environment:
         if until is not None:
             horizon = float(until)
             # A marker entry at the horizon that sorts after every real
-            # entry at that time.  To the charge fusion test it is one
-            # more scheduled event, so a charge reaching or crossing the
-            # horizon becomes a real timeout instead of running the
-            # process past it — no per-charge horizon check needed.
+            # entry at that time.  To the fusion tests it is one more
+            # scheduled event, so a charge reaching or crossing the
+            # horizon becomes a real timeout, and a grant at the horizon a
+            # real event, instead of running the process past it — no
+            # per-charge horizon check needed.
             q = self._queue
             marker = (horizon, _HORIZON_SEQ, 0, None)
             heapq.heappush(q, marker)
@@ -763,19 +673,20 @@ class Environment:
 class ReferenceEnvironment(Environment):
     """The retained pre-fast-path scheduler (differential reference).
 
-    Every delay is its own heap-scheduled :class:`Timeout` (``charge``
-    degrades to one), every resource grant is a heap-scheduled event,
-    nothing is recycled, and stepping goes through the
-    un-inlined per-event loop.  Kept — like ``FlatPageTable`` — so a
+    Fusion is permanently held off, so :meth:`fuse` and
+    :meth:`~repro.sim.resources.Resource.grab` always refuse: every delay
+    is its own heap-scheduled :class:`Timeout`, every resource grant is a
+    heap-scheduled event, nothing is recycled, and stepping goes through
+    the un-inlined per-event loop.  Kept — like ``FlatPageTable`` — so a
     randomized differential can pin the fast path's equivalence on every
     simulated-time observable, including ``processed_events``.
     """
 
     __slots__ = ()
 
-    def charge(self, delay: float) -> Timeout:
-        # Validation (including delay < 0) happens in Timeout.__init__.
-        return Timeout(self, delay)
+    def __init__(self, initial_time: float = 0.0):
+        super().__init__(initial_time)
+        self._hold = 1
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -784,11 +695,6 @@ class ReferenceEnvironment(Environment):
         ev = Event(self)
         ev.succeed()
         ev.add_callback(fn)
-        return ev
-
-    def _grant(self, value: Any) -> Event:
-        ev = Event(self)
-        ev.succeed(value)
         return ev
 
     def step(self) -> None:

@@ -18,11 +18,15 @@ Requests are context-manager friendly inside processes::
 Because generators cannot ``yield`` inside a ``with`` header cleanly, the
 idiomatic pattern here is explicit::
 
-    grant = yield res.acquire()
+    grant = res.grab() or (yield res.acquire())
     try:
         ...
     finally:
         res.release(grant)
+
+:meth:`Resource.grab` takes a free unit inline, without a heap event,
+when the fused engine can prove nobody could observe the difference;
+otherwise the process waits on :meth:`Resource.acquire` as usual.
 """
 
 from __future__ import annotations
@@ -87,7 +91,10 @@ class Resource:
         return self._busy_time / (horizon * self.capacity)
 
     def _account(self) -> None:
-        now = self.env.now
+        env = self.env
+        if env._pending_n:  # what reading env.now does, without the property
+            env._settle()
+        now = env._now
         dt = now - self._last_change
         if dt > 0:
             self._busy_time += dt * self._in_use
@@ -95,27 +102,38 @@ class Resource:
 
     # -- acquire/release -----------------------------------------------------
     def acquire(self) -> Event:
-        """Return an event firing with a :class:`Grant` when a unit frees.
-
-        A free unit is granted at once through the environment's grant
-        hook, which the fused engine can consume without a heap round
-        trip (:meth:`Environment._grant`).
-        """
+        """Return an event firing with a :class:`Grant` when a unit frees."""
+        ev = self.env.event()
         grant = Grant(self)
         if self._in_use < self.capacity and not self._waiters:
             self._account()
             self._in_use += 1
-            return self.env._grant(grant)
-        ev = self.env.event()
-        self._waiters.append((ev, grant))
+            ev.succeed(grant)
+        else:
+            self._waiters.append((ev, grant))
         return ev
 
-    def try_acquire(self) -> Optional[Grant]:
-        """Non-blocking acquire; returns a Grant or None."""
-        if self._in_use < self.capacity and not self._waiters:
-            self._account()
-            self._in_use += 1
-            return Grant(self)
+    def grab(self) -> Optional[Grant]:
+        """Take a free unit inline: ``res.grab() or (yield res.acquire())``.
+
+        Succeeds only when a unit is free, nobody queues for one, no heap
+        entry is at or before the current time (the strict-tie rule: the
+        reference engine would pop this grant's event next) and fusion is
+        not held off (see :meth:`Environment.fuse`).  Then it takes the
+        unit and counts the one processed event the grant's event would
+        have been.  Otherwise it returns ``None`` and changes nothing.
+        Valid only inside the generator of the running process.
+        """
+        env = self.env
+        if self._in_use < self.capacity and not self._waiters and not env._hold:
+            if env._pending_n:
+                env._settle()
+            q = env._queue
+            if not q or q[0][0] > env._now:
+                self._account()
+                self._in_use += 1
+                env._event_count += 1
+                return Grant(self)
         return None
 
     def release(self, grant: Grant) -> None:

@@ -17,6 +17,9 @@ import numpy as np
 
 __all__ = ["RngHub", "Jitter"]
 
+#: lognormal factors a tail-free jitter draws per block
+_BLOCK = 1024
+
 
 def _derive_seed(root_seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{root_seed}:{name}".encode()).digest()
@@ -54,9 +57,15 @@ class Jitter:
 
     ``sigma=0`` and ``tail_p=0`` make the jitter an exact no-op, which the
     test suite relies on for deterministic latency assertions.
+
+    A tail-free jitter owns its stream's normal draws, so it draws the
+    factors ``_BLOCK`` at a time and hands them out one by one: numpy's
+    block draws and ``exp`` give exactly the values of the scalar calls,
+    in the same order.  With a tail, ``random()`` and ``exponential()``
+    draws interleave on the stream, so every factor is drawn on its own.
     """
 
-    __slots__ = ("rng", "sigma", "tail_p", "tail_scale_us", "scale")
+    __slots__ = ("rng", "sigma", "tail_p", "tail_scale_us", "scale", "_factors")
 
     def __init__(
         self,
@@ -77,12 +86,21 @@ class Jitter:
         #: run — this is what gives whole-run CoVs of a few percent, as
         #: per-operation noise averages out over ~1e5 operations.
         self.scale = scale
+        #: the rest of the current block of factors, last one next
+        self._factors: list = []
 
     def apply(self, latency_us: float) -> float:
         """Return the jittered latency; never less than zero."""
         out = latency_us * self.scale
         if self.sigma > 0.0:
-            out *= float(np.exp(self.rng.normal(0.0, self.sigma)))
+            if self.tail_p > 0.0:
+                out *= float(np.exp(self.rng.normal(0.0, self.sigma)))
+            else:
+                factors = self._factors
+                if not factors:
+                    block = np.exp(self.rng.normal(0.0, self.sigma, _BLOCK))
+                    factors = self._factors = block.tolist()[::-1]
+                return out * factors.pop()
         if self.tail_p > 0.0 and self.rng.random() < self.tail_p:
             out += self.tail_scale_us * float(self.rng.exponential(1.0))
         return out

@@ -57,8 +57,8 @@ class Bt470(Workload):
 
             def bt_solve(args, _g):
                 u, lhs, rhs = (args[f"bt_u{i}"] for i in range(3))
-                rhs[:] = u - 0.25 * (np.roll(u, 1) + np.roll(u, -1) - 2 * u)
-                lhs[:] = 0.5 * (rhs + np.roll(rhs, 1))
+                rhs[:] = u - 0.25 * (np.concatenate((u[-1:], u[:-1])) + np.concatenate((u[1:], u[:1])) - 2 * u)
+                lhs[:] = 0.5 * (rhs + np.concatenate((rhs[-1:], rhs[:-1])))
                 u -= 0.001 * lhs
 
             for _cycle in range(cycles):

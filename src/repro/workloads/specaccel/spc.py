@@ -68,8 +68,8 @@ class SpC457(Workload):
             def adi_sweep(args, _g):
                 u, rhs, lhs = (args[f"sp_u{i}"] for i in range(N_ARRAYS))
                 s = args["sp_stack0"]
-                rhs[:] = 0.5 * (u + np.roll(u, 1))
-                lhs[:] = 0.5 * (u + np.roll(u, -1))
+                rhs[:] = 0.5 * (u + np.concatenate((u[-1:], u[:-1])))
+                lhs[:] = 0.5 * (u + np.concatenate((u[1:], u[:1])))
                 u += 0.01 * (rhs - lhs)
                 s[0] = float(u.sum())
 

@@ -1,5 +1,6 @@
-"""Engine fast path: charge fusion, grant fusion, event recycling, O(1)
-interrupt, and the retained reference scheduler."""
+"""Engine fast path: inline charge fusion (``Environment.fuse``), inline
+grants (``Resource.grab``), event recycling, O(1) interrupt, and the
+retained reference scheduler."""
 
 import contextlib
 import random
@@ -16,9 +17,21 @@ from repro.sim import (
     ReferenceEnvironment,
     Resource,
     SimulationError,
+    Timeout,
 )
 
 ENGINES = (Environment, ReferenceEnvironment)
+
+
+def _charge(env, us):
+    """(generator) The fused-delay idiom of the modeled code."""
+    if not env.fuse(us):
+        yield env.timeout(us)
+
+
+def _take(res):
+    """(generator) The inline-grant idiom of the modeled code."""
+    return res.grab() or (yield res.acquire())
 
 
 # ---------------------------------------------------------------------------
@@ -30,9 +43,9 @@ def test_charge_advances_clock_like_timeout():
     env = Environment()
 
     def proc():
-        yield env.charge(3.0)
-        yield env.charge(2.0)
-        yield env.charge(5.0)
+        yield from _charge(env, 3.0)
+        yield from _charge(env, 2.0)
+        yield from _charge(env, 5.0)
         return env.now
 
     assert env.run(env.process(proc())) == 10.0
@@ -48,7 +61,7 @@ def test_charge_counts_one_event_each():
 
         def proc():
             for _ in range(10):
-                yield env.charge(1.0)
+                yield from _charge(env, 1.0)
             yield env.timeout(4.0)
 
         env.run(env.process(proc()))
@@ -61,9 +74,9 @@ def test_charge_settles_before_now_read():
     seen = []
 
     def proc():
-        yield env.charge(7.0)
+        yield from _charge(env, 7.0)
         seen.append(env.now)  # must observe the fully advanced clock
-        yield env.charge(3.0)
+        yield from _charge(env, 3.0)
 
     env.run(env.process(proc()))
     assert seen == [7.0]
@@ -77,10 +90,10 @@ def test_charge_settles_before_event_creation():
 
     def child():
         marks.append(("child", env.now))
-        yield env.charge(1.0)
+        yield from _charge(env, 1.0)
 
     def proc():
-        yield env.charge(5.0)
+        yield from _charge(env, 5.0)
         env.process(child())  # spawned at t=5, not t=0
         yield env.timeout(10.0)
         marks.append(("parent", env.now))
@@ -98,7 +111,7 @@ def test_charge_contended_matches_timeout_interleaving():
         def proc():
             for _ in range(4):
                 if use_charge:
-                    yield env.charge(2.0)
+                    yield from _charge(env, 2.0)
                 else:
                     yield env.timeout(2.0)
                 log.append((label, env.now))
@@ -128,8 +141,8 @@ def test_zero_charges_are_counted():
         env = cls()
 
         def proc():
-            yield env.charge(0.0)
-            yield env.charge(0.0)
+            yield from _charge(env, 0.0)
+            yield from _charge(env, 0.0)
 
         env.process(proc())
         env.run()
@@ -144,12 +157,12 @@ def test_zero_charge_settles_before_suspend_and_schedule():
         seen = []
 
         def proc():
-            yield env.charge(0.0)
+            yield from _charge(env, 0.0)
             seen.append(env.processed_events)
-            yield env.charge(0.0)
+            yield from _charge(env, 0.0)
             yield env.timeout(1.0)
             seen.append(env.processed_events)
-            yield env.charge(0.0)
+            yield from _charge(env, 0.0)
             env.process(iter_none())
             seen.append(env.peek())
 
@@ -174,8 +187,8 @@ def test_multi_waiter_event_holds_off_fusion():
 
         def first():
             yield ev
-            yield env.charge(5.0)
-            grant = yield lock.acquire()
+            yield from _charge(env, 5.0)
+            grant = yield from _take(lock)
             log.append(("first", env.now))
             lock.release(grant)
             yield env.timeout(100.0)
@@ -183,7 +196,7 @@ def test_multi_waiter_event_holds_off_fusion():
         def second():
             yield ev
             log.append(("second", env.now))
-            grant = yield lock.acquire()
+            grant = yield from _take(lock)
             log.append(("second-locked", env.now))
             lock.release(grant)
 
@@ -212,7 +225,7 @@ def test_multi_waiter_event_holds_off_grant_fusion():
 
         def first():
             yield ev
-            grant = yield lock.acquire()
+            grant = yield from _take(lock)
             log.append("first")
             lock.release(grant)
 
@@ -235,29 +248,206 @@ def test_multi_waiter_event_holds_off_grant_fusion():
 
 
 def test_charge_negative_raises():
-    env = Environment()
-    with pytest.raises(ValueError):
-        env.charge(-1.0)
-
-
-def test_charge_marker_rejected_outside_process_yield():
-    env = Environment()
-    marker = env.charge(1.0)
-    with pytest.raises((TypeError, AttributeError)):
-        AllOf(env, [marker])
+    for cls in ENGINES:
+        env = cls()
+        with pytest.raises(ValueError):
+            env.fuse(-1.0)
+        assert (env.now, env.processed_events) == (0.0, 0)
 
 
 def test_reference_charge_is_plain_timeout():
+    """The reference engine refuses every fusion, and ``charge`` (kept for
+    callers of the old marker protocol) is a plain timeout on both."""
+    for cls in ENGINES:
+        t = cls().charge(4.0)
+        assert isinstance(t, Timeout) and t.delay == 4.0
     env = ReferenceEnvironment()
-    t = env.charge(4.0)
-    assert t.delay == 4.0
+    assert env.fuse(4.0) is False
+    assert env.fuse(0.0) is False
 
     def proc():
-        yield env.charge(1.0)
-        yield env.charge(2.0)
+        yield from _charge(env, 1.0)
+        yield from _charge(env, 2.0)
 
     env.run(env.process(proc()))
     assert env.now == 3.0
+    assert env.processed_events == 4  # bootstrap, two timeouts, the end
+
+
+def test_fuse_accumulates_without_heap_traffic():
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield env.timeout(1.0)
+        seen.append(env.fuse(2.0))
+        seen.append(env.fuse(0.0))
+        seen.append((env._pending, env._pending_n, env._seq))
+        seen.append(env.now)  # settles
+        seen.append((env._pending, env._pending_n))
+
+    env.run(env.process(proc()))
+    assert seen == [True, True, (2.0, 2, 2), 3.0, (0.0, 0)]
+    assert env.processed_events == 5  # bootstrap, timeout, 2 fused, the end
+
+
+def test_fuse_refuses_on_a_heap_entry_inside_the_window():
+    env = Environment()
+    seen = []
+
+    def proc():
+        env.timeout(5.0)
+        seen.append(env.fuse(4.0))
+        seen.append(env.fuse(1.0))  # would end exactly on the entry: a tie
+        seen.append(env.fuse(0.5))
+        yield env.timeout(1.0)
+
+    env.run(env.process(proc()))
+    assert seen == [True, False, True]
+
+
+def test_fuse_refuses_at_the_numeric_horizon_marker():
+    env = Environment()
+    seen = []
+
+    def proc():
+        seen.append(env.fuse(30.0))
+        seen.append(env.fuse(20.0))  # reaches the horizon at 50
+        seen.append(env.fuse(19.0))
+        yield env.timeout(1.0)
+
+    env.process(proc())
+    env.run(until=50.0)
+    assert seen == [True, False, True]
+    assert env.now == 50.0
+
+
+def test_fuse_refuses_while_an_event_runs_several_waiters():
+    env = Environment()
+    ev = env.event()
+    seen = []
+
+    def waiter():
+        yield ev
+        seen.append((env._hold, env.fuse(1.0)))
+
+    env.process(waiter())
+    env.process(waiter())
+    ev.succeed()
+    env.run()
+    assert seen == [(1, False), (1, False)]
+    assert env._hold == 0
+
+
+# ---------------------------------------------------------------------------
+# inline grants
+# ---------------------------------------------------------------------------
+
+
+def test_grab_takes_a_free_unit_and_counts_one_event():
+    env = Environment()
+    res = Resource(env, 2)
+    seen = []
+
+    def proc():
+        yield env.timeout(1.0)
+        before = env.processed_events
+        g = res.grab()
+        seen.append((type(g).__name__, res.in_use, env.processed_events - before))
+        res.release(g)
+
+    env.run(env.process(proc()))
+    assert seen == [("Grant", 1, 1)]
+    assert res.in_use == 0
+
+
+def test_grab_refuses_on_a_heap_entry_at_now():
+    env = Environment()
+    lock = Mutex(env)
+    seen = []
+
+    def proc():
+        env.timeout(0.0)
+        seen.append(lock.grab())
+        grant = yield lock.acquire()
+        seen.append(env.now)
+        lock.release(grant)
+
+    env.run(env.process(proc()))
+    assert seen == [None, 0.0]
+
+
+def test_grab_refuses_while_an_event_runs_several_waiters():
+    env = Environment()
+    lock = Mutex(env)
+    ev = env.event()
+    seen = []
+
+    def waiter():
+        yield ev
+        seen.append((env._hold, lock.grab(), lock.in_use))
+
+    env.process(waiter())
+    env.process(waiter())
+    ev.succeed()
+    env.run()
+    assert seen == [(1, None, 0), (1, None, 0)]
+
+
+def test_grab_refuses_with_queued_waiters():
+    env = Environment()
+    lock = Mutex(env)
+    seen = []
+
+    def holder():
+        grant = yield from _take(lock)
+        yield env.timeout(5.0)
+        lock.release(grant)
+
+    def waiter():
+        grant = yield from _take(lock)
+        seen.append(("waiter", env.now))
+        lock.release(grant)
+
+    def prober():
+        yield env.timeout(1.0)
+        seen.append((lock.queue_length, lock.grab()))
+
+    for body in (holder, waiter, prober):
+        env.process(body())
+    env.run()
+    assert seen == [(1, None), ("waiter", 5.0)]
+
+
+def test_grab_refuses_at_full_capacity():
+    env = Environment()
+    lock = Mutex(env)
+    seen = []
+
+    def proc():
+        grant = yield from _take(lock)
+        seen.append(lock.grab())
+        lock.release(grant)
+        seen.append(lock.grab() is not None)
+
+    env.run(env.process(proc()))
+    assert seen == [None, True]
+
+
+def test_reference_engine_never_grabs():
+    env = ReferenceEnvironment()
+    lock = Mutex(env)
+    seen = []
+
+    def proc():
+        yield env.timeout(1.0)
+        seen.append(lock.grab())
+        grant = yield lock.acquire()
+        seen.append(env.processed_events)
+        lock.release(grant)
+
+    env.run(env.process(proc()))
+    assert seen == [None, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +675,7 @@ def test_run_until_number_settles_pending_charges():
     env = Environment()
 
     def proc():
-        yield env.charge(3.0)
+        yield from _charge(env, 3.0)
         yield env.timeout(100.0)
 
     env.process(proc())
@@ -496,7 +686,7 @@ def test_run_until_number_settles_pending_charges():
 def _charge_across_horizon(env, log):
     def proc():
         log.append(("start", env.now))
-        yield env.charge(100.0)
+        yield from _charge(env, 100.0)
         log.append(("after", env.now))
 
     env.process(proc())
@@ -504,10 +694,10 @@ def _charge_across_horizon(env, log):
 
 def _charge_chain_onto_horizon(env, log):
     def proc():
-        yield env.charge(20.0)
-        yield env.charge(30.0)  # ends exactly on the horizon
+        yield from _charge(env, 20.0)
+        yield from _charge(env, 30.0)  # ends exactly on the horizon
         log.append(("on", env.now, env.peek()))
-        yield env.charge(10.0)
+        yield from _charge(env, 10.0)
         log.append(("past", env.now))
 
     env.process(proc())
@@ -542,6 +732,7 @@ def test_mid_run_processed_events_match_reference():
     sides = {}
     for cls in ENGINES:
         env = cls()
+        lock = Mutex(env)
         seen = []
 
         def proc():
@@ -549,10 +740,15 @@ def test_mid_run_processed_events_match_reference():
             seen.append(env.processed_events)
             yield env.timeout(1.0)
             seen.append(env.processed_events)
+            grant = yield from _take(lock)
+            seen.append(env.processed_events)
+            yield from _charge(env, 1.0)
+            seen.append(env.processed_events)
+            lock.release(grant)
 
         env.run(env.process(proc()))
         sides[cls] = (seen, env.processed_events)
-    assert sides[Environment] == sides[ReferenceEnvironment] == ([2, 3], 4)
+    assert sides[Environment] == sides[ReferenceEnvironment] == ([2, 3, 4, 5], 6)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +762,10 @@ def _mixed_workload(env, log):
 
     def worker(wid):
         for i in range(5):
-            yield env.charge(0.5 * (wid + 1))
-            grant = yield lock.acquire()
+            yield from _charge(env, 0.5 * (wid + 1))
+            grant = yield from _take(lock)
             try:
-                yield env.charge(1.0)
+                yield from _charge(env, 1.0)
             finally:
                 lock.release(grant)
             log.append((wid, i, env.now))
@@ -635,7 +831,7 @@ def _resource_program(env, seed):
 
     def hold(wid, grants):
         if rnd.random() < 0.5:
-            yield env.charge(rnd.choice((0.0, 0.5, 1.0)))
+            yield from _charge(env, rnd.choice((0.0, 0.5, 1.0)))
         else:
             yield env.timeout(rnd.choice((0.0, 1.0, 2.0)))
         log.append((wid, "held", [g.resource.name for g in grants], env.now))
@@ -645,13 +841,13 @@ def _resource_program(env, seed):
             kind = step[0]
             try:
                 if kind == "charge":
-                    yield env.charge(step[1])
+                    yield from _charge(env, step[1])
                 elif kind == "timeout":
                     yield env.timeout(step[1])
                 elif kind in ("acquire", "tie-acquire"):
                     if kind == "tie-acquire":
                         yield env.timeout(0.0)
-                    grant = yield step[1].acquire()
+                    grant = yield from _take(step[1])
                     log.append((wid, "got", step[1].name, env.now))
                     try:
                         yield from hold(wid, [grant])
@@ -737,8 +933,8 @@ def test_uncontended_grants_stay_off_the_heap():
 
         def proc():
             for _ in range(50):
-                grant = yield lock.acquire()
-                yield env.charge(1.0)
+                grant = yield from _take(lock)
+                yield from _charge(env, 1.0)
                 lock.release(grant)
 
         env.run(env.process(proc()))
@@ -758,7 +954,7 @@ def _hold_across_yield(env, log):
         log.append(("timeout-first", env.now))
         lock.release(grant)
         ev = lock.acquire()
-        yield env.charge(2.0)
+        yield from _charge(env, 2.0)
         grant = yield ev
         log.append(("charge-first", env.now, ev.processed))
         lock.release(grant)
@@ -784,7 +980,7 @@ def _peek_and_spawn(env, log):
 
     def child():
         log.append(("child", env.now, lock.locked))
-        yield env.charge(0.0)
+        yield from _charge(env, 0.0)
 
     def proc():
         ev = lock.acquire()
@@ -821,7 +1017,7 @@ def _callback_then_charge(env, log):
     def proc():
         ev = lock.acquire()
         ev.add_callback(lambda _e: log.append(("grant-cb", env.now)))
-        yield env.charge(2.0)
+        yield from _charge(env, 2.0)
         grant = yield ev
         log.append(("resumed", env.now))
         lock.release(grant)

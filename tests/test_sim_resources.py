@@ -59,20 +59,20 @@ def test_resource_fifo_fairness():
     assert order == ["first", "second", "third"]
 
 
-def test_try_acquire():
+def test_grab_is_non_blocking():
     env = Environment()
     res = Resource(env, capacity=1)
-    g = res.try_acquire()
+    g = res.grab()
     assert g is not None
-    assert res.try_acquire() is None
+    assert res.grab() is None
     res.release(g)
-    assert res.try_acquire() is not None
+    assert res.grab() is not None
 
 
 def test_double_release_rejected():
     env = Environment()
     res = Resource(env, capacity=1)
-    g = res.try_acquire()
+    g = res.grab()
     res.release(g)
     with pytest.raises(SimulationError):
         res.release(g)
@@ -81,7 +81,7 @@ def test_double_release_rejected():
 def test_release_to_wrong_resource_rejected():
     env = Environment()
     r1, r2 = Resource(env), Resource(env)
-    g = r1.try_acquire()
+    g = r1.grab()
     with pytest.raises(SimulationError):
         r2.release(g)
 
@@ -131,7 +131,7 @@ def test_utilization_accounting():
 def test_queue_length_visible():
     env = Environment()
     res = Resource(env, capacity=1)
-    res.try_acquire()
+    res.grab()
     res.acquire()
     res.acquire()
     assert res.queue_length == 2
@@ -190,3 +190,33 @@ def test_jitter_validation():
         Jitter(rng, sigma=-1.0)
     with pytest.raises(ValueError):
         Jitter(rng, tail_p=2.0)
+
+
+def _scalar_jitter(rng, latencies, sigma, tail_p=0.0, tail_scale_us=0.0, scale=1.0):
+    """The one-draw-per-call reference loop of ``Jitter.apply``."""
+    out = []
+    for lat in latencies:
+        v = lat * scale
+        v *= float(np.exp(rng.normal(0.0, sigma)))
+        if tail_p > 0.0 and rng.random() < tail_p:
+            v += tail_scale_us * float(rng.exponential(1.0))
+        out.append(v)
+    return out
+
+
+def test_tail_free_jitter_blocks_match_scalar_draws():
+    from repro.sim.rng import _BLOCK
+
+    lats = np.random.default_rng(3).uniform(0.0, 50.0, 3 * _BLOCK + 17).tolist()
+    for seed, sigma, scale in ((0, 0.05, 1.0), (9, 0.2, 1.07), (41, 1e-3, 0.93)):
+        expected = _scalar_jitter(np.random.default_rng(seed), lats, sigma, scale=scale)
+        j = Jitter(np.random.default_rng(seed), sigma=sigma, scale=scale)
+        assert [j.apply(v) for v in lats] == expected  # 3 block boundaries
+
+
+def test_tail_jitter_keeps_scalar_draws():
+    lats = [float(i % 13) for i in range(3000)]
+    kw = dict(sigma=0.1, tail_p=0.05, tail_scale_us=40.0, scale=1.2)
+    expected = _scalar_jitter(np.random.default_rng(4), lats, **kw)
+    j = Jitter(np.random.default_rng(4), **kw)
+    assert [j.apply(v) for v in lats] == expected

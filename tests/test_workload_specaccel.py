@@ -176,3 +176,46 @@ def test_usm_equals_izc_for_all_benchmarks():
         _, ru = run(cls, RuntimeConfig.UNIFIED_SHARED_MEMORY)
         _, ri = run(cls, RuntimeConfig.IMPLICIT_ZERO_COPY)
         assert ru.elapsed_us == pytest.approx(ri.elapsed_us, rel=1e-9), name
+
+
+#: the ``np.roll`` form of every slice-concatenation shift in the kernels,
+#: in source order
+ROLL_FORMS = {
+    "spc": [
+        "0.5 * (u + np.roll(u, 1))",
+        "0.5 * (u + np.roll(u, -1))",
+    ],
+    "bt": [
+        "u - 0.25 * (np.roll(u, 1) + np.roll(u, -1) - 2 * u)",
+        "0.5 * (rhs + np.roll(rhs, 1))",
+    ],
+}
+
+
+def _concatenate_shifts(module):
+    """Right-hand sides of the kernel assignments that shift by
+    ``np.concatenate``, in source order."""
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(module))
+    return [
+        ast.unparse(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and "np.concatenate" in ast.unparse(node.value)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ROLL_FORMS))
+def test_kernel_shifts_equal_np_roll(name):
+    import importlib
+
+    module = importlib.import_module(f"repro.workloads.specaccel.{name}")
+    exprs = _concatenate_shifts(module)
+    assert len(exprs) == len(ROLL_FORMS[name])
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 7, module.PAYLOAD_N):
+        for _ in range(5):
+            arrays = {"np": np, "u": rng.normal(size=n), "rhs": rng.normal(size=n)}
+            for expr, ref in zip(exprs, ROLL_FORMS[name], strict=True):
+                assert np.array_equal(eval(expr, dict(arrays)), eval(ref, dict(arrays)))
