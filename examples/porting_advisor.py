@@ -171,23 +171,23 @@ def predict_profile(profile: AppProfile, app_cls=ProfiledApp) -> None:
     extracted IR — zero simulation events.  The timing table printed
     afterwards is the measured confirmation (the two agree bit-exactly
     on HSA call counts for resolvable patterns; see
-    ``repro check --perf-json``).
+    ``repro check --differential cost``).
     """
-    from repro.check.static.cost import CostEnv, perf_report, predict_costs
-    from repro.check.static.extract import ExtractionError, extract_workload
+    from repro.check.static.cost import CostEnv, predict_costs
+    from repro.check.static.rules import analyze_workload
     from repro.experiments import render_cost_table
 
-    try:
-        ir = extract_workload(app_cls(profile), name=profile.name)
-    except ExtractionError as exc:
-        print(f"  mapcost: extraction failed ({exc}); skipping prediction")
+    # one extraction feeds both the cost walk and the perf lint
+    perf, ir = analyze_workload(app_cls(profile), profile.name,
+                                flow=False, perf=True)
+    if ir is None:
+        print(f"  mapcost: {perf.aborted}; skipping prediction")
         return
     predictions = {
         c: predict_costs(ir, CostEnv.for_config(c)) for c in ALL_CONFIGS
     }
     table = render_cost_table(profile.name, predictions)
     print("\n".join("  " + line for line in table.splitlines()))
-    perf = perf_report(app_cls(profile), profile.name)
     for f in perf.sorted_findings():
         broken = ", ".join(c.label for c in f.breaks_under) or "none"
         print(f"  perf-lint {f.rule_id} {f.rule.title} ({f.buffer}): "
@@ -202,7 +202,7 @@ def rank_placements(profile: AppProfile, app_cls=ProfiledApp) -> None:
     bytes (then remote fault pages) under Implicit Zero-Copy on a
     2-socket card — pure static analysis over the same extracted IR,
     zero simulation events.  The differential
-    (``repro check --place-json``) pins these predictions against the
+    (``repro check --differential place``) pins these predictions against the
     instrumented card telemetry.
     """
     from repro.check.static.cost import CostEnv

@@ -80,9 +80,11 @@ del _rule
 
 
 def static_counterparts(rule_id: str) -> Tuple[str, ...]:
-    """Static (MapFlow) rule ids covering the same defect family as a
-    dynamic rule — empty when the family is out of static scope (races,
-    payload-content rules, differential-only rules)."""
+    """Static (MapFlow/MapRace) rule ids covering the same defect family
+    as a dynamic rule — MC-R01 -> MC-S21 and MC-R02 -> MC-S20 included.
+    Empty when the family is out of static scope (payload-content rules
+    such as missing-from and stale globals, ``always`` misuse, and
+    differential-only rules)."""
     family = RULES[rule_id].family
     return tuple(
         rid for rid in RULE_FAMILIES.get(family, ())

@@ -226,15 +226,6 @@ def check_workload(
     return report
 
 
-def _merge_static(report: CheckReport, static: CheckReport) -> CheckReport:
-    """Fold a MapFlow (static) report into a dynamic one."""
-    report.findings.extend(static.findings)
-    report.stats.update(static.stats)
-    if static.aborted and report.aborted is None:
-        report.aborted = static.aborted
-    return report
-
-
 def check_named(
     name: str,
     fidelity: Fidelity = Fidelity.TEST,
@@ -248,30 +239,31 @@ def check_named(
 ) -> CheckReport:
     """Run MapCheck over one bundled workload by registry name.
 
-    ``static=True`` additionally runs the MapFlow static analysis and
-    merges its findings; ``perf=True`` additionally runs the MapCost
-    perf lint (also pure static); ``dynamic=False`` skips the
-    instrumented and differential runs entirely (no simulation).
+    ``static=True`` additionally runs the MapFlow static dataflow analysis
+    (with MapRace) and merges its findings; ``perf=True`` additionally
+    runs the MapCost perf lint (also pure static) — both from one
+    extraction.  ``dynamic=False`` skips the instrumented and
+    differential runs entirely (no simulation); MapFlow then runs unless
+    only ``perf`` was asked for.
     """
-    from .static import analyze_named
-    from .static.cost import perf_report
+    from .static.rules import analyze_workload
 
-    def _perf() -> CheckReport:
-        return perf_report(make_workload(name, fidelity), name)
+    def _static(flow: bool) -> CheckReport:
+        return analyze_workload(make_workload(name, fidelity), name,
+                                flow=flow, perf=perf)[0]
 
     if not dynamic:
-        report = analyze_named(name, fidelity) if static else None
-        if perf:
-            report = _merge_static(report, _perf()) if report else _perf()
-        return report if report is not None else analyze_named(name, fidelity)
+        return _static(static or not perf)
     report = check_workload(
         lambda: make_workload(name, fidelity), name,
         cross_check=cross_check, cost=cost, seed=seed,
     )
-    if static:
-        report = _merge_static(report, analyze_named(name, fidelity))
-    if perf:
-        report = _merge_static(report, _perf())
+    if static or perf:
+        extra = _static(static)
+        report.findings.extend(extra.findings)
+        report.stats.update(extra.stats)
+        if extra.aborted and report.aborted is None:
+            report.aborted = extra.aborted
     return report
 
 

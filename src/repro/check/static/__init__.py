@@ -15,8 +15,10 @@ Pipeline::
                      abstract interpretation   (interp.py / domains.py)
                      findings + matrices       (rules.py)
 
-and a static-vs-dynamic differential harness (differential.py) keeps
-the two rule sets honest against each other.
+:func:`~.rules.analyze_workload` runs that pipeline (plus the MapRace,
+MapCost and MapPlace families on the same IR) from one extraction, and a
+static-vs-dynamic differential harness (differential.py) keeps the two
+rule sets honest against each other.
 """
 
 from __future__ import annotations
@@ -24,18 +26,16 @@ from __future__ import annotations
 from .differential import static_dynamic_differential
 from .extract import ExtractionError, extract_workload
 from .interp import analyze_ir
-from .race import race_differential, race_findings, race_report
-from .rules import analyze_factory, analyze_named, static_report
+from .race import race_findings
+from .rules import analyze_named, analyze_workload, static_report
 
 __all__ = [
     "extract_workload",
     "ExtractionError",
     "analyze_ir",
-    "analyze_factory",
     "analyze_named",
+    "analyze_workload",
     "static_report",
     "static_dynamic_differential",
-    "race_differential",
     "race_findings",
-    "race_report",
 ]

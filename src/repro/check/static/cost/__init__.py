@@ -14,7 +14,7 @@ counts directly from the extracted IR, without constructing a simulator:
   and map-op counts, interval containment for bytes and pages).
 """
 
-from .differential import CostDifferentialResult, cost_differential
+from .differential import CounterCell, CounterDifferential, cost_differential
 from .intervals import Interval
 from .model import (
     ALL_KEYS,
@@ -24,14 +24,15 @@ from .model import (
     CostEnv,
     device_init_counts,
 )
-from .rules import PERF_RULE_IDS, perf_matrix, perf_report
+from .rules import PERF_RULE_IDS, perf_report
 from .walker import CostPrediction, predict_costs
 
 __all__ = [
     "Interval",
     "CostEnv",
     "CostPrediction",
-    "CostDifferentialResult",
+    "CounterCell",
+    "CounterDifferential",
     "ALL_KEYS",
     "BOUNDED_KEYS",
     "EXACT_KEYS",
@@ -39,7 +40,6 @@ __all__ = [
     "PERF_RULE_IDS",
     "device_init_counts",
     "predict_costs",
-    "perf_matrix",
     "perf_report",
     "cost_differential",
 ]

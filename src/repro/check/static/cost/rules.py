@@ -22,9 +22,10 @@ the cost walker, only unbounded-per-iteration patterns warrant a lint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
+from ....core.config import RuntimeConfig
 from ....omp.mapping import MapKind
 from ....workloads.base import Workload
 from ...findings import CheckReport, Finding
@@ -42,49 +43,27 @@ from ..ir import (
     UpdateOp,
     WorkloadIR,
 )
-from ..rules import SEMANTICS, ConfigSemantics, _relative_source
+from ..rules import _relative_source, analyze_workload, rule_matrix
 from .intervals import ONE, ZERO, Interval
 from .model import CostEnv, pages_of
 
 __all__ = [
     "PERF_RULE_IDS",
     "FAULT_STORM_PAGE_THRESHOLD",
-    "perf_matrix",
+    "LintHit",
+    "lint_findings",
     "perf_findings",
     "perf_report",
 ]
 
-from ....core.config import ALL_CONFIGS, RuntimeConfig
-
 #: MC-W03 fires when a loop's re-faulted pages total at least this many
 FAULT_STORM_PAGE_THRESHOLD = 64
 
-#: rule id -> overhead predicate over one configuration's semantics
-_PERF_RULES: Dict[str, Callable[[ConfigSemantics], bool]] = {
-    # per-iteration map churn only turns into per-iteration ioctls where
-    # enters prefault but nothing else (no copies, no fault servicing)
-    "MC-W01": lambda s: not s.xnack and not s.shadow_copies,
-    # a redundant 'to' only ever *could* have copied where maps move data
-    "MC-W02": lambda s: s.shadow_copies,
-    # re-faulting fresh allocations costs where XNACK services the faults
-    "MC-W03": lambda s: s.xnack,
-    # double indirection exists only where globals are host pointers
-    "MC-W04": lambda s: s.pointer_globals,
-    # 'target update' is redundant wherever the mapping already shares
-    "MC-W05": lambda s: not s.shadow_copies,
-}
-
-PERF_RULE_IDS: Tuple[str, ...] = tuple(_PERF_RULES)
-
-
-def perf_matrix(
-    rule_id: str,
-) -> Tuple[Tuple[RuntimeConfig, ...], Tuple[RuntimeConfig, ...]]:
-    """``(breaks_under, passes_under)`` derived from ConfigSemantics."""
-    pays = _PERF_RULES[rule_id]
-    breaks_under = tuple(c for c in ALL_CONFIGS if pays(SEMANTICS[c]))
-    passes_under = tuple(c for c in ALL_CONFIGS if not pays(SEMANTICS[c]))
-    return breaks_under, passes_under
+#: the MC-W rules; their overhead predicates live with every other static
+#: rule's in :mod:`repro.check.static.rules`
+PERF_RULE_IDS: Tuple[str, ...] = (
+    "MC-W01", "MC-W02", "MC-W03", "MC-W04", "MC-W05",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +72,10 @@ def perf_matrix(
 
 
 @dataclass
-class _RawFinding:
+class LintHit:
+    """One raw MC-W (or MC-A) detector hit; hits sharing a (rule, site
+    key) fold into one finding."""
+
     rule_id: str
     site_key: str           #: dedup key (site or global name)
     buffer: str
@@ -108,19 +90,15 @@ class _Detector:
     def __init__(self, ir: WorkloadIR, env: CostEnv):
         self.ir = ir
         self.env = env
-        self.raw: List[_RawFinding] = []
+        self.raw: List[LintHit] = []
         self.tid = 0
         #: (rule, site) pairs already reported, across threads
         self._fired = set()
 
     def fire(self, rule_id: str, site_key: str, buffer: str,
              message: str, lineno: int) -> None:
-        if (rule_id, site_key) in self._fired:
-            self.raw.append(_RawFinding(
-                rule_id, site_key, buffer, message, lineno, self.tid))
-            return
         self._fired.add((rule_id, site_key))
-        self.raw.append(_RawFinding(
+        self.raw.append(LintHit(
             rule_id, site_key, buffer, message, lineno, self.tid))
 
     # -- refcount abstraction (mirror of the cost walker, counts only) ----
@@ -354,25 +332,24 @@ class _Detector:
                 lineno)
 
     # -- entry --------------------------------------------------------------
-    def run(self) -> List[_RawFinding]:
+    def run(self) -> List[LintHit]:
         for program in self.ir.threads:
             self.tid = program.tid
             self.walk(program.body, {})
         return self.raw
 
 
-def perf_findings(ir: WorkloadIR, env: Optional[CostEnv] = None) -> List[Finding]:
-    """Run the MC-W detectors over one extracted workload IR."""
-    env = env or CostEnv.for_config(RuntimeConfig.COPY)
-    raw = _Detector(ir, env).run()
-    grouped: Dict[Tuple[str, str], List[_RawFinding]] = {}
+def lint_findings(raw: List[LintHit], ir: WorkloadIR) -> List[Finding]:
+    """Fold raw MC-W/MC-A detector hits into findings: one per (rule,
+    site key), later hits as ``related``, matrices derived per rule."""
+    grouped: Dict[Tuple[str, str], List[LintHit]] = {}
     for r in raw:
         grouped.setdefault((r.rule_id, r.site_key), []).append(r)
     source = _relative_source(ir.source_file)
     findings: List[Finding] = []
     for (rule_id, _key), items in sorted(grouped.items()):
         primary = items[0]
-        breaks_under, passes_under = perf_matrix(rule_id)
+        breaks_under, passes_under = rule_matrix(rule_id)
         findings.append(Finding(
             rule_id=rule_id,
             buffer=primary.buffer,
@@ -389,21 +366,12 @@ def perf_findings(ir: WorkloadIR, env: Optional[CostEnv] = None) -> List[Finding
     return findings
 
 
+def perf_findings(ir: WorkloadIR, env: Optional[CostEnv] = None) -> List[Finding]:
+    """Run the MC-W detectors over one extracted workload IR."""
+    env = env or CostEnv.for_config(RuntimeConfig.COPY)
+    return lint_findings(_Detector(ir, env).run(), ir)
+
+
 def perf_report(workload: Workload, name: str = "") -> CheckReport:
     """Extract one workload and run the perf lint (pure static path)."""
-    from ..extract import ExtractionError, extract_workload
-
-    wname = name or getattr(workload, "name", type(workload).__name__)
-    fidelity = getattr(workload, "fidelity", None)
-    report = CheckReport(
-        workload=wname,
-        fidelity=fidelity.value if fidelity is not None else "?",
-    )
-    try:
-        ir = extract_workload(workload, name=wname)
-    except ExtractionError as exc:
-        report.aborted = f"static extraction failed: {exc}"
-        return report
-    report.findings = perf_findings(ir)
-    report.stats = {"perf_threads": len(ir.threads)}
-    return report
+    return analyze_workload(workload, name, flow=False, perf=True)[0]

@@ -1,15 +1,17 @@
 """Static-vs-dynamic differential harness.
 
-MapFlow's correctness argument is empirical and two-sided:
+The static analyses' correctness argument is empirical and two-sided:
 
 * **Recall** (faulty corpus): every finding the *dynamic* analyses emit
   on :data:`repro.check.corpus.CORPUS` whose defect family is in static
   scope (i.e. a static counterpart rule exists) must be matched by a
   static finding with the same family and buffer — the abstract
   interpreter sees, without running anything, what the instrumented run
-  observed.
-* **Precision** (clean registry): MapFlow must emit *zero* findings on
-  the 11 bundled clean workloads, and the static path must be genuinely
+  observed.  The race families are in scope: every dynamic MC-R01/MC-R02
+  race needs its MapRace MC-S21/MC-S20 twin.
+* **Precision** (clean registry): the static report (MapFlow + MapRace)
+  must hold *zero* findings on the 11 bundled clean workloads (a race
+  finding counts like any other), and the static path must be genuinely
   static — no :class:`~repro.core.system.ApuSystem` may be constructed
   and no simulation event may fire while it analyzes (enforced here by
   poisoning the constructor for the duration).
@@ -113,6 +115,25 @@ class DifferentialResult:
         )
         return "\n".join(lines)
 
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "ok": self.ok,
+            "records": [{
+                "corpus": r.corpus_name,
+                "dynamic_rule": r.dynamic_rule,
+                "buffer": r.buffer,
+                "family": r.family,
+                "static_rule": r.static_rule,
+                "matched": r.matched,
+            } for r in self.records],
+            "false_positives": {
+                name: [{"rule": f.rule_id, "buffer": f.buffer}
+                       for f in findings]
+                for name, findings in sorted(self.false_positives.items())
+            },
+            "aborts": dict(sorted(self.aborts.items())),
+        }
+
 
 def _family_of(rule_id: str) -> str:
     return RULES[rule_id].family
@@ -147,7 +168,7 @@ def static_dynamic_differential(
                 continue
             for f in dynamic.findings:
                 if not static_counterparts(f.rule_id):
-                    continue  # family out of static scope (races, content)
+                    continue  # missing-from, stale-global, always-misuse
                 result.records.append(MatchRecord(
                     corpus_name=name,
                     dynamic_rule=f.rule_id,

@@ -17,7 +17,7 @@ PERF_CORPUS) and checks every workload lands in its *expected* class:
 
 The expectations are pinned per workload, so a synthesizer that starts
 guessing (or stops fixing) fails CI, exactly like the static/dynamic
-and race differentials that precede this one.
+differential that precedes this one.
 """
 
 from __future__ import annotations

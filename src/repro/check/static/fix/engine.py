@@ -36,9 +36,8 @@ from ....workloads.base import Workload
 from ...findings import _SEV_ORDER, CheckReport, Finding
 from ..cost import BOUNDED_KEYS, EXACT_KEYS, CostEnv, predict_costs
 from ..cost.intervals import Interval
-from ..extract import ExtractionError, extract_workload
 from ..ir import WorkloadIR
-from ..rules import _relative_source
+from ..rules import _relative_source, analyze_workload
 from .edits import (
     EditError,
     SourceEdit,
@@ -47,7 +46,7 @@ from .edits import (
     rebase_edit,
     render_diff,
 )
-from .sandbox import SandboxError, analyze_instance, load_patched, sandbox_dir
+from .sandbox import SandboxError, load_patched, sandbox_dir
 from .synthesize import FixContext, Refusal, synthesize_fixes
 
 __all__ = ["AppliedFix", "RemediationResult", "remediate", "write_patches"]
@@ -249,12 +248,11 @@ def remediate(
     wname = name or instance.name
     cls_name = type(instance).__name__
     origin_module = type(instance).__module__
-    try:
-        ir0 = extract_workload(factory(), name=wname)
-    except ExtractionError as exc:
+    report0, ir0 = analyze_workload(factory(), wname, perf=True)
+    if ir0 is None:
         return RemediationResult(
             workload=wname, path="", status="unfixable",
-            notes=[f"static extraction failed: {exc}"],
+            notes=[report0.aborted],
         )
     path = ir0.source_file
     rel = _relative_source(path) or path
@@ -263,16 +261,16 @@ def remediate(
 
     result = RemediationResult(workload=wname, path=rel, status="clean",
                                original_text=original_text)
-    base = analyze_instance(factory, wname)
+    base_findings = sorted(report0.findings, key=Finding.sort_key)
     result.report = CheckReport(
         workload=wname,
         fidelity=getattr(instance.fidelity, "value", "?"),
-        findings=list(base.findings),
+        findings=base_findings,
     )
     refusals: List[Refusal] = []
 
-    cur_text, cur_build, cur_ir = original_text, factory, base.ir or ir0
-    cur_findings = _sorted_active(base.findings)
+    cur_text, cur_build, cur_ir = original_text, factory, ir0
+    cur_findings = _sorted_active(base_findings)
     with sandbox_dir() as tmpdir:
         for rnd in range(1, max_rounds + 1):
             if not cur_findings:
@@ -290,20 +288,20 @@ def remediate(
                         build = load_patched(new_text, origin_module,
                                              cls_name, tmpdir,
                                              rebuild=rebuild)
-                        analysis = analyze_instance(build, wname)
-                    except (EditError, SandboxError,
-                            ExtractionError) as exc:
+                        report, ir = analyze_workload(build(), wname,
+                                                      perf=True)
+                    except (EditError, SandboxError) as exc:
                         result.rejected.append(
                             f"{cand.kind} for {finding.rule_id} "
                             f"{finding.buffer!r}: sandbox failed ({exc})")
                         continue
-                    if analysis.aborted or analysis.ir is None:
+                    if ir is None:
                         result.rejected.append(
                             f"{cand.kind} for {finding.rule_id} "
                             f"{finding.buffer!r}: patched source no longer "
-                            f"analyzes ({analysis.aborted})")
+                            f"analyzes ({report.aborted})")
                         continue
-                    new_fps = analysis.fingerprints()
+                    new_fps = _fingerprints(report.findings)
                     if target_fp in new_fps:
                         result.rejected.append(
                             f"{cand.kind} for {finding.rule_id} "
@@ -329,7 +327,7 @@ def remediate(
                             f"{finding.buffer!r}: cannot express the edit "
                             f"against the original source ({exc})")
                         continue
-                    delta, saved = _cost_delta(cur_ir, analysis.ir)
+                    delta, saved = _cost_delta(cur_ir, ir)
                     result.fixes.append(AppliedFix(
                         workload=wname, rule_id=finding.rule_id,
                         buffer=finding.buffer, kind=cand.kind,
@@ -337,9 +335,8 @@ def remediate(
                         path=rel, edits=rebased, cost_delta=delta,
                         saved_exact=saved,
                     ))
-                    cur_text, cur_build, cur_ir = (
-                        new_text, analysis.build, analysis.ir)
-                    cur_findings = _sorted_active(analysis.findings)
+                    cur_text, cur_build, cur_ir = new_text, build, ir
+                    cur_findings = _sorted_active(report.findings)
                     accepted = True
                     break
                 if accepted:
@@ -353,7 +350,7 @@ def remediate(
         result.patched_text = cur_text if result.fixes else None
 
         if not result.fixes:
-            result.status = "clean" if not base.findings else "unfixable"
+            result.status = "clean" if not base_findings else "unfixable"
         elif not dynamic:
             result.status = "partial" if result.residual else "fixed"
             result.dynamic = "skipped (static-only verification)"

@@ -4,7 +4,8 @@ A candidate edit is never trusted on syntactic grounds: the patched
 source is written to a temp file, imported as a sibling module of the
 workload's package (so its relative imports resolve), and the rebuilt
 workload class is pushed through the *same* extraction + 27-rule static
-report + perf lint the original went through — and, at the engine's
+report + perf lint the original went through
+(:func:`~..rules.analyze_workload`) — and, at the engine's
 request, through the full instrumented dynamic re-run under every
 runtime configuration.  A fix is only ever accepted on the strength of
 those re-analyses.
@@ -19,66 +20,18 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, Optional
 
 from ....workloads.base import Workload
-from ...findings import CheckReport, Finding
-from ..extract import extract_workload
-from ..ir import WorkloadIR
 
-__all__ = [
-    "SandboxError", "SandboxAnalysis", "analyze_instance", "load_patched",
-    "sandbox_dir",
-]
+__all__ = ["SandboxError", "load_patched", "sandbox_dir"]
 
 _counter = itertools.count(1)
 
 
 class SandboxError(RuntimeError):
     """The patched source failed to import, rebuild or re-extract."""
-
-
-@dataclass
-class SandboxAnalysis:
-    """One static+perf analysis of a (possibly patched) workload."""
-
-    findings: List[Finding] = field(default_factory=list)
-    ir: Optional[WorkloadIR] = None
-    #: builds a fresh workload instance (for dynamic re-runs)
-    build: Callable[[], Workload] = None  # type: ignore[assignment]
-    aborted: Optional[str] = None
-
-    def fingerprints(self) -> set:
-        return {(f.rule_id, f.buffer) for f in self.findings}
-
-
-def _static_perf_findings(workload: Workload, name: str) -> CheckReport:
-    """The full static side: MapFlow + MapRace + MapCost perf lint."""
-    from ..cost import perf_report
-    from ..rules import static_report
-
-    report = static_report(workload, name)
-    perf = perf_report(workload, name)
-    report.findings.extend(perf.findings)
-    if perf.aborted and report.aborted is None:
-        report.aborted = perf.aborted
-    return report
-
-
-def analyze_instance(build: Callable[[], Workload],
-                     name: str) -> SandboxAnalysis:
-    """Run the static report + extraction over fresh instances."""
-    report = _static_perf_findings(build(), name)
-    if report.aborted:
-        return SandboxAnalysis(findings=list(report.findings), ir=None,
-                               build=build, aborted=report.aborted)
-    ir = extract_workload(build(), name=name)
-    return SandboxAnalysis(
-        findings=sorted(report.findings, key=Finding.sort_key),
-        ir=ir, build=build,
-    )
 
 
 @contextmanager

@@ -13,17 +13,10 @@ from .rules import (
     PLACE_RULE_IDS,
     REMOTE_FAULT_STORM_PAGE_THRESHOLD,
     place_findings,
-    place_matrix,
     place_report,
 )
 from .walker import predict_card, predict_place
-from .differential import (
-    DEFAULT_POINTS,
-    PlaceCell,
-    PlaceDifferentialResult,
-    measure_place,
-    place_differential,
-)
+from .differential import DEFAULT_POINTS, measure_place, place_differential
 
 __all__ = [
     "PLACE_BOUNDED_KEYS",
@@ -33,14 +26,11 @@ __all__ = [
     "REMOTE_FAULT_STORM_PAGE_THRESHOLD",
     "HOT_REMOTE_PAGE_VISITS",
     "LINK_SATURATION_BYTES",
-    "place_matrix",
     "place_findings",
     "place_report",
     "predict_place",
     "predict_card",
     "DEFAULT_POINTS",
-    "PlaceCell",
-    "PlaceDifferentialResult",
     "measure_place",
     "place_differential",
 ]

@@ -14,7 +14,8 @@ analysis points:
   socket, and harvests per-socket HSA traces, run ledgers and
   driver/placement counters.
 
-The contract is MapCost's two-tier contract per socket: HSA call
+The contract is MapCost's two-tier contract per socket (the same
+:class:`~..cost.differential.CounterCell` check and counter harvest): HSA call
 counts, map-op counts and kernel launches bit-exact; byte/page counters
 *and* the new remote/local placement counters inside the predicted
 intervals.  Unknown traced keys with nonzero counts fail.
@@ -26,28 +27,21 @@ zero MC-A findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ....core.config import ALL_CONFIGS, RuntimeConfig
 from ....core.params import CostModel
 from ....workloads.base import Fidelity
-from ...findings import Finding
+from ..cost.differential import CounterCell, CounterDifferential, harvest_counters
+from ..cost.model import BOUNDED_KEYS, CostEnv
+from ..cost.walker import CostPrediction
 from ..differential import _forbid_simulation
 from ..extract import extract_workload
-from ..cost.model import BOUNDED_KEYS, EXACT_KEYS, HSA_KEYS, CostEnv
-from ..cost.walker import CostPrediction
 from .model import PLACE_BOUNDED_KEYS, PlaceSpec
 from .rules import place_findings
 from .walker import predict_card
 
-__all__ = [
-    "DEFAULT_POINTS",
-    "PlaceCell",
-    "PlaceDifferentialResult",
-    "measure_place",
-    "place_differential",
-]
+__all__ = ["DEFAULT_POINTS", "measure_place", "place_differential"]
 
 #: default (topology, placement) sweep: no remote pages, a ~50/50 split,
 #: and an everything-remote point on a wider card
@@ -57,15 +51,20 @@ DEFAULT_POINTS: Tuple[PlaceSpec, ...] = (
     PlaceSpec(n_sockets=4, placement="pinned", home=1),
 )
 
+#: the per-socket card counters the harvest adds to the traced ones
+_CARD_KEYS: Tuple[str, ...] = (
+    ("pages_prefaulted", "pages_faulted") + PLACE_BOUNDED_KEYS
+)
+
 
 def measure_place(
     workload,
     config: RuntimeConfig,
     spec: PlaceSpec,
     cost: Optional[CostModel] = None,
-) -> Tuple[List[Dict[str, int]], int]:
+) -> List[Dict[str, int]]:
     """Run one noise-free card simulation for an analysis point and
-    harvest per-socket measured counters; returns ``(per_socket, sim_events)``."""
+    harvest the measured counters of every socket."""
     from ....multisocket.card import ApuCard
 
     card = ApuCard(
@@ -75,136 +74,13 @@ def measure_place(
         seed=0,
     )
     res = card.run_workload(workload, config)
-    per_socket: List[Dict[str, int]] = []
-    for s in range(res.n_sockets):
-        trace = res.per_socket_traces[s]
-        ledger = res.per_socket_ledgers[s]
-        counters = res.per_socket_counters[s]
-        measured = {name: trace.count(name) for name in HSA_KEYS}
-        for name in trace.names():
-            measured.setdefault(name, trace.count(name))
-        measured.update({
-            "map_enters": ledger.n_map_enters,
-            "map_exits": ledger.n_map_exits,
-            "kernels": ledger.n_kernels,
-            "h2d_bytes": ledger.h2d_bytes,
-            "d2h_bytes": ledger.d2h_bytes,
-            "shadow_bytes": ledger.shadow_bytes,
-            "pages_prefaulted": counters["pages_prefaulted"],
-            "pages_faulted": counters["pages_faulted"],
-            "remote_fault_pages": counters["remote_fault_pages"],
-            "remote_kernel_pages": counters["remote_kernel_pages"],
-            "local_kernel_pages": counters["local_kernel_pages"],
-            "remote_kernel_bytes": counters["remote_kernel_bytes"],
-        })
-        per_socket.append(measured)
-    return per_socket, res.sim_events
-
-
-@dataclass
-class PlaceCell:
-    """Predicted vs. measured counters for one socket of one
-    (workload, config, analysis point) cell."""
-
-    workload: str
-    config: RuntimeConfig
-    spec: PlaceSpec
-    socket: int
-    prediction: CostPrediction
-    measured: Dict[str, int] = field(default_factory=dict)
-    mismatches: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def check(self) -> "PlaceCell":
-        for key in EXACT_KEYS:
-            iv = self.prediction.interval(key)
-            got = self.measured.get(key, 0)
-            if not iv.is_exact or iv.lo != got:
-                self.mismatches.append(
-                    f"{key}: predicted {iv}, measured {got} (exact contract)"
-                )
-        for key in BOUNDED_KEYS + PLACE_BOUNDED_KEYS:
-            iv = self.prediction.interval(key)
-            got = self.measured.get(key, 0)
-            if not iv.contains(got):
-                self.mismatches.append(
-                    f"{key}: predicted {iv} does not contain measured {got}"
-                )
-        known = set(EXACT_KEYS) | set(BOUNDED_KEYS) | set(PLACE_BOUNDED_KEYS)
-        for key in sorted(set(self.measured) - known):
-            if self.measured[key]:
-                self.mismatches.append(
-                    f"simulation traced {key!r} ({self.measured[key]}x), "
-                    "which the place model does not predict"
-                )
-        return self
-
-    def render(self) -> str:
-        head = (
-            f"{self.workload:<18} {self.config.value:<22} "
-            f"{self.spec.label():<22} s{self.socket} "
-            f"{'ok' if self.ok else 'FAIL'}"
+    return [
+        harvest_counters(
+            res.per_socket_traces[s], res.per_socket_ledgers[s],
+            **{k: res.per_socket_counters[s][k] for k in _CARD_KEYS},
         )
-        if self.ok:
-            return head
-        return head + "".join(f"\n    {m}" for m in self.mismatches)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "config": self.config.value,
-            "spec": self.spec.label(),
-            "socket": self.socket,
-            "ok": self.ok,
-            "predicted": {
-                k: str(self.prediction.interval(k))
-                for k in EXACT_KEYS + BOUNDED_KEYS + PLACE_BOUNDED_KEYS
-            },
-            "measured": dict(self.measured),
-            "mismatches": list(self.mismatches),
-        }
-
-
-@dataclass
-class PlaceDifferentialResult:
-    """Full sweep outcome: every cell plus the lint false-positive gate."""
-
-    cells: List[PlaceCell] = field(default_factory=list)
-    #: MC-A findings on the clean registry under the default first-touch
-    #: analysis point — must be empty
-    false_positives: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.false_positives and all(c.ok for c in self.cells)
-
-    def render(self) -> str:
-        lines = [c.render() for c in self.cells]
-        for f in self.false_positives:
-            lines.append(
-                f"FALSE POSITIVE {f.rule_id} on clean workload "
-                f"{f.workload!r} ({f.buffer})"
-            )
-        n_fail = sum(1 for c in self.cells if not c.ok)
-        lines.append(
-            f"place differential: {len(self.cells) - n_fail}/{len(self.cells)} "
-            f"cells ok, {len(self.false_positives)} lint false positive(s)"
-        )
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "n_cells": len(self.cells),
-            "false_positives": [
-                {"rule": f.rule_id, "workload": f.workload, "buffer": f.buffer}
-                for f in self.false_positives
-            ],
-            "cells": [c.to_dict() for c in self.cells],
-        }
+        for s in range(res.n_sockets)
+    ]
 
 
 def place_differential(
@@ -214,7 +90,7 @@ def place_differential(
     configs: Sequence[RuntimeConfig] = ALL_CONFIGS,
     points: Sequence[PlaceSpec] = DEFAULT_POINTS,
     cost: Optional[CostModel] = None,
-) -> PlaceDifferentialResult:
+) -> CounterDifferential:
     """Run the predicted-vs-measured sweep over every (workload, config,
     analysis point) cell.
 
@@ -226,7 +102,7 @@ def place_differential(
 
     names = list(names) if names is not None else sorted(WORKLOADS)
     predictions: Dict[tuple, List[CostPrediction]] = {}
-    result = PlaceDifferentialResult()
+    result = CounterDifferential("place")
     with _forbid_simulation():
         for name in names:
             ir = extract_workload(make_workload(name, fidelity), name=name)
@@ -240,17 +116,18 @@ def place_differential(
     for name in names:
         for config in configs:
             for spec in points:
-                per_socket, _events = measure_place(
+                per_socket = measure_place(
                     make_workload(name, fidelity), config, spec, cost
                 )
                 preds = predictions[(name, config, spec)]
                 for s, measured in enumerate(per_socket):
-                    result.cells.append(PlaceCell(
+                    result.cells.append(CounterCell(
                         workload=name,
                         config=config,
-                        spec=spec,
-                        socket=s,
                         prediction=preds[s],
                         measured=measured,
+                        bounded=BOUNDED_KEYS + PLACE_BOUNDED_KEYS,
+                        spec=spec,
+                        socket=s,
                     ).check())
     return result

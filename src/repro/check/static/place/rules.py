@@ -25,10 +25,9 @@ matrices come from, evaluated per configuration:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ....core.config import ALL_CONFIGS, RuntimeConfig
+from ....core.config import RuntimeConfig
 from ....memory.layout import MIB
 from ....workloads.base import Workload
 from ...findings import CheckReport, Finding
@@ -42,8 +41,9 @@ from ..ir import (
     TargetOp,
     WorkloadIR,
 )
-from ..rules import SEMANTICS, ConfigSemantics, _relative_source
+from ..rules import analyze_workload
 from ..cost.model import CostEnv, pages_of
+from ..cost.rules import LintHit, lint_findings
 from .model import PlaceSpec
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "REMOTE_FAULT_STORM_PAGE_THRESHOLD",
     "HOT_REMOTE_PAGE_VISITS",
     "LINK_SATURATION_BYTES",
-    "place_matrix",
     "place_findings",
     "place_report",
 ]
@@ -66,49 +65,14 @@ HOT_REMOTE_PAGE_VISITS = 256
 #: remote bytes
 LINK_SATURATION_BYTES = 32 * MIB
 
-#: rule id -> "pays the remote-link cost" predicate over one
-#: configuration's semantics
-_PLACE_RULES: Dict[str, Callable[[ConfigSemantics], bool]] = {
-    # remote first-touch faults only cost where XNACK services them
-    "MC-A01": lambda s: s.xnack,
-    # map churn moves/installs remote pages where enters do real work:
-    # Copy's shadow copies and Eager's prefault ioctls (under the XNACK
-    # configs a map-enter is pure bookkeeping)
-    "MC-A02": lambda s: not s.xnack,
-    # the remote-access penalty applies where kernels read host memory
-    # directly — every zero-copy configuration
-    "MC-A03": lambda s: not s.shadow_copies,
-    # a shadow copy that streams remote bytes over the link exists only
-    # where maps materialize shadow copies
-    "MC-A04": lambda s: s.shadow_copies,
-}
-
-PLACE_RULE_IDS: Tuple[str, ...] = tuple(_PLACE_RULES)
-
-
-def place_matrix(
-    rule_id: str,
-) -> Tuple[Tuple[RuntimeConfig, ...], Tuple[RuntimeConfig, ...]]:
-    """``(breaks_under, passes_under)`` derived from ConfigSemantics."""
-    pays = _PLACE_RULES[rule_id]
-    breaks_under = tuple(c for c in ALL_CONFIGS if pays(SEMANTICS[c]))
-    passes_under = tuple(c for c in ALL_CONFIGS if not pays(SEMANTICS[c]))
-    return breaks_under, passes_under
+#: the MC-A rules; their "pays the remote-link cost" predicates live with
+#: every other static rule's in :mod:`repro.check.static.rules`
+PLACE_RULE_IDS: Tuple[str, ...] = ("MC-A01", "MC-A02", "MC-A03", "MC-A04")
 
 
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _RawFinding:
-    rule_id: str
-    site_key: str
-    buffer: str
-    message: str
-    lineno: int
-    tid: int
 
 
 class _PlaceDetector:
@@ -119,7 +83,7 @@ class _PlaceDetector:
         self.ir = ir
         self.env = env
         self.spec = spec
-        self.raw: List[_RawFinding] = []
+        self.raw: List[LintHit] = []
         self.tid = 0
         self._fired = set()
         #: canonical site registry (folded sizes may live on the thread's
@@ -130,7 +94,7 @@ class _PlaceDetector:
 
     def fire(self, rule_id: str, site_key: str, buffer: str,
              message: str, lineno: int) -> None:
-        self.raw.append(_RawFinding(
+        self.raw.append(LintHit(
             rule_id, site_key, buffer, message, lineno, self.tid))
         self._fired.add((rule_id, site_key))
 
@@ -289,7 +253,7 @@ class _PlaceDetector:
                 lineno)
 
     # -- entry --------------------------------------------------------------
-    def run(self) -> List[_RawFinding]:
+    def run(self) -> List[LintHit]:
         for program in self.ir.threads:
             self.tid = program.tid
             self.walk(program.body)
@@ -305,52 +269,12 @@ def place_findings(
     (topology, placement) analysis point."""
     spec = spec or PlaceSpec()
     env = env or CostEnv.for_config(RuntimeConfig.IMPLICIT_ZERO_COPY)
-    raw = _PlaceDetector(ir, env, spec).run()
-    grouped: Dict[Tuple[str, str], List[_RawFinding]] = {}
-    for r in raw:
-        grouped.setdefault((r.rule_id, r.site_key), []).append(r)
-    source = _relative_source(ir.source_file)
-    findings: List[Finding] = []
-    for (rule_id, _key), items in sorted(grouped.items()):
-        primary = items[0]
-        breaks_under, passes_under = place_matrix(rule_id)
-        findings.append(Finding(
-            rule_id=rule_id,
-            buffer=primary.buffer,
-            workload=ir.name,
-            message=primary.message,
-            tid=primary.tid,
-            breaks_under=breaks_under,
-            passes_under=passes_under,
-            related=tuple(
-                f"line {r.lineno} (tid {r.tid})" for r in items[1:]
-            ),
-            source=(source, primary.lineno) if source else None,
-        ))
-    return findings
+    return lint_findings(_PlaceDetector(ir, env, spec).run(), ir)
 
 
 def place_report(
     workload: Workload, name: str = "", spec: Optional[PlaceSpec] = None
 ) -> CheckReport:
     """Extract one workload and run the affinity lint (pure static path)."""
-    from ..extract import ExtractionError, extract_workload
-
-    spec = spec or PlaceSpec()
-    wname = name or getattr(workload, "name", type(workload).__name__)
-    fidelity = getattr(workload, "fidelity", None)
-    report = CheckReport(
-        workload=wname,
-        fidelity=fidelity.value if fidelity is not None else "?",
-    )
-    try:
-        ir = extract_workload(workload, name=wname)
-    except ExtractionError as exc:
-        report.aborted = f"static extraction failed: {exc}"
-        return report
-    report.findings = place_findings(ir, spec)
-    report.stats = {
-        "place_threads": len(ir.threads),
-        "place_sockets": spec.n_sockets,
-    }
-    return report
+    return analyze_workload(workload, name, flow=False,
+                            place=spec or PlaceSpec())[0]

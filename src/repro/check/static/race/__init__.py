@@ -16,34 +16,25 @@ Pipeline::
                  MHP pairs x access summaries      (rules.py)
                  findings MC-S20/S21/S22           (rules.py)
 
-and a static-vs-dynamic race differential (differential.py) validates
-recall on the faulty corpus and zero false positives on every clean
-workload under all four configurations.
+Recall and precision are gated by the static-vs-dynamic differential
+(:mod:`repro.check.static.differential`): every dynamic MC-R01/MC-R02
+finding on the faulty corpus needs its static MC-S21/MC-S20 match, and
+any race finding on a clean workload counts as a false positive there.
 """
 
 from __future__ import annotations
 
-from .differential import (
-    RaceCell,
-    RaceDifferentialResult,
-    race_differential,
-)
 from .mhp import analyze_thread, mhp
 from .model import Access, KernelFlight, PhaseInterval, ThreadAccesses
-from .rules import RACE_RULE_IDS, race_findings, race_matrix, race_report
+from .rules import RACE_RULE_IDS, race_findings
 
 __all__ = [
     "Access",
     "KernelFlight",
     "PhaseInterval",
     "RACE_RULE_IDS",
-    "RaceCell",
-    "RaceDifferentialResult",
     "ThreadAccesses",
     "analyze_thread",
     "mhp",
-    "race_differential",
     "race_findings",
-    "race_matrix",
-    "race_report",
 ]

@@ -25,48 +25,20 @@ operands must share a site *and* may-cover >= 1 byte by the symbolic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
-from ....core.config import ALL_CONFIGS, RuntimeConfig
-from ....workloads.base import Workload
-from ...findings import CheckReport, Finding
+from ...findings import Finding
 from ...registry import dynamic_counterparts
 from ..ir import AbstractBuffer, WorkloadIR
-from ..rules import SEMANTICS, ConfigSemantics, _relative_source
+from ..rules import _relative_source, rule_matrix
 from .mhp import analyze_thread, mhp
 from .model import Access, KernelFlight, ThreadAccesses, may_overlap
 
-__all__ = [
-    "RACE_RULE_IDS",
-    "race_matrix",
-    "race_findings",
-    "race_report",
-]
+__all__ = ["RACE_RULE_IDS", "race_findings"]
 
-#: rule id -> break predicate over one configuration's semantics
-_RACE_RULES: Dict[str, Callable[[ConfigSemantics], bool]] = {
-    # the kernel only sees the racing host write where no shadow copy
-    # isolates it (every zero-copy configuration)
-    "MC-S20": lambda s: not s.shadow_copies,
-    # present-table mutation order is racy under every runtime: the
-    # refcount bookkeeping exists under zero-copy too
-    "MC-S21": lambda s: True,
-    # an unwaited nowait result is nondeterministic everywhere — the
-    # copy-back itself is deferred to the missing wait
-    "MC-S22": lambda s: True,
-}
-
-RACE_RULE_IDS: Tuple[str, ...] = tuple(_RACE_RULES)
-
-
-def race_matrix(
-    rule_id: str,
-) -> Tuple[Tuple[RuntimeConfig, ...], Tuple[RuntimeConfig, ...]]:
-    """``(breaks_under, passes_under)`` derived from ConfigSemantics."""
-    breaks = _RACE_RULES[rule_id]
-    breaks_under = tuple(c for c in ALL_CONFIGS if breaks(SEMANTICS[c]))
-    passes_under = tuple(c for c in ALL_CONFIGS if not breaks(SEMANTICS[c]))
-    return breaks_under, passes_under
+#: the MapRace rules; their break predicates live with every other static
+#: rule's in :mod:`repro.check.static.rules`
+RACE_RULE_IDS: Tuple[str, ...] = ("MC-S20", "MC-S21", "MC-S22")
 
 
 def _xref(rule_id: str) -> str:
@@ -253,7 +225,7 @@ def race_findings(ir: WorkloadIR) -> List[Finding]:
     ):
         items = sorted(items, key=lambda r: (r.lineno, r.op_id))
         primary = items[0]
-        breaks_under, passes_under = race_matrix(rule_id)
+        breaks_under, passes_under = rule_matrix(rule_id)
         findings.append(Finding(
             rule_id=rule_id,
             buffer=site.name,
@@ -269,24 +241,3 @@ def race_findings(ir: WorkloadIR) -> List[Finding]:
             if source else None,
         ))
     return findings
-
-
-def race_report(workload: Workload, name: str = "") -> CheckReport:
-    """Extract one workload and run only the race analysis (pure static
-    path: no simulation)."""
-    from ..extract import ExtractionError, extract_workload
-
-    wname = name or getattr(workload, "name", type(workload).__name__)
-    fidelity = getattr(workload, "fidelity", None)
-    report = CheckReport(
-        workload=wname,
-        fidelity=fidelity.value if fidelity is not None else "?",
-    )
-    try:
-        ir = extract_workload(workload, name=wname)
-    except ExtractionError as exc:
-        report.aborted = f"static extraction failed: {exc}"
-        return report
-    report.findings = race_findings(ir)
-    report.stats = {"race_threads": len(ir.threads)}
-    return report

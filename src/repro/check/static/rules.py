@@ -8,13 +8,18 @@ configuration's semantics (XNACK servicing, shadow copies).  The
 resulting ``breaks_under``/``passes_under`` matrices are — by
 construction and frozen by the registry snapshot test — identical to
 the matrices the dynamic analyses attach to the same defect families.
+The predicate table covers every static family (MapFlow, MapRace, the
+MapCost perf lint, the MapPlace affinity lint).
+
+:func:`analyze_workload` is the one static pipeline: it extracts a
+workload once and runs the requested families over that IR.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ...core.config import ALL_CONFIGS, RuntimeConfig, ZERO_COPY_CONFIGS
 from ...workloads.base import Fidelity, Workload
@@ -24,13 +29,16 @@ from .extract import ExtractionError, extract_workload
 from .interp import Defect, InterpResult, analyze_ir
 from .ir import AbstractBuffer, Branch, Loop, Op, Seq, WorkloadIR
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .place.model import PlaceSpec
+
 __all__ = [
     "ConfigSemantics",
     "SEMANTICS",
-    "static_matrix",
-    "static_report",
-    "analyze_factory",
     "analyze_named",
+    "analyze_workload",
+    "rule_matrix",
+    "static_report",
 ]
 
 
@@ -62,27 +70,74 @@ SEMANTICS: Dict[RuntimeConfig, ConfigSemantics] = {
     for cfg in ALL_CONFIGS
 }
 
-#: defect kind -> (rule id, break predicate over one config's semantics)
-_KIND_RULES: Dict[str, Tuple[str, Callable[[ConfigSemantics], bool]]] = {
+#: static rule id -> "breaks (or, for the perf and affinity lints, pays
+#: its cost) under this configuration" predicate over the configuration's
+#: semantics; every static rule's matrix is derived from it by
+#: :func:`rule_matrix`, never hand-copied
+_RULE_PREDICATES: Dict[str, Callable[[ConfigSemantics], bool]] = {
+    # -- MapFlow -----------------------------------------------------------
     # an underflowing exit corrupts the present table in every runtime —
     # refcount bookkeeping exists under zero-copy too
-    "underflow": ("MC-S10", lambda s: True),
+    "MC-S10": lambda s: True,
     # destroying a mapping out from under an in-flight region is a
     # use-after-free of runtime metadata regardless of configuration
-    "inflight": ("MC-S11", lambda s: True),
+    "MC-S11": lambda s: True,
     # a leaked entry only pins memory where a shadow copy exists
-    "leak": ("MC-S12", lambda s: s.shadow_copies),
+    "MC-S12": lambda s: s.shadow_copies,
     # an uncovered raw-pointer touch is serviced by XNACK or nothing
-    "uncovered": ("MC-P10", lambda s: not s.xnack),
+    "MC-P10": lambda s: not s.xnack,
+    # -- MapRace -----------------------------------------------------------
+    # the kernel only sees the racing host write where no shadow copy
+    # isolates it (every zero-copy configuration)
+    "MC-S20": lambda s: not s.shadow_copies,
+    # present-table mutation order is racy under every runtime: the
+    # refcount bookkeeping exists under zero-copy too
+    "MC-S21": lambda s: True,
+    # an unwaited nowait result is nondeterministic everywhere — the
+    # copy-back itself is deferred to the missing wait
+    "MC-S22": lambda s: True,
+    # -- MapCost perf lint -------------------------------------------------
+    # per-iteration map churn only turns into per-iteration ioctls where
+    # enters prefault but nothing else (no copies, no fault servicing)
+    "MC-W01": lambda s: not s.xnack and not s.shadow_copies,
+    # a redundant 'to' only ever *could* have copied where maps move data
+    "MC-W02": lambda s: s.shadow_copies,
+    # re-faulting fresh allocations costs where XNACK services the faults
+    "MC-W03": lambda s: s.xnack,
+    # double indirection exists only where globals are host pointers
+    "MC-W04": lambda s: s.pointer_globals,
+    # 'target update' is redundant wherever the mapping already shares
+    "MC-W05": lambda s: not s.shadow_copies,
+    # -- MapPlace affinity lint (pays the remote-link cost) ----------------
+    # remote first-touch faults only cost where XNACK services them
+    "MC-A01": lambda s: s.xnack,
+    # map churn moves/installs remote pages where enters do real work:
+    # Copy's shadow copies and Eager's prefault ioctls (under the XNACK
+    # configs a map-enter is pure bookkeeping)
+    "MC-A02": lambda s: not s.xnack,
+    # the remote-access penalty applies where kernels read host memory
+    # directly — every zero-copy configuration
+    "MC-A03": lambda s: not s.shadow_copies,
+    # a shadow copy that streams remote bytes over the link exists only
+    # where maps materialize shadow copies
+    "MC-A04": lambda s: s.shadow_copies,
+}
+
+#: interpreter defect kind -> the MapFlow rule it reports as
+_KIND_RULES: Dict[str, str] = {
+    "underflow": "MC-S10",
+    "inflight": "MC-S11",
+    "leak": "MC-S12",
+    "uncovered": "MC-P10",
 }
 
 
-def static_matrix(
-    kind: str,
+def rule_matrix(
+    rule_id: str,
 ) -> Tuple[Tuple[RuntimeConfig, ...], Tuple[RuntimeConfig, ...]]:
-    """``(breaks_under, passes_under)`` for a defect kind, derived by
-    evaluating its break predicate per configuration."""
-    _rule_id, breaks = _KIND_RULES[kind]
+    """``(breaks_under, passes_under)`` for a static rule, derived by
+    evaluating its predicate per configuration."""
+    breaks = _RULE_PREDICATES[rule_id]
     breaks_under = tuple(c for c in ALL_CONFIGS if breaks(SEMANTICS[c]))
     passes_under = tuple(c for c in ALL_CONFIGS if not breaks(SEMANTICS[c]))
     return breaks_under, passes_under
@@ -139,16 +194,15 @@ def _message(defect: Defect) -> str:
             f"raw-pointer touch of {name!r}{kernel} is covered by no live "
             "map entry or target map clause on any path to the dispatch"
         )
-    rule_id, _ = _KIND_RULES[defect.kind]
-    return core + _xref(rule_id)
+    return core + _xref(_KIND_RULES[defect.kind])
 
 
 def _findings_from(result: InterpResult, workload_name: str) -> List[Finding]:
     # one finding per (rule, site); further occurrences -> `related`
     grouped: Dict[Tuple[str, AbstractBuffer], List[Defect]] = {}
     for defect in result.defects:
-        rule_id, _ = _KIND_RULES[defect.kind]
-        grouped.setdefault((rule_id, defect.site), []).append(defect)
+        grouped.setdefault((_KIND_RULES[defect.kind], defect.site),
+                           []).append(defect)
     source = _relative_source(result.ir.source_file)
     findings: List[Finding] = []
     for (rule_id, site), defects in sorted(
@@ -156,7 +210,7 @@ def _findings_from(result: InterpResult, workload_name: str) -> List[Finding]:
     ):
         defects = sorted(defects, key=lambda d: (d.lineno, d.op_id))
         primary = defects[0]
-        breaks_under, passes_under = static_matrix(primary.kind)
+        breaks_under, passes_under = rule_matrix(rule_id)
         related = tuple(
             f"line {d.lineno} (tid {d.tid})" for d in defects[1:]
         )
@@ -195,13 +249,25 @@ def _count_ops(ir: WorkloadIR) -> int:
 # ---------------------------------------------------------------------------
 
 
-def static_report(workload: Workload, name: str = "") -> CheckReport:
-    """Extract, interpret and rule-map one workload instance.
+def analyze_workload(
+    workload: Workload,
+    name: str = "",
+    *,
+    flow: bool = True,
+    perf: bool = False,
+    place: Optional[PlaceSpec] = None,
+) -> Tuple[CheckReport, Optional[WorkloadIR]]:
+    """Extract one workload instance once and run the requested static
+    families over that IR: MapFlow + MapRace (``flow``), the MapCost perf
+    lint (``perf``) and the MapPlace affinity lint at one analysis point
+    (``place``).  Returns the report and the IR, which is ``None`` when
+    extraction failed (the report's ``aborted`` then says why).
 
     Pure static path: no :class:`~repro.core.system.ApuSystem` is
     instantiated and no simulation event is emitted — the workload
     object is only used as a constant environment for partial
-    evaluation of its thread-body source.
+    evaluation of its thread-body source.  The analyses only read the
+    IR, so callers may reuse it (MapFix ranks fixes on it).
     """
     wname = name or getattr(workload, "name", type(workload).__name__)
     fidelity = getattr(workload, "fidelity", None)
@@ -213,35 +279,42 @@ def static_report(workload: Workload, name: str = "") -> CheckReport:
         ir = extract_workload(workload, name=wname)
     except ExtractionError as exc:
         report.aborted = f"static extraction failed: {exc}"
-        return report
-    result = analyze_ir(ir)
-    report.findings = _findings_from(result, wname)
-    # MapRace rides the same extraction: MHP race findings (MC-S20/21/22)
-    # join the dataflow findings so `check --static`, the differentials,
-    # SARIF and CI all see one static report (local import: race.rules
-    # imports ConfigSemantics from this module)
-    from .race.rules import race_findings
+        return report, None
+    # local imports: the family rule modules import this one
+    if flow:
+        from .race.rules import race_findings
 
-    race = race_findings(ir)
-    for f in race:
-        f.workload = wname
-    report.findings.extend(race)
-    report.stats = {
-        "static_threads": len(ir.threads),
-        "static_ops": _count_ops(ir),
-        "static_states": result.states_explored,
-        "static_imprecision": len(ir.imprecision),
-        "static_race_findings": len(race),
-    }
-    return report
+        result = analyze_ir(ir)
+        report.findings = _findings_from(result, wname)
+        # MapRace rides the same extraction: MHP race findings
+        # (MC-S20/21/22) join the dataflow findings so `check --static`,
+        # the differentials, SARIF and CI all see one static report
+        race = race_findings(ir)
+        report.findings.extend(race)
+        report.stats = {
+            "static_threads": len(ir.threads),
+            "static_ops": _count_ops(ir),
+            "static_states": result.states_explored,
+            "static_imprecision": len(ir.imprecision),
+            "static_race_findings": len(race),
+        }
+    if perf:
+        from .cost.rules import perf_findings
+
+        report.findings.extend(perf_findings(ir))
+        report.stats["perf_threads"] = len(ir.threads)
+    if place is not None:
+        from .place.rules import place_findings
+
+        report.findings.extend(place_findings(ir, place))
+        report.stats["place_threads"] = len(ir.threads)
+        report.stats["place_sockets"] = place.n_sockets
+    return report, ir
 
 
-def analyze_factory(
-    factory: Callable[[], Workload], name: Optional[str] = None
-) -> CheckReport:
-    """Static-analyze the workload a factory produces."""
-    workload = factory()
-    return static_report(workload, name or workload.name)
+def static_report(workload: Workload, name: str = "") -> CheckReport:
+    """MapFlow + MapRace over one workload instance (pure static)."""
+    return analyze_workload(workload, name)[0]
 
 
 def analyze_named(

@@ -10,10 +10,10 @@
     python -m repro all    [--quick] [--out report.txt]
     python -m repro check [workload|all] [--json] [--no-cross] [--rules]
                           [--static] [--perf] [--place] [--no-sim]
-                          [--sarif FILE] [--perf-json FILE]
-                          [--place-json FILE] [--topology N]
+                          [--sarif FILE] [--topology N]
                           [--placement SPEC] [--baseline FILE]
                           [--write-baseline FILE] [--jobs N]
+                          [--differential {flow,cost,place,all}]
                           [--fix-dry-run] [--fix-out DIR] [--fix-json FILE]
     python -m repro bench  [--quick] [--jobs N] [--bench-json BENCH.json]
                            [--only scheduler|pagetable|meso|static]
@@ -21,20 +21,29 @@
 
 ``check`` runs the MapCheck sanitizer/lint over a bundled workload (or
 all of them) and exits 1 if any finding survives — suitable for CI.
-``--static`` adds the MapFlow static dataflow analysis; ``--perf`` adds
-the MapCost perf lint (MC-W rules) and ``--perf-json FILE`` writes the
-static-vs-simulated cost differential (predicted HSA call counts must be
-bit-exact); ``--place`` adds the MapPlace affinity lint (MC-A rules) at
-the ``--topology N`` / ``--placement SPEC`` analysis point (placement
-specs: ``first-touch``, ``interleave``, ``pinned:<home>``) and
-``--place-json FILE`` writes the per-socket place differential
-(predicted vs. instrumented multi-socket card telemetry); with
-``--no-sim`` the static analyses are the only ones and no simulation
-runs at all.  ``--sarif`` writes the findings as SARIF 2.1.0.  ``--baseline FILE`` suppresses findings whose fingerprints were
-accepted by an earlier ``--write-baseline FILE`` run (suppressed
-findings stay in SARIF, carrying ``suppressions``).  For ``check all``,
-``--jobs`` fans the workloads out over a process pool with
-byte-identical output.
+``--static`` adds the MapFlow static dataflow analysis (with MapRace);
+``--perf`` adds the MapCost perf lint (MC-W rules); ``--place`` adds the
+MapPlace affinity lint (MC-A rules) at the ``--topology N`` /
+``--placement SPEC`` analysis point (placement specs: ``first-touch``,
+``interleave``, ``pinned:<home>``); with ``--no-sim`` the static
+analyses are the only ones and no simulation runs at all.  ``--sarif``
+writes the findings as SARIF 2.1.0.  ``--baseline FILE`` suppresses
+findings whose fingerprints were accepted by an earlier
+``--write-baseline FILE`` run (suppressed findings stay in SARIF,
+carrying ``suppressions``).  For ``check all``, ``--jobs`` fans the
+workloads out over a process pool with byte-identical output.
+
+``--differential KIND`` switches ``check`` into differential mode and
+validates the static analyses against simulation: ``flow`` (every
+in-scope dynamic finding on the faulty corpus, races included, has its
+static match; zero static findings on the clean registry), ``cost``
+(predicted HSA call and map-op counts bit-exact against telemetry,
+byte/page counters inside the predicted intervals) and ``place`` (the
+same contract per socket of a multi-socket card for every topology x
+placement point, plus zero MC-A findings on the clean registry), or
+``all`` three.  A named workload restricts the cost and place cells.
+It prints each differential's report (``--json``: one object keyed by
+kind) and exits 1 on any failure.
 
 ``--fix-dry-run`` switches ``check`` into MapFix mode: for every faulty
 corpus workload (or one named corpus entry) it synthesizes candidate
@@ -200,6 +209,33 @@ def _check_fix(args) -> str:
     return body
 
 
+def _check_differential(args, target: str) -> str:
+    """Static-vs-simulated differentials; sets args.exit_code."""
+    import json
+
+    from .check.static import static_dynamic_differential
+    from .check.static.cost import cost_differential
+    from .check.static.place import place_differential
+
+    names = None if target == "all" else [target]
+    runs = {
+        "flow": static_dynamic_differential,
+        "cost": lambda: cost_differential(names),
+        "place": lambda: place_differential(names),
+    }
+    kinds = list(runs) if args.differential == "all" else [args.differential]
+    results = {}
+    for kind in kinds:
+        _progress(f"{kind} differential")
+        results[kind] = runs[kind]()
+    args.exit_code = 0 if all(r.ok for r in results.values()) else 1
+    if args.json:
+        return json.dumps({k: r.to_dict() for k, r in results.items()},
+                          indent=2)
+    return ("\n\n" + "=" * 72 + "\n\n").join(
+        r.render() for r in results.values())
+
+
 def cmd_check(args) -> str:
     """MapCheck over one bundled workload (or all); sets args.exit_code."""
     import json
@@ -217,9 +253,16 @@ def cmd_check(args) -> str:
         return render_rule_table()
     if args.fix_dry_run or args.fix_out or args.fix_json:
         return _check_fix(args)
+    target = args.workload or "all"
+    if target != "all" and target not in workload_names():
+        raise SystemExit(
+            f"unknown workload {target!r}; choose from "
+            f"{', '.join(workload_names())} or 'all'"
+        )
+    if args.differential:
+        return _check_differential(args, target)
     if args.no_sim and not (args.static or args.perf or args.place):
         raise SystemExit("--no-sim requires --static, --perf or --place")
-    target = args.workload or "all"
     # recording + 3 differential runs per workload: TEST fidelity keeps
     # `check all` in CI territory
     fidelity = Fidelity.TEST
@@ -231,11 +274,6 @@ def cmd_check(args) -> str:
             jobs=args.jobs, static=static, dynamic=dynamic, perf=args.perf,
         )
     else:
-        if target not in workload_names():
-            raise SystemExit(
-                f"unknown workload {target!r}; choose from "
-                f"{', '.join(workload_names())} or 'all'"
-            )
         reports = [check_named(
             target, fidelity, cross_check=not args.no_cross,
             static=static, dynamic=dynamic, perf=args.perf,
@@ -272,50 +310,6 @@ def cmd_check(args) -> str:
         )
     if any(not r.ok for r in reports):
         args.exit_code = 1
-    if args.perf_json:
-        from .check.static.cost import cost_differential
-
-        names = sorted(workload_names()) if target == "all" else [target]
-        cells = cost_differential(names, fidelity=fidelity)
-        with open(args.perf_json, "w") as fh:
-            json.dump({
-                "ok": all(c.ok for c in cells),
-                "cells": [{
-                    "workload": c.workload,
-                    "config": c.config.value,
-                    "predicted": c.prediction.to_dict(),
-                    "measured": c.measured,
-                    "mismatches": c.mismatches,
-                } for c in cells],
-            }, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.perf_json}", file=sys.stderr)
-        if not all(c.ok for c in cells):
-            args.exit_code = 1
-    if args.race_json:
-        from .check.static.race import race_differential
-
-        result = race_differential(fidelity=fidelity)
-        with open(args.race_json, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.race_json}", file=sys.stderr)
-        print(result.render(), file=sys.stderr)
-        if not result.ok:
-            args.exit_code = 1
-    if args.place_json:
-        from .check.static.place import place_differential
-
-        names = sorted(workload_names()) if target == "all" else [target]
-        result = place_differential(names, fidelity=fidelity)
-        with open(args.place_json, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.place_json}", file=sys.stderr)
-        # the per-cell table is large; the summary line carries the verdict
-        print(result.render().splitlines()[-1], file=sys.stderr)
-        if not result.ok:
-            args.exit_code = 1
     if args.sarif:
         from .check.sarif import write_sarif
 
@@ -395,22 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         "indirection, no-op updates — static, no simulation needed)",
     )
     parser.add_argument(
-        "--perf-json", default=None, metavar="FILE",
-        help="for 'check': write the MapCost static-vs-simulated cost "
-        "differential (predicted HSA call counts, map ops, copy bytes, "
-        "fault pages per configuration) as JSON; exits 1 on any "
-        "prediction mismatch",
-    )
-    parser.add_argument(
-        "--race-json", default=None, metavar="FILE",
-        help="for 'check': run the MapRace static-vs-dynamic race "
-        "differential (every dynamic MC-R finding on the faulty corpus "
-        "must have a static MC-S20/S21/S22 match; zero static race "
-        "findings on every clean workload under all four "
-        "configurations) and write it as JSON; exits 1 on any "
-        "unmatched race or false-positive cell",
-    )
-    parser.add_argument(
         "--place", action="store_true",
         help="for 'check': additionally run the MapPlace affinity lint "
         "(MC-A rules: remote first-touch storms, cross-socket map churn, "
@@ -419,12 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
         "needed",
     )
     parser.add_argument(
-        "--place-json", default=None, metavar="FILE",
-        help="for 'check': run the MapPlace differential (per-socket "
-        "predicted counters vs. instrumented multi-socket card telemetry "
-        "for every workload x config x (topology, placement) point, plus "
-        "the MC-A false-positive gate on the clean registry) and write "
-        "it as JSON; exits 1 on any mismatch",
+        "--differential", default=None,
+        choices=("flow", "cost", "place", "all"),
+        help="for 'check': run a static-vs-simulated differential instead "
+        "of the checks — flow (static/dynamic finding match on the faulty "
+        "corpus, races included, zero static findings on the clean "
+        "registry), cost (predicted vs. measured HSA/map-op/byte/page "
+        "counters per configuration), place (the same per socket of a "
+        "multi-socket card for every topology x placement point, plus the "
+        "MC-A false-positive gate) or all; exits 1 on any failure",
     )
     parser.add_argument(
         "--topology", type=int, default=2, metavar="N",

@@ -37,7 +37,9 @@ Design constraints that shaped this module:
     no heap entry is at or before the current time counts one processed
     event and never touches the heap.  Fusion is held off while an event
     with several waiters runs their callbacks: the later waiters must
-    still see the event's own time.  Both calls are valid only inside
+    still see the event's own time.  ``run(until=Event)`` adds a no-op
+    mark to its stop event, so that event's waiters run held off too
+    and none of them fuses past the end of the run.  Both calls are valid only inside
     the generator of the running process.
   - *dispatch*: ``run(until=Event)`` inlines the pop/advance/process
     loop with hoisted locals instead of calling :meth:`step` per event.
@@ -110,6 +112,10 @@ _POOL_MAX = 1024
 #: sequence number of the ``run(until=number)`` horizon marker: sorts
 #: after every real heap entry at the horizon time
 _HORIZON_SEQ = float("inf")
+
+
+def _stop_mark(event: "Event") -> None:
+    """No-op callback :meth:`Environment.run` adds to its stop event."""
 
 
 class Event:
@@ -323,7 +329,7 @@ class Process(Event):
                 self.fail(exc)
                 return
             except BaseException as exc:
-                if self.callbacks or self._anyone_cares():
+                if self._anyone_cares():
                     self.fail(exc)
                 else:
                     raise
@@ -353,7 +359,10 @@ class Process(Event):
             return
 
     def _anyone_cares(self) -> bool:
-        return bool(self.callbacks)
+        # the run(until=...) stop mark is not a waiter: a stop process
+        # nobody else waits on still raises straight out of run()
+        cbs = self.callbacks
+        return len(cbs) > 1 or (bool(cbs) and cbs[0] is not _stop_mark)
 
 
 class _Condition(Event):
@@ -604,6 +613,11 @@ class Environment:
         """
         if isinstance(until, Event):
             stop = until
+            if stop._state != PROCESSED and _stop_mark not in stop.callbacks:
+                # With the mark, a waiter of the stop event makes it a
+                # several-callback event: its callbacks run under _hold,
+                # so no waiter fuses past the end of the run.
+                stop.callbacks.append(_stop_mark)
             # Inlined stepping loop: hoists the queue, heap pop, free lists
             # and the refcount probe into locals — per-event method
             # dispatch through step() costs ~25% on charge-light runs.  The

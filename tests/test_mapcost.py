@@ -33,10 +33,7 @@ from repro.check.static.cost import (
     perf_report,
     predict_costs,
 )
-from repro.check.static.cost.differential import (
-    CostDifferentialResult,
-    measure_costs,
-)
+from repro.check.static.cost.differential import CounterCell, measure_costs
 from repro.check.static.differential import (
     _forbid_simulation,
     _SimulationForbidden,
@@ -71,7 +68,7 @@ _CONFIG_IDS = [c.value for c in ALL_CONFIGS]
 @functools.lru_cache(maxsize=1)
 def _sweep():
     """One full differential sweep, shared by all parametrized cells."""
-    return {(c.workload, c.config): c for c in cost_differential()}
+    return {(c.workload, c.config): c for c in cost_differential().cells}
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=_CONFIG_IDS)
@@ -229,7 +226,7 @@ def _cell(factory, config):
     ir = extract_workload(factory(), name=factory.name)
     pred = predict_costs(ir, CostEnv.for_config(config))
     measured = measure_costs(factory(), config)
-    return CostDifferentialResult(
+    return CounterCell(
         workload=factory.name, config=config,
         prediction=pred, measured=measured,
     ).check()
@@ -345,7 +342,7 @@ def test_load_baseline_rejects_non_baseline_json(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CLI wiring: --perf / --perf-json / --baseline / --write-baseline
+# CLI wiring: --perf / --differential cost / --baseline / --write-baseline
 # ---------------------------------------------------------------------------
 def test_cli_check_perf_no_sim_is_simulation_free(capsys):
     with _forbid_simulation():
@@ -353,17 +350,27 @@ def test_cli_check_perf_no_sim_is_simulation_free(capsys):
     assert "no findings" in capsys.readouterr().out
 
 
-def test_cli_perf_json_writes_exact_cells(tmp_path, capsys):
-    path = tmp_path / "perf.json"
-    assert main(["check", "triad", "--static", "--perf", "--no-sim",
-                 "--perf-json", str(path)]) == 0
+def test_cli_differential_cost_writes_exact_cells(tmp_path, capsys):
+    path = tmp_path / "differential.json"
+    assert main(["check", "triad", "--differential", "cost", "--json",
+                 "--out", str(path)]) == 0
     capsys.readouterr()
-    data = json.loads(path.read_text())
+    data = json.loads(path.read_text())["cost"]
     assert data["ok"] is True
     assert len(data["cells"]) == len(ALL_CONFIGS)
     for cell in data["cells"]:
         assert cell["workload"] == "triad"
         assert cell["mismatches"] == []
+
+
+@pytest.mark.parametrize("kind", ["perf", "race", "place"])
+def test_cli_rejects_the_removed_differential_json_flags(kind, capsys):
+    """The per-differential JSON flags gave way to --differential."""
+    flag = f"--{kind}-json"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "triad", flag, "out.json"])
+    assert exc.value.code == 2                 # argparse usage error
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_baseline_flags_round_trip(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """MapPlace: placement model, per-socket walker, MC-A affinity lint and
 the place differential (repro.check.static.place)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.check.registry import make_workload, workload_names
-from repro.check.static.cost import CostEnv
+from repro.check.static.cost import CostEnv, CounterCell
 from repro.check.static.differential import _forbid_simulation
 from repro.check.static.extract import extract_workload
 from repro.check.static.place import (
@@ -17,6 +19,7 @@ from repro.check.static.place import (
     predict_card,
     predict_place,
 )
+from repro.cli import main
 from repro.core import RuntimeConfig
 from repro.core.config import ALL_CONFIGS
 from repro.experiments.cache import CellCache, cell_digest
@@ -258,6 +261,25 @@ def test_place_differential_subset_is_green():
     assert remote, "no cell measured remote kernel pages"
     d = result.to_dict()
     assert d["ok"] and d["n_cells"] == len(result.cells)
+    # the cost differential's cell type, carrying the analysis point
+    for c in result.cells:
+        assert isinstance(c, CounterCell) and c.spec in DEFAULT_POINTS
+        assert set(PLACE_BOUNDED_KEYS) <= set(c.bounded)
+
+
+def test_cli_differential_place_on_one_workload(tmp_path, capsys):
+    path = tmp_path / "differential.json"
+    assert main(["check", "triad", "--differential", "place", "--json",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    assert list(data) == ["place"]
+    place = data["place"]
+    assert place["ok"] is True and place["false_positives"] == []
+    # one workload x 4 configs x (2 + 2 + 4) sockets of the default points
+    assert place["n_cells"] == len(ALL_CONFIGS) * 8
+    assert {c["workload"] for c in place["cells"]} == {"triad"}
+    assert all(c["mismatches"] == [] for c in place["cells"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """MapRace unit tests: the MHP edge cases the differential can't see.
 
-The race differential (tests/test_static_differential.py drives the
-combined report; ``race_differential`` gates recall/precision) covers
-the corpus end-to-end.  These tests pin the *mechanism* on synthetic
+The static/dynamic differential (tests/test_static_differential.py)
+gates MapRace's recall and precision on the corpus end-to-end.  These tests pin the *mechanism* on synthetic
 IR: barrier phase re-alignment, the wait-on-the-wrong-handle hazard,
 and the single-thread no-op guarantee.
 """

@@ -12,7 +12,7 @@ from repro.check import (
     Analysis,
     Severity,
 )
-from repro.check.static.rules import static_matrix
+from repro.check.static.rules import rule_matrix
 from repro.core import RuntimeConfig
 
 COPY = RuntimeConfig.COPY
@@ -115,50 +115,45 @@ def test_static_rule_matrices_derive_from_config_semantics():
     derived from per-config semantics (XNACK, shadow copies) and must
     agree with the canonical table — and, transitively, with what the
     dynamic counterpart analyses emit."""
-    for kind, rid in (
-        ("underflow", "MC-S10"),
-        ("inflight", "MC-S11"),
-        ("leak", "MC-S12"),
-        ("uncovered", "MC-P10"),
-    ):
-        assert static_matrix(kind) == CANONICAL_MATRICES[rid], rid
+    for rid in ("MC-S10", "MC-S11", "MC-S12", "MC-P10"):
+        assert rule_matrix(rid) == CANONICAL_MATRICES[rid], rid
 
 
 def test_perf_rule_matrices_derive_from_config_semantics():
     """MC-W matrices likewise must be derived (from the extended
     ConfigSemantics predicates), never hand-copied."""
-    from repro.check.static.cost import PERF_RULE_IDS, perf_matrix
+    from repro.check.static.cost import PERF_RULE_IDS
 
     assert set(PERF_RULE_IDS) == {
         "MC-W01", "MC-W02", "MC-W03", "MC-W04", "MC-W05"
     }
     for rid in PERF_RULE_IDS:
-        assert perf_matrix(rid) == CANONICAL_MATRICES[rid], rid
+        assert rule_matrix(rid) == CANONICAL_MATRICES[rid], rid
 
 
 def test_race_rule_matrices_derive_from_config_semantics():
     """MC-S20..S22 matrices likewise must be derived from the
     ConfigSemantics predicates (Copy's shadow isolation makes MC-S20
     benign there, exactly MC-R02's dynamic matrix), never hand-copied."""
-    from repro.check.static.race import RACE_RULE_IDS, race_matrix
+    from repro.check.static.race import RACE_RULE_IDS
 
     assert set(RACE_RULE_IDS) == {"MC-S20", "MC-S21", "MC-S22"}
     for rid in RACE_RULE_IDS:
-        assert race_matrix(rid) == CANONICAL_MATRICES[rid], rid
+        assert rule_matrix(rid) == CANONICAL_MATRICES[rid], rid
     # MC-S20 must agree with its dynamic twin's matrix bit-for-bit
-    assert race_matrix("MC-S20") == CANONICAL_MATRICES["MC-R02"]
-    assert race_matrix("MC-S21") == CANONICAL_MATRICES["MC-R01"]
+    assert rule_matrix("MC-S20") == CANONICAL_MATRICES["MC-R02"]
+    assert rule_matrix("MC-S21") == CANONICAL_MATRICES["MC-R01"]
 
 
 def test_place_rule_matrices_derive_from_config_semantics():
     """MC-A matrices likewise must be derived from the ConfigSemantics
     predicates ("breaks" = pays the remote-link cost under that config),
     never hand-copied."""
-    from repro.check.static.place import PLACE_RULE_IDS, place_matrix
+    from repro.check.static.place import PLACE_RULE_IDS
 
     assert set(PLACE_RULE_IDS) == {"MC-A01", "MC-A02", "MC-A03", "MC-A04"}
     for rid in PLACE_RULE_IDS:
-        assert place_matrix(rid) == CANONICAL_MATRICES[rid], rid
+        assert rule_matrix(rid) == CANONICAL_MATRICES[rid], rid
 
 
 def test_families_group_static_with_dynamic():

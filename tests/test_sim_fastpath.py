@@ -751,6 +751,56 @@ def test_mid_run_processed_events_match_reference():
     assert sides[Environment] == sides[ReferenceEnvironment] == ([2, 3, 4, 5], 6)
 
 
+@pytest.mark.parametrize("grab", [False, True], ids=["fuse", "grab"])
+def test_waiter_of_the_stop_event_does_not_fuse_past_the_run(grab):
+    """A process waiting on run()'s stop event resumes while that event is
+    processed; it must not fuse a charge or a grant past the end of the
+    run (the reference engine leaves both as pending heap events)."""
+    sides = {}
+    for cls in ENGINES:
+        env = cls()
+        lock = Mutex(env)
+
+        def target():
+            yield env.timeout(1.0)
+
+        p = env.process(target())
+
+        def waiter():
+            yield p
+            if grab:
+                yield from _take(lock)
+            yield from _charge(env, 5.0)
+
+        env.process(waiter())
+        env.run(p)
+        sides[cls] = (env.now, env.processed_events)
+    assert sides[Environment] == sides[ReferenceEnvironment] == (1.0, 4)
+
+
+def test_stop_process_nobody_waits_on_still_raises_out_of_run():
+    """The stop mark is not a waiter: an unwaited failing stop process
+    raises straight out of run() on both engines, before any other
+    event at the same time runs."""
+    for cls in ENGINES:
+        env = cls()
+        log = []
+
+        def boom():
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        def bystander():
+            yield env.timeout(1.0)
+            log.append(env.now)
+
+        p = env.process(boom())
+        env.process(bystander())
+        with pytest.raises(ValueError, match="boom"):
+            env.run(p)
+        assert log == [], cls.__name__
+
+
 # ---------------------------------------------------------------------------
 # fused engine vs. reference engine equivalence
 # ---------------------------------------------------------------------------
