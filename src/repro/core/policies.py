@@ -62,16 +62,6 @@ class DataPolicy:
         self.ledger = runtime.ledger
 
     # -- helpers ---------------------------------------------------------
-    def _bookkeep(self):
-        """(generator) One libomptarget runtime-call bookkeeping charge,
-        performed under the device lock."""
-        grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
-        try:
-            if not self.env.fuse(self.cost.omp_runtime_call_us):
-                yield self.env.timeout(self.cost.omp_runtime_call_us)
-        finally:
-            self.rt.lock.release(grant)
-
     def _note_map(self, op, clause, tid, t0, *, is_new, refcount, removed):
         """Report one map operation to the MapCheck recorder (if attached)."""
         rec = self.rt.recorder
@@ -153,10 +143,8 @@ class CopyPolicy(DataPolicy):
             finally:
                 self.rt.lock.release(grant)
             if clause.kind.copies_to_device and (is_new or clause.always):
-                sig = self.hsa.memory_async_copy(
-                    entry.device.payload, buf.payload, buf.nbytes, tag=f"h2d:{buf.name}"
-                )
-                self.hsa.attach_async_handler(sig)
+                sig = self.hsa.memory_async_copy(entry.device.payload, buf.payload, buf.nbytes,
+                                                 tag=f"h2d:{buf.name}", handler=True)
                 self.ledger.mm_copy_us += self.cost.copy_us(buf.nbytes)
                 self.ledger.h2d_bytes += buf.nbytes
                 h2d_signals.append(sig)

@@ -44,11 +44,6 @@ class EagerVsIzc:
     izc_steady_us: float
     eager_steady_us: float
 
-    @property
-    def eager_net_us(self) -> float:
-        """Negative = Eager loses overall (the paper's QMCPack finding)."""
-        return self.izc_total_stall_us - self.eager_svm_total_us
-
 
 def eager_vs_izc_analysis(
     *,

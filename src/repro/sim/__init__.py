@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`,
-  :class:`AllOf`, :class:`AnyOf` — the core engine (``repro.sim.core``).
+* :class:`Environment`, :class:`Event`, :class:`Completion`, :class:`Timeout`,
+  :class:`Process`, :class:`AllOf`, :class:`AnyOf` — the core engine (``repro.sim.core``).
 * :class:`ReferenceEnvironment` — the retained pre-fast-path scheduler
   used by the ``repro bench`` fused-vs-reference differential.
 * :class:`Resource`, :class:`Mutex` — contention primitives
@@ -15,6 +15,7 @@ from .core import (
     ENGINE_VERSION,
     AllOf,
     AnyOf,
+    Completion,
     Environment,
     Event,
     Interrupt,
@@ -30,6 +31,7 @@ __all__ = [
     "ENGINE_VERSION",
     "AllOf",
     "AnyOf",
+    "Completion",
     "Environment",
     "Event",
     "Grant",

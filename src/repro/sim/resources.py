@@ -122,7 +122,7 @@ class Resource:
         not held off (see :meth:`Environment.fuse`).  Then it takes the
         unit and counts the one processed event the grant's event would
         have been.  Otherwise it returns ``None`` and changes nothing.
-        Valid only inside the generator of the running process.
+        Valid where :meth:`~repro.sim.core.Environment.fuse` is.
         """
         env = self.env
         if self._in_use < self.capacity and not self._waiters and not env._hold:

@@ -67,9 +67,6 @@ class HsaTrace:
     def names(self) -> List[str]:
         return sorted(self.stats)
 
-    def total_all_us(self) -> float:
-        return sum(s.total_us for s in self.stats.values())
-
     def latency_ratio(self, other: "HsaTrace", name: str) -> Optional[float]:
         """Total-latency ratio ``self/other`` for one call name.
 

@@ -101,8 +101,5 @@ class KernelTrace:
         recs = self.records[:first_n] if first_n else self.records
         return sum(r.fault_stall_us for r in recs)
 
-    def total_compute_us(self) -> float:
-        return sum(r.compute_us for r in self.records)
-
     def __len__(self) -> int:
         return len(self.records)
