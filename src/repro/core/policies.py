@@ -24,9 +24,12 @@ All methods that consume simulated time are generators driven with
 ``yield from`` inside a host-thread process.  The policies hold the
 libomptarget device lock across present-table manipulation (and, for
 Copy, across pool allocation) — which is exactly the serialization that
-makes Copy scale poorly with host threads (§V.A.2) — and Eager Maps
-serializes its prefault syscalls on the process ``mm`` lock, reproducing
-the concurrent-prefault slowdown noted in §VI.
+makes Copy scale poorly with host threads (§V.A.2).  A lock cycle that
+charges only a fixed call cost is ``if not lock.hold(us): yield from
+self._locked(us)``, with the table work right after it: no event or
+yield lies between them, so no other thread can see the table first.
+Eager Maps serializes its prefault syscalls on the process ``mm`` lock,
+reproducing the concurrent-prefault slowdown noted in §VI.
 """
 
 from __future__ import annotations
@@ -70,6 +73,17 @@ class DataPolicy:
                 op, clause, tid, t0, self.env.now,
                 is_new=is_new, refcount=refcount, removed=removed,
             )
+
+    def _locked(self, us: float):
+        """(generator) One device-lock cycle holding only a ``us`` charge:
+        the slow path of ``if not lock.hold(us): yield from self._locked(us)``."""
+        lock = self.rt.lock
+        grant = lock.grab() or (yield lock.acquire())
+        try:
+            if not self.env.fuse(us):
+                yield self.env.timeout(us)
+        finally:
+            lock.release(grant)
 
     # -- interface ----------------------------------------------------------
     def map_enter_all(self, clauses: Sequence[MapClause], tid=None):  # pragma: no cover
@@ -158,14 +172,10 @@ class CopyPolicy(DataPolicy):
             buf.check_alive()
             self.ledger.n_map_exits += 1
             t_op = self.env.now
-            grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
-            try:
-                if not self.env.fuse(self.cost.omp_runtime_call_us):
-                    yield self.env.timeout(self.cost.omp_runtime_call_us)
-                entry = self.table.release(buf, delete=clause.kind is MapKind.DELETE)
-                last = entry.refcount == 0
-            finally:
-                self.rt.lock.release(grant)
+            if not self.rt.lock.hold(self.cost.omp_runtime_call_us):
+                yield from self._locked(self.cost.omp_runtime_call_us)
+            entry = self.table.release(buf, delete=clause.kind is MapKind.DELETE)
+            last = entry.refcount == 0
             if clause.kind.copies_to_host and (last or clause.always):
                 t0 = self.env.now
                 sig = self.hsa.memory_async_copy(
@@ -245,18 +255,14 @@ class ZeroCopyPolicy(DataPolicy):
             buf.check_alive()
             self.ledger.n_map_enters += 1
             t_op = self.env.now
-            grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
-            try:
-                if not self.env.fuse(self.cost.zc_map_call_us):
-                    yield self.env.timeout(self.cost.zc_map_call_us)
-                entry = self.table.lookup(buf)
-                is_new = entry is None
-                if is_new:
-                    entry = PresentEntry(host=buf, device=None, refcount=0)
-                    self.table.insert(entry)
-                entry.refcount += 1
-            finally:
-                self.rt.lock.release(grant)
+            if not self.rt.lock.hold(self.cost.zc_map_call_us):
+                yield from self._locked(self.cost.zc_map_call_us)
+            entry = self.table.lookup(buf)
+            is_new = entry is None
+            if is_new:
+                entry = PresentEntry(host=buf, device=None, refcount=0)
+                self.table.insert(entry)
+            entry.refcount += 1
             self._note_map("enter", clause, tid, t_op,
                            is_new=is_new, refcount=entry.refcount, removed=False)
             yield from self._post_enter(clause)
@@ -272,18 +278,14 @@ class ZeroCopyPolicy(DataPolicy):
             clause.buffer.check_alive()
             self.ledger.n_map_exits += 1
             t_op = self.env.now
-            grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
-            try:
-                if not self.env.fuse(self.cost.zc_map_call_us):
-                    yield self.env.timeout(self.cost.zc_map_call_us)
-                entry = self.table.release(
-                    clause.buffer, delete=clause.kind is MapKind.DELETE
-                )
-                removed = entry.refcount == 0
-                if removed:
-                    self.table.remove(entry)
-            finally:
-                self.rt.lock.release(grant)
+            if not self.rt.lock.hold(self.cost.zc_map_call_us):
+                yield from self._locked(self.cost.zc_map_call_us)
+            entry = self.table.release(
+                clause.buffer, delete=clause.kind is MapKind.DELETE
+            )
+            removed = entry.refcount == 0
+            if removed:
+                self.table.remove(entry)
             self._note_map("exit", clause, tid, t_op,
                            is_new=False, refcount=entry.refcount, removed=removed)
 

@@ -12,8 +12,9 @@ pools and kernarg regions; the paper reports 19 calls with one thread and
 
 The runtime's fixed bookkeeping delays go through
 ``if not env.fuse(us): yield env.timeout(us)`` and its device-lock grants
-through ``lock.grab() or (yield lock.acquire())`` (see
-:mod:`repro.sim.core`): sequential libomptarget/HSA call costs on an
+through ``lock.grab() or (yield lock.acquire())``, or ``lock.hold(us)``
+for a cycle that holds only a charge (see :mod:`repro.sim.core`):
+sequential libomptarget/HSA call costs on an
 uncontended host thread fuse into one clock adjustment without a
 scheduler round trip, and :attr:`RunResult.sim_events` still counts one
 event per charge and per grant, so run telemetry is bit-identical

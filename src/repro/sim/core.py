@@ -35,11 +35,16 @@ Design constraints that shaped this module:
     way through ``res.grab() or (yield res.acquire())``
     (:meth:`repro.sim.resources.Resource.grab`): a free unit taken while
     no heap entry is at or before the current time counts one processed
-    event and never touches the heap.  Fusion is held off while an event
-    with several waiters runs their callbacks: the later waiters must
-    still see the event's own time.  ``run(until=Event)`` adds a no-op
+    event and never touches the heap.  A critical section that holds
+    only a fixed charge fuses as a whole through ``res.hold(us)``: grant,
+    charge and release in one call, two events counted.  Fusion is held
+    off while an event with several waiters runs their callbacks: the
+    later waiters must still see the event's own time.  A
+    :class:`Completion`'s lone waiter runs unheld instead; the end event
+    behind it is counted at the waiter's first accepted fusion, or when
+    it returns.  ``run(until=Event)`` adds a no-op
     mark to its stop event, so that event's waiters run held off too
-    and none of them fuses past the end of the run.  Both calls are valid
+    and none of them fuses past the end of the run.  These calls are valid
     in a process's generator and in a callback the event loop runs (the
     HSA operations); a callback must settle (read ``env.now``) before it
     returns, as the loop sets the next event's time without settling.
@@ -48,8 +53,8 @@ Design constraints that shaped this module:
 
 * **Auditability.**  :class:`ReferenceEnvironment` retains the historical
   one-heap-event-per-delay scheduler (the ``FlatPageTable`` precedent):
-  ``fuse`` and ``grab`` always refuse, so every delay and every grant is
-  a heap event, and nothing is recycled.  Both engines count one
+  ``fuse``, ``grab`` and ``hold`` always refuse, so every delay and
+  every grant is a heap event, and nothing is recycled.  Both engines count one
   processed event per charge and per grant, so ``processed_events`` —
   and every simulated-time observable — is bit-identical between them;
   ``repro bench`` pins that equivalence with a randomized differential.
@@ -248,9 +253,15 @@ class Completion(Event):
     """Result event of an operation run as engine callbacks, not a process.
 
     :meth:`succeed` reserves the heap position of the end event a process
-    would have queued right behind it.  Processing counts that event after
-    the waiters ran held off (it would have refused their fusion), or, if
-    a run stops here, queues it as a no-op at that position.
+    would have queued right behind it; the reference engine pops that
+    event right after this one's callbacks.  A lone waiter runs unheld
+    with the end event owed (``Environment._owed``): its first accepted
+    ``fuse``, ``grab`` or ``hold`` counts it first, since that fusion
+    stands for a heap entry the end event precedes; a waiter that accepts
+    none has it counted when it returns, one that raises never.  Several
+    waiters run held off and the end event
+    is counted after them.  If a run stops here, it is queued as a no-op
+    at its reserved position.
     """
 
     __slots__ = ("_tail",)
@@ -267,6 +278,17 @@ class Completion(Event):
             tail._state = TRIGGERED
             heapq.heappush(env._queue, (env._now, self._tail, tail._era, tail))
             return Event._process(self)
+        if len(self.callbacks) == 1 and not env._hold:
+            env._owed = 1
+            try:
+                Event._process(self)
+            except BaseException:
+                env._owed = 0
+                raise
+            if env._owed:
+                env._owed = 0
+                env._event_count += 1
+            return
         env._hold += 1
         try:
             Event._process(self)
@@ -466,7 +488,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_event_count",
-                 "_pending", "_pending_n", "_hold",
+                 "_pending", "_pending_n", "_hold", "_owed",
                  "_timeout_pool", "_event_pool")
 
     def __init__(self, initial_time: float = 0.0):
@@ -480,6 +502,9 @@ class Environment:
         # >0 while an event with several callbacks runs them (no fusion;
         # always >0 on the reference engine)
         self._hold = 0
+        # 1 while a Completion's lone waiter runs and the end event behind
+        # the Completion is not counted yet (see Completion._process)
+        self._owed = 0
         # free lists of recycled event objects
         self._timeout_pool: List[Timeout] = []
         self._event_pool: List[Event] = []
@@ -539,6 +564,9 @@ class Environment:
             raise ValueError(f"negative charge delay: {delay}")
         q = self._queue
         if (not q or q[0][0] > self._now + self._pending + delay) and not self._hold:
+            if self._owed:
+                self._owed = 0
+                self._event_count += 1
             self._pending += delay
             self._pending_n += 1
             return True

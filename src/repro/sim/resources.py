@@ -26,7 +26,11 @@ idiomatic pattern here is explicit::
 
 :meth:`Resource.grab` takes a free unit inline, without a heap event,
 when the fused engine can prove nobody could observe the difference;
-otherwise the process waits on :meth:`Resource.acquire` as usual.
+otherwise the process waits on :meth:`Resource.acquire` as usual.  A
+critical section that holds nothing but a fixed charge fuses as a whole:
+``if not res.hold(us):`` the pattern above with ``env.fuse(us)`` inside.
+:meth:`Resource.hold` never calls :meth:`Resource.release`, so a tracer
+wrapping ``release`` sees only that slow path.
 """
 
 from __future__ import annotations
@@ -130,11 +134,54 @@ class Resource:
                 env._settle()
             q = env._queue
             if not q or q[0][0] > env._now:
+                if env._owed:
+                    env._owed = 0
+                    env._event_count += 1
                 self._account()
                 self._in_use += 1
                 env._event_count += 1
                 return Grant(self)
         return None
+
+    def hold(self, delay: float) -> bool:
+        """Take a free unit, charge ``delay`` µs and release the unit inline.
+
+        ``if not res.hold(us): <grab or acquire, charge us, release>`` is
+        the fused form of a critical section that holds nothing but a
+        fixed charge.  It succeeds exactly where :meth:`grab` followed by
+        :meth:`~repro.sim.core.Environment.fuse` would both succeed: a
+        unit is free, nobody queues for one, fusion is not held off, and
+        no heap entry is at or before ``now + delay`` (strict).  It then
+        counts the grant's and the charge's processed events, advances the
+        clock as the release would settle it, and keeps the occupancy
+        statistics bit-identical to that grab and release.  Otherwise it
+        returns ``False`` and changes nothing.
+        """
+        if delay < 0:
+            raise ValueError(f"negative charge delay: {delay}")
+        env = self.env
+        if self._in_use < self.capacity and not self._waiters and not env._hold:
+            q = env._queue
+            if not q or q[0][0] > env._now + env._pending + delay:
+                if env._pending_n:
+                    env._settle()
+                if env._owed:
+                    env._owed = 0
+                    env._event_count += 1
+                # grab's _account(), then release's at the settled clock
+                now = env._now
+                dt = now - self._last_change
+                if dt > 0:
+                    self._busy_time += dt * self._in_use
+                    self._last_change = now
+                env._now = now = now + delay
+                dt = now - self._last_change
+                if dt > 0:
+                    self._busy_time += dt * (self._in_use + 1)
+                    self._last_change = now
+                env._event_count += 2
+                return True
+        return False
 
     def release(self, grant: Grant) -> None:
         if grant.resource is not self:

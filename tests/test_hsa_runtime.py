@@ -15,7 +15,7 @@ from repro.memory import (
     PageTable,
     PhysicalMemory,
 )
-from repro.sim import Environment, ReferenceEnvironment
+from repro.sim import Environment, Mutex, ReferenceEnvironment
 from repro.trace.hsa_trace import HsaTrace
 
 ENGINES = (Environment, ReferenceEnvironment)
@@ -598,6 +598,129 @@ CONTENDING_HANDLERS = (
 @pytest.mark.parametrize("env_cls", ENGINES)
 def test_handler_copies_contending_for_the_sdma_engines(env_cls):
     assert _contending_handlers(env_cls) == CONTENDING_HANDLERS
+
+
+def _lone_waiter(env_cls, case):
+    """A host thread is the only waiter of a copy's signal and acts first
+    on it in one of several ways; the reference engine pops the copy's
+    end event right behind the signal, so it must count exactly there."""
+    env, cost, hsa, _, _, trace = make_hsa(env_cls=env_cls, detailed=True)
+    lock = Mutex(env, "lock")
+    seen = []
+
+    def host():
+        sig = hsa.memory_async_copy(None, None, 64, tag="w")
+        env.timeout(50.0)  # a bystander past every charge below
+        yield sig.event
+        if case == "read-fuse-read":
+            seen.append(env.processed_events)
+            if not env.fuse(1.0):
+                yield env.timeout(1.0)
+        elif case == "schedule-then-fuse":
+            env.timeout(0.0).callbacks.append(
+                lambda _e: seen.append(("cb", env.processed_events)))
+            if not env.fuse(1.0):
+                yield env.timeout(1.0)
+        elif case == "grab":
+            grant = lock.grab() or (yield lock.acquire())
+            seen.append(env.processed_events)
+            lock.release(grant)
+        elif case == "hold" and not lock.hold(1.0):
+            grant = lock.grab() or (yield lock.acquire())
+            if not env.fuse(1.0):
+                yield env.timeout(1.0)
+            lock.release(grant)
+        elif case == "suspend":
+            yield env.timeout(1.0)
+        elif case == "raise":
+            raise RuntimeError("waiter failed")
+        seen.append(env.processed_events)
+        yield from hsa.signal_wait_scacquire(sig)
+        seen.append(env.processed_events)
+
+    try:
+        env.run(until=env.process(host()))
+    except RuntimeError as exc:
+        seen.append(str(exc))
+    first = _snapshot(env, trace)
+    env.run()
+    return first, _snapshot(env, trace), seen
+
+
+#: measured on the runtime that held a lone waiter off and counted the end
+#: event after it returned; identical on both engines
+LONE_WAITER = {
+    "read-fuse-read": (
+        (4.500045714285714, 9, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+            ("signal_wait_scacquire", 3.500045714285714, 1.0, ""),
+        ]),
+        (50.0, 10, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+            ("signal_wait_scacquire", 3.500045714285714, 1.0, ""),
+        ]),
+        [5, 7, 8],
+    ),
+    "schedule-then-fuse": (
+        (4.500045714285714, 10, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+            ("signal_wait_scacquire", 3.500045714285714, 1.0, ""),
+        ]),
+        (50.0, 11, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+            ("signal_wait_scacquire", 3.500045714285714, 1.0, ""),
+        ]),
+        [("cb", 7), 8, 9],
+    ),
+    "grab": (
+        (3.500045714285714, 9, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+            ("signal_wait_scacquire", 2.500045714285714, 1.0, ""),
+        ]),
+        (50.0, 10, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+            ("signal_wait_scacquire", 2.500045714285714, 1.0, ""),
+        ]),
+        [7, 7, 8],
+    ),
+    "hold": (
+        (4.500045714285714, 10, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+            ("signal_wait_scacquire", 3.500045714285714, 1.0, ""),
+        ]),
+        (50.0, 11, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+            ("signal_wait_scacquire", 3.500045714285714, 1.0, ""),
+        ]),
+        [8, 9],
+    ),
+    "suspend": (
+        (4.500045714285714, 9, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+            ("signal_wait_scacquire", 3.500045714285714, 1.0, ""),
+        ]),
+        (50.0, 10, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+            ("signal_wait_scacquire", 3.500045714285714, 1.0, ""),
+        ]),
+        [7, 8],
+    ),
+    "raise": (
+        (2.500045714285714, 5, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+        ]),
+        (50.0, 6, [
+            ("memory_async_copy", 0.0, 2.500045714285714, "w"),
+        ]),
+        ["waiter failed"],
+    ),
+}
+
+
+@pytest.mark.parametrize("env_cls", ENGINES)
+@pytest.mark.parametrize("case", sorted(LONE_WAITER))
+def test_lone_waiter_counts_the_end_event_where_the_reference_pops_it(env_cls, case):
+    assert _lone_waiter(env_cls, case) == LONE_WAITER[case]
 
 
 def test_copy_cell_spawns_only_host_thread_processes(monkeypatch):

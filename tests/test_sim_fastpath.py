@@ -1,6 +1,6 @@
 """Engine fast path: inline charge fusion (``Environment.fuse``), inline
-grants (``Resource.grab``), event recycling, O(1) interrupt, and the
-retained reference scheduler."""
+grants (``Resource.grab``) and lock cycles (``Resource.hold``), event
+recycling, O(1) interrupt, and the retained reference scheduler."""
 
 import contextlib
 import random
@@ -33,6 +33,16 @@ def _charge(env, us):
 def _take(res):
     """(generator) The inline-grant idiom of the modeled code."""
     return res.grab() or (yield res.acquire())
+
+
+def _cycle(env, res, us):
+    """(generator) The inline lock-cycle idiom: a unit held for a charge."""
+    if not res.hold(us):
+        grant = yield from _take(res)
+        try:
+            yield from _charge(env, us)
+        finally:
+            res.release(grant)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +459,163 @@ def test_reference_engine_never_grabs():
 
     env.run(env.process(proc()))
     assert seen == [None, 3]
+
+
+# ---------------------------------------------------------------------------
+# inline lock cycles
+# ---------------------------------------------------------------------------
+
+
+def _cycle_with_units_in_use(fused):
+    """Two units of four busy since t=1, then one lock cycle at t=3."""
+    env = Environment()
+    res = Resource(env, 4)
+    seen = []
+
+    def proc():
+        yield env.timeout(1.0)
+        busy = [res.grab(), res.grab()]
+        yield env.timeout(2.0)
+        if fused:
+            seen.append(res.hold(1.3))
+        else:
+            grant = res.grab()
+            seen.append(env.fuse(1.3))
+            res.release(grant)
+        seen.append((env._pending_n, res.in_use))
+        yield env.timeout(0.7)
+        for grant in busy:
+            res.release(grant)
+
+    env.run(env.process(proc()))
+    return (seen, env.now, env.processed_events, env._seq,
+            res._busy_time, res._last_change, res.utilization())
+
+
+def test_hold_matches_grab_charge_release_with_units_in_use():
+    """The hold leaves the clock, the event count and the occupancy
+    integral exactly where grab, fused charge and release leave them."""
+    held = _cycle_with_units_in_use(True)
+    assert held == _cycle_with_units_in_use(False)
+    assert held[0] == [True, (0, 2)]
+
+
+def test_hold_refuses_on_a_heap_entry_inside_the_window():
+    env = Environment()
+    lock = Mutex(env)
+    seen = []
+
+    def proc():
+        env.timeout(5.0)
+        seen.append(lock.hold(6.0))
+        seen.append(lock.hold(5.0))  # would end exactly on the entry: a tie
+        seen.append((env.now, env.processed_events, lock.in_use))
+        seen.append(lock.hold(4.0))
+        seen.append((env.now, env.processed_events, lock.in_use))
+        yield env.timeout(1.0)
+
+    env.run(env.process(proc()))
+    assert seen == [False, False, (0.0, 1, 0), True, (4.0, 3, 0)]
+
+
+def test_hold_refuses_at_the_numeric_horizon_marker():
+    env = Environment()
+    lock = Mutex(env)
+    seen = []
+
+    def proc():
+        seen.append(lock.hold(30.0))
+        seen.append(lock.hold(20.0))  # reaches the horizon at 50
+        seen.append(lock.hold(19.0))
+        yield env.timeout(1.0)
+
+    env.process(proc())
+    env.run(until=50.0)
+    assert seen == [True, False, True]
+    assert env.now == 50.0
+
+
+def test_hold_refuses_with_queued_waiters():
+    env = Environment()
+    lock = Mutex(env)
+    seen = []
+
+    def holder():
+        grant = yield from _take(lock)
+        yield env.timeout(5.0)
+        lock.release(grant)
+
+    def waiter():
+        grant = yield from _take(lock)
+        seen.append(("waiter", env.now))
+        lock.release(grant)
+
+    def prober():
+        yield env.timeout(1.0)
+        seen.append((lock.queue_length, lock.hold(0.0), env.processed_events))
+
+    for body in (holder, waiter, prober):
+        env.process(body())
+    env.run()
+    assert seen == [(1, False, 5), ("waiter", 5.0)]
+
+
+def test_hold_refuses_at_full_capacity():
+    env = Environment()
+    res = Resource(env, 2)
+    seen = []
+
+    def proc():
+        grants = [(yield from _take(res)), (yield from _take(res))]
+        seen.append((res.hold(1.0), env.now))
+        for grant in grants:
+            res.release(grant)
+        seen.append((res.hold(1.0), env.now))
+
+    env.run(env.process(proc()))
+    assert seen == [(False, 0.0), (True, 1.0)]
+
+
+def test_hold_refuses_while_an_event_runs_several_waiters():
+    env = Environment()
+    lock = Mutex(env)
+    ev = env.event()
+    seen = []
+
+    def waiter():
+        yield ev
+        seen.append((env._hold, lock.hold(1.0), lock.in_use))
+
+    env.process(waiter())
+    env.process(waiter())
+    ev.succeed()
+    env.run()
+    assert seen == [(1, False, 0), (1, False, 0)]
+    assert env.now == 0.0
+
+
+def test_hold_negative_raises():
+    for cls in ENGINES:
+        env = cls()
+        lock = Mutex(env)
+        with pytest.raises(ValueError):
+            lock.hold(-1.0)
+        assert (env.now, env.processed_events, lock.in_use) == (0.0, 0, 0)
+
+
+def test_reference_engine_never_holds():
+    env = ReferenceEnvironment()
+    lock = Mutex(env)
+    seen = [lock.hold(0.0)]
+
+    def proc():
+        yield env.timeout(1.0)
+        seen.append(lock.hold(1.0))
+        yield from _cycle(env, lock, 1.0)
+        seen.append((env.now, env.processed_events))
+
+    env.run(env.process(proc()))
+    assert seen == [False, False, (2.0, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +1039,9 @@ def test_apusystem_rejects_unknown_engine():
 def _resource_program(env, seed):
     """A seeded random program over Resource capacities 1, 2, 4 and a
     Mutex: exact-time ties, acquires right after same-time timeouts,
-    interrupts while waiting in a FIFO, and AllOf over acquires.
+    lock cycles (``hold``), also while the worker keeps units of a
+    capacity-2 or -4 resource busy, interrupts while waiting in a FIFO,
+    and AllOf over acquires.
     Returns ``(log, resources, stop)``; ``stop`` is None or an event to
     run until."""
     rnd = random.Random(seed)
@@ -881,10 +1050,14 @@ def _resource_program(env, seed):
     log = []
 
     def hold(wid, grants):
-        if rnd.random() < 0.5:
+        roll = rnd.random()
+        if roll < 0.4:
             yield from _charge(env, rnd.choice((0.0, 0.5, 1.0)))
-        else:
+        elif roll < 0.8:
             yield env.timeout(rnd.choice((0.0, 1.0, 2.0)))
+        else:
+            yield from _cycle(env, rnd.choice(res[1:3]),
+                              rnd.choice((0.0, 0.5, 1.0)))
         log.append((wid, "held", [g.resource.name for g in grants], env.now))
 
     def worker(wid, steps):
@@ -904,6 +1077,9 @@ def _resource_program(env, seed):
                         yield from hold(wid, [grant])
                     finally:
                         step[1].release(grant)
+                elif kind == "cycle":
+                    yield from _cycle(env, step[1], step[2])
+                    log.append((wid, "cycled", step[1].name, env.now))
                 elif kind == "allof":
                     a, b = step[1], step[2]
                     got = yield AllOf(env, [a.acquire(), b.acquire()])
@@ -924,14 +1100,17 @@ def _resource_program(env, seed):
         steps = []
         for _ in range(rnd.randint(3, 8)):
             roll = rnd.random()
-            if roll < 0.2:
+            if roll < 0.15:
                 steps.append(("charge", rnd.choice((0.0, 0.5, 1.0, 2.0))))
-            elif roll < 0.35:
+            elif roll < 0.3:
                 steps.append(("timeout", rnd.choice((0.0, 1.0, 2.0))))
-            elif roll < 0.65:
+            elif roll < 0.5:
                 steps.append(("acquire", rnd.choice(res)))
-            elif roll < 0.8:
+            elif roll < 0.65:
                 steps.append(("tie-acquire", rnd.choice(res)))
+            elif roll < 0.8:
+                steps.append(("cycle", rnd.choice(res),
+                              rnd.choice((0.0, 0.5, 1.0, 2.0))))
             else:
                 a, b = rnd.sample(res, 2)
                 steps.append(("allof", a, b))
@@ -972,6 +1151,25 @@ def test_resource_programs_fused_vs_reference(seed):
             [(r.in_use, r.queue_length) for r in res],
         )
     assert sides[Environment] == sides[ReferenceEnvironment]
+
+
+def test_resource_programs_take_and_refuse_holds(monkeypatch):
+    """The differential above exercises both sides of ``hold`` on the
+    fused engine."""
+    outcomes = {True: 0, False: 0}
+    hold = Resource.hold
+
+    def counted(self, delay):
+        ok = hold(self, delay)
+        outcomes[ok] += 1
+        return ok
+
+    monkeypatch.setattr(Resource, "hold", counted)
+    for seed in range(40):
+        env = Environment()
+        _log, _res, stop = _resource_program(env, seed)
+        env.run(stop)
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 def test_uncontended_grants_stay_off_the_heap():
@@ -1198,3 +1396,46 @@ def test_reference_engine_builds_every_event_fresh(monkeypatch):
                   RuntimeConfig.COPY, engine="reference")
     assert [env.processed_events for env in envs] == [run.sim_events]
     assert envs[0]._timeout_pool == [] and envs[0]._event_pool == []
+
+
+def test_eager_target_region_pushes_two_heap_entries(monkeypatch):
+    """Each target region of a single-thread Eager cell pushes only its
+    kernel's bootstrap and its completion signal: the map cycles hold the
+    device lock inline, and the post-wait charge fuses behind the signal's
+    lone waiter.  The event count and HSA rows are those of the runtime
+    that pushed a third entry per region for that charge."""
+    import heapq
+
+    from repro.core import RuntimeConfig
+    from repro.experiments.runner import execute
+    from repro.omp.api import OmpThread
+    from repro.workloads.base import Fidelity
+    from repro.workloads.specaccel.stencil import Stencil403
+
+    pushes = [0]
+    push = heapq.heappush
+
+    def counting(queue, item):
+        pushes[0] += 1
+        push(queue, item)
+
+    per_region = []
+    target = OmpThread.target
+
+    def counted_target(self, *args, **kwargs):
+        before = pushes[0]
+        rec = yield from target(self, *args, **kwargs)
+        per_region.append(pushes[0] - before)
+        return rec
+
+    monkeypatch.setattr(heapq, "heappush", counting)
+    monkeypatch.setattr(OmpThread, "target", counted_target)
+    run = execute(Stencil403(Fidelity.TEST), RuntimeConfig.EAGER_MAPS)
+    assert per_region == [2] * 41
+    assert run.sim_events == 912
+    assert run.hsa_trace.as_rows() == [
+        ("signal_wait_scacquire", 42, 1000504.3698057143, 23821.53261442177),
+        ("svm_attributes_set", 124, 54226.07999999987, 437.30709677419253),
+        ("memory_pool_allocate", 19, 7090.0, 373.1578947368421),
+        ("memory_async_copy", 3, 118.60251428571429, 39.53417142857143),
+    ]
