@@ -23,10 +23,12 @@ differential that precedes this one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional
 
 from ...corpus import CORPUS, PERF_CORPUS
-from .engine import RemediationResult, remediate
+from .engine import RemediationResult, _remediate
+from .synthesize import SourceIndex
 
 __all__ = ["EXPECTED_STATUS", "FixDifferentialResult", "fix_differential"]
 
@@ -129,10 +131,14 @@ def fix_differential(
     """
     out = FixDifferentialResult()
     entries = {**CORPUS, **PERF_CORPUS}
+    # every entry lives in corpus.py: one index of its unedited text
+    # serves all first rounds, and goes when this call returns
+    index_original = lru_cache(maxsize=1)(SourceIndex)
     for name, cls in entries.items():
         if progress is not None:
             progress(f"mapfix {name}")
-        res = remediate(cls, cls().name, dynamic=dynamic)
+        res = _remediate(cls, cls().name, dynamic=dynamic,
+                         index_original=index_original)
         out.results[name] = res
         expected = EXPECTED_STATUS.get(name)
         if expected is None:

@@ -126,6 +126,9 @@ def line_map(original: str, edited: str) -> _LineMap:
     """Line correspondence original<-edited for unchanged lines."""
     a = original.splitlines()
     b = edited.splitlines()
+    if a == b:
+        # every round-1 fix: nothing to diff
+        return _LineMap({n: n for n in range(1, len(a) + 1)})
     back: Dict[int, int] = {}
     matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)
     for tag, i1, i2, j1, j2 in matcher.get_opcodes():

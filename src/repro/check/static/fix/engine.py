@@ -26,7 +26,6 @@ exists to pin exactly that).
 
 from __future__ import annotations
 
-import ast
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -47,7 +46,7 @@ from .edits import (
     render_diff,
 )
 from .sandbox import SandboxError, load_patched, sandbox_dir
-from .synthesize import FixContext, Refusal, synthesize_fixes
+from .synthesize import FixContext, Refusal, SourceIndex, synthesize_fixes
 
 __all__ = ["AppliedFix", "RemediationResult", "remediate", "write_patches"]
 
@@ -212,12 +211,6 @@ def _cost_delta(before: WorkloadIR, after: WorkloadIR
     return delta, saved_total
 
 
-def _make_context(name: str, ir: WorkloadIR, path: str,
-                  text: str) -> FixContext:
-    return FixContext(name=name, ir=ir, path=path,
-                      lines=text.splitlines(), tree=ast.parse(text))
-
-
 def _dedupe_refusals(refusals: List[Refusal]) -> List[Refusal]:
     seen, out = set(), []
     for r in refusals:
@@ -244,6 +237,22 @@ def remediate(
     workload from a sandbox module when the class needs constructor
     arguments (see :func:`.sandbox.load_patched`).
     """
+    return _remediate(factory, name, dynamic=dynamic, max_rounds=max_rounds,
+                      rebuild=rebuild, index_original=SourceIndex)
+
+
+def _remediate(
+    factory: Callable[[], Workload],
+    name: Optional[str],
+    *,
+    dynamic: bool,
+    max_rounds: int = 8,
+    rebuild: Optional[Callable[[object], Workload]] = None,
+    index_original: Callable[[str], SourceIndex],
+) -> RemediationResult:
+    """:func:`remediate`, indexing the unedited source through
+    ``index_original`` — a caller remediating several workloads of one
+    file passes a cached builder, so the file is parsed once for all."""
     instance = factory()
     wname = name or instance.name
     cls_name = type(instance).__name__
@@ -277,7 +286,10 @@ def remediate(
                 break
             accepted = False
             cur_fps = _fingerprints(cur_findings)
-            ctx = _make_context(wname, cur_ir, path, cur_text)
+            ctx = FixContext(
+                name=wname, ir=cur_ir, path=path, text=cur_text,
+                indexer=(index_original if cur_text is original_text
+                         else SourceIndex))
             for finding in cur_findings:
                 candidates, refs = synthesize_fixes(finding, ctx)
                 refusals.extend(refs)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...findings import Finding
@@ -36,6 +37,7 @@ __all__ = [
     "CandidateFix",
     "Refusal",
     "FixContext",
+    "SourceIndex",
     "FIXABLE_RULES",
     "UNFIXABLE_REASONS",
     "synthesize_fixes",
@@ -79,61 +81,108 @@ UNFIXABLE_REASONS: Dict[str, str] = {
 }
 
 
-@dataclass
-class FixContext:
-    """Everything a synthesizer may consult about the *current* source."""
+def _lines_of(node: ast.AST) -> range:
+    return range(node.lineno, (node.end_lineno or node.lineno) + 1)
 
-    name: str
-    ir: WorkloadIR
-    path: str                 #: file the line numbers refer to
-    lines: List[str]          #: its source lines (no trailing newlines)
-    tree: ast.Module
 
-    # -- AST helpers -------------------------------------------------------
+def _innermost(nodes: List[ast.AST]) -> Dict[int, ast.AST]:
+    """Line -> the covering node that starts last."""
+    out: Dict[int, ast.AST] = {}
+    for node in nodes:
+        for ln in _lines_of(node):
+            held = out.get(ln)
+            if held is None or node.lineno > held.lineno:
+                out[ln] = node
+    return out
 
-    def functions(self) -> List[ast.FunctionDef]:
-        return [n for n in ast.walk(self.tree)
-                if isinstance(n, ast.FunctionDef)]
 
-    def stmt_lists(self) -> List[List[ast.stmt]]:
-        out: List[List[ast.stmt]] = []
+class SourceIndex:
+    """One parsed source text, indexed for the synthesizers' line queries.
+
+    A single ``ast.walk`` collects the statement blocks (every non-empty
+    ``body``/``orelse``/``finalbody`` statement list), the function defs
+    and the ``for``/``while`` loops, in walk order; per-line tables then
+    answer :meth:`FixContext.stmt_at`, ``enclosing_function`` and
+    ``enclosing_loop`` without another walk.  Statements that start on
+    the same line (``for x in y: f(x)``, ``a = 1; b = 2``) resolve as a
+    scan in walk order would, to the *last* one listed; two defs or two
+    loops never start on one line.  The index is read-only, so one
+    index may serve every context over its text.
+    """
+
+    def __init__(self, text: str):
+        self.lines: List[str] = text.splitlines()
+        self.tree: ast.Module = ast.parse(text)
+        self.blocks: List[List[ast.stmt]] = []
+        self.functions: List[ast.FunctionDef] = []
+        loops: List[ast.AST] = []
         for node in ast.walk(self.tree):
+            if isinstance(node, ast.FunctionDef):
+                self.functions.append(node)
+            elif isinstance(node, (ast.For, ast.While)):
+                loops.append(node)
             for attr in ("body", "orelse", "finalbody"):
                 block = getattr(node, attr, None)
                 if (isinstance(block, list) and block
                         and isinstance(block[0], ast.stmt)):
-                    out.append(block)
-        return out
+                    self.blocks.append(block)
+        self.stmt_at: Dict[int, Tuple[ast.stmt, List[ast.stmt]]] = {}
+        for block in self.blocks:
+            for stmt in block:
+                for ln in _lines_of(stmt):
+                    held = self.stmt_at.get(ln)
+                    if held is None or stmt.lineno >= held[0].lineno:
+                        self.stmt_at[ln] = (stmt, block)
+        self.function_at = _innermost(self.functions)
+        self.loop_at = _innermost(loops)
+
+
+@dataclass
+class FixContext:
+    """Everything a synthesizer may consult about the *current* source.
+
+    The text is parsed and indexed on the first AST query, through
+    ``indexer`` — a caller holding an index of the same text may pass it
+    in; a round whose findings all refuse before reading the source
+    parses nothing.
+    """
+
+    name: str
+    ir: WorkloadIR
+    path: str                 #: file the line numbers refer to
+    text: str                 #: its source text
+    indexer: Callable[[str], SourceIndex] = SourceIndex
+
+    @cached_property
+    def source(self) -> SourceIndex:
+        return self.indexer(self.text)
+
+    @property
+    def lines(self) -> List[str]:
+        """The source lines (no trailing newlines)."""
+        return self.source.lines
+
+    @property
+    def tree(self) -> ast.Module:
+        return self.source.tree
+
+    # -- AST helpers -------------------------------------------------------
+
+    def functions(self) -> List[ast.FunctionDef]:
+        return list(self.source.functions)
+
+    def stmt_lists(self) -> List[List[ast.stmt]]:
+        return list(self.source.blocks)
 
     def stmt_at(self, line: int) -> Optional[Tuple[ast.stmt, List[ast.stmt]]]:
         """Innermost statement covering ``line``, with its parent block."""
-        best: Optional[Tuple[ast.stmt, List[ast.stmt]]] = None
-        for block in self.stmt_lists():
-            for stmt in block:
-                end = stmt.end_lineno or stmt.lineno
-                if stmt.lineno <= line <= end:
-                    if best is None or stmt.lineno >= best[0].lineno:
-                        best = (stmt, block)
-        return best
+        return self.source.stmt_at.get(line)
 
     def enclosing_function(self, line: int) -> Optional[ast.FunctionDef]:
-        best = None
-        for fn in self.functions():
-            end = fn.end_lineno or fn.lineno
-            if fn.lineno <= line <= end and (
-                    best is None or fn.lineno > best.lineno):
-                best = fn
-        return best
+        return self.source.function_at.get(line)
 
     def enclosing_loop(self, line: int):
-        best = None
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.For, ast.While)):
-                end = node.end_lineno or node.lineno
-                if node.lineno <= line <= end and (
-                        best is None or node.lineno > best.lineno):
-                    best = node
-        return best
+        return self.source.loop_at.get(line)
 
     def indent(self, line: int) -> str:
         text = self.lines[line - 1]

@@ -7,6 +7,11 @@ cost-delta contract on every accepted fix, and the SARIF ``fixes[]``
 round trip.  Edit-layer behavior gets direct unit tests.
 """
 
+import ast
+import difflib
+import gc
+import hashlib
+import json
 import linecache
 import os
 import sys
@@ -14,6 +19,8 @@ import sys
 import pytest
 
 import repro
+import repro.check.corpus as corpus_mod
+from repro.check.corpus import CORPUS, PERF_CORPUS
 from repro.check.sarif import to_sarif
 from repro.check.static.fix import (
     EXPECTED_STATUS,
@@ -24,8 +31,17 @@ from repro.check.static.fix import (
     sarif_replacements,
     write_patches,
 )
+from repro.check.static.fix import (
+    differential,
+    edits,
+    engine,
+    sandbox,
+    synthesize,
+)
 from repro.check.static.fix.differential import ZERO_FIX_EXPECTED
 from repro.check.static.fix.edits import EditError, line_map, rebase_edit
+from repro.check.static.fix.engine import remediate
+from repro.check.static.fix.synthesize import FixContext, SourceIndex
 from repro.core.config import ALL_CONFIGS
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -34,6 +50,11 @@ SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 @pytest.fixture(scope="module")
 def diff():
     return fix_differential(dynamic=True)
+
+
+@pytest.fixture(scope="module")
+def static_diff():
+    return fix_differential(dynamic=False)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +129,121 @@ def test_partial_workloads_keep_out_of_scope_residual(diff):
     res = diff.results["map-race"]
     assert res.fixes and res.residual == ["MC-S21:contested"]
     assert res.dynamic.startswith("no dynamic regression")
+
+
+# ---------------------------------------------------------------------------
+# the static pass: pinned output, one parse per text, nothing kept
+# ---------------------------------------------------------------------------
+#: sha256 over every entry's result, round-0 report and patch text, as
+#: ``fix_differential(dynamic=False)`` produced them before the fix
+#: engine shared one source index per text
+STATIC_FIX_DIGEST = (
+    "1b7fe8888399abbc559a7088aae126b3b77a73308c9cdf714cdc35c8a6dc1484")
+
+
+def test_static_fix_differential_digest_is_pinned(static_diff):
+    payload = {
+        name: {"result": res.to_dict(),
+               "report": (res.report.to_dict()
+                          if res.report is not None else None),
+               "diff": res.diff()}
+        for name, res in static_diff.results.items()
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == STATIC_FIX_DIGEST
+
+
+def test_remediate_alone_matches_the_differential(static_diff):
+    # the single-target path parses once per round with no shared index
+    for name, cls in {**CORPUS, **PERF_CORPUS}.items():
+        alone = remediate(cls, cls().name, dynamic=False)
+        inside = static_diff.results[name]
+        assert alone.to_dict() == inside.to_dict(), name
+        assert alone.diff() == inside.diff(), name
+
+
+def _count_one_static_pass(monkeypatch):
+    with open(corpus_mod.__file__) as fh:
+        corpus_text = fh.read()
+    head = corpus_text.splitlines()[0]
+    counts = {"parse": 0, "parse_original": 0, "walk": 0, "index": 0,
+              "matcher": 0}
+    corpus_trees = set()
+    real_parse, real_walk = ast.parse, ast.walk
+    real_init = SourceIndex.__init__
+
+    def parse(source, *args, **kwargs):
+        tree = real_parse(source, *args, **kwargs)
+        # every corpus.py text, edited or not, keeps the module docstring
+        if isinstance(source, str) and source.startswith(head):
+            counts["parse"] += 1
+            counts["parse_original"] += source == corpus_text
+            corpus_trees.add(id(tree))
+        return tree
+
+    def walk(node):
+        counts["walk"] += id(node) in corpus_trees
+        return real_walk(node)
+
+    def init(self, text):
+        counts["index"] += 1
+        real_init(self, text)
+
+    class Matcher(difflib.SequenceMatcher):
+        def __init__(self, *args, **kwargs):
+            counts["matcher"] += 1
+            super().__init__(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ast, "parse", parse)
+        m.setattr(ast, "walk", walk)
+        m.setattr(SourceIndex, "__init__", init)
+        m.setattr(difflib, "SequenceMatcher", Matcher)
+        result = fix_differential(dynamic=False)
+    assert result.ok, "\n".join(result.mismatches)
+    return counts, result
+
+
+def _held_by_fix_modules():
+    """Trees, texts and contexts reachable from fix-module attributes."""
+    held = []
+    for module in (differential, edits, engine, sandbox, synthesize):
+        for attr, value in vars(module).items():
+            if attr.startswith("__"):
+                continue
+            items = (list(value.values()) if isinstance(value, dict)
+                     else list(value) if isinstance(value, (list, set, tuple))
+                     else [value])
+            for item in items:
+                if isinstance(item, (ast.AST, SourceIndex, FixContext)) or (
+                        isinstance(item, str) and "\n" in item):
+                    held.append(f"{module.__name__}.{attr}")
+            if getattr(value, "cache_info", None) is not None:
+                if value.cache_info().currsize:
+                    held.append(f"{module.__name__}.{attr} (cache)")
+    return held
+
+
+def test_static_pass_parses_and_diffs_each_text_once(monkeypatch):
+    seen = []
+    for _call in range(2):      # a second call starts as cold as the first
+        counts, result = _count_one_static_pass(monkeypatch)
+        seen.append(counts)
+        # the unedited corpus.py serves every entry's round 1; only
+        # nowait-result's round 2 reads an edited text
+        assert counts["parse_original"] == 1, counts
+        assert counts["parse"] <= 2, counts
+        assert counts["index"] <= 2, counts
+        assert counts["walk"] <= counts["index"], counts
+        # the identity map needs no diff: only that round 2 runs difflib
+        assert counts["matcher"] == 1, counts
+        # nothing outlives the call but its results
+        assert _held_by_fix_modules() == []
+        gc.collect()
+        assert not [o for o in gc.get_objects()
+                    if isinstance(o, (SourceIndex, FixContext))]
+        del result
+    assert seen[0] == seen[1]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +363,15 @@ def test_sarif_replacements_encode_insertions_as_zero_width():
         "startLine": 5, "startColumn": 1, "endLine": 5, "endColumn": 1,
     }
     assert rep["insertedContent"]["text"] == "x\n"
+
+
+def test_line_map_of_identical_lines_is_the_identity(monkeypatch):
+    def no_diff(*_args, **_kwargs):
+        raise AssertionError("identical texts must not be diffed")
+
+    monkeypatch.setattr(difflib, "SequenceMatcher", no_diff)
+    assert line_map("a\nb\nc\n", "a\nb\nc").back == {1: 1, 2: 2, 3: 3}
+    assert line_map("", "").back == {}
 
 
 def test_rebase_edit_maps_back_through_prior_fixes():
