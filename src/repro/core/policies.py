@@ -130,6 +130,12 @@ class CopyPolicy(DataPolicy):
 
     config = RuntimeConfig.COPY
 
+    def _copy(self, dst, src, nbytes: int, tag: str):
+        """(generator) A synchronous copy, its time charged to MM."""
+        t0 = self.env.now
+        yield from self.hsa.copy_and_wait(dst, src, nbytes, tag)
+        self.ledger.mm_copy_us += self.env.now - t0
+
     def map_enter_all(self, clauses: Sequence[MapClause], tid=None):
         h2d_signals = []
         for clause in clauses:
@@ -177,12 +183,8 @@ class CopyPolicy(DataPolicy):
             entry = self.table.release(buf, delete=clause.kind is MapKind.DELETE)
             last = entry.refcount == 0
             if clause.kind.copies_to_host and (last or clause.always):
-                t0 = self.env.now
-                sig = self.hsa.memory_async_copy(
-                    buf.payload, entry.device.payload, buf.nbytes, tag=f"d2h:{buf.name}"
-                )
-                yield from self.hsa.signal_wait_scacquire(sig)
-                self.ledger.mm_copy_us += self.env.now - t0
+                yield from self._copy(buf.payload, entry.device.payload, buf.nbytes,
+                                      f"d2h:{buf.name}")
                 self.ledger.d2h_bytes += buf.nbytes
             if last:
                 grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
@@ -212,12 +214,8 @@ class CopyPolicy(DataPolicy):
 
     def global_update(self, glob: GlobalVar):
         """map(always, to: g): HBM-to-HBM transfer into the device copy."""
-        t0 = self.env.now
-        sig = self.hsa.memory_async_copy(
-            glob.device_view(), glob.host_payload, glob.nbytes, tag=f"glob:{glob.name}"
-        )
-        yield from self.hsa.signal_wait_scacquire(sig)
-        self.ledger.mm_copy_us += self.env.now - t0
+        yield from self._copy(glob.device_view(), glob.host_payload, glob.nbytes,
+                              f"glob:{glob.name}")
         self.ledger.h2d_bytes += glob.nbytes
 
     def motion_update(self, buf: HostBuffer, to_device: bool):
@@ -228,15 +226,12 @@ class CopyPolicy(DataPolicy):
             if not self.env.fuse(self.cost.omp_runtime_call_us):
                 yield self.env.timeout(self.cost.omp_runtime_call_us)
             return
-        t0 = self.env.now
         dst, src, tag = (
             (entry.device.payload, buf.payload, f"upd-to:{buf.name}")
             if to_device
             else (buf.payload, entry.device.payload, f"upd-from:{buf.name}")
         )
-        sig = self.hsa.memory_async_copy(dst, src, buf.nbytes, tag=tag)
-        yield from self.hsa.signal_wait_scacquire(sig)
-        self.ledger.mm_copy_us += self.env.now - t0
+        yield from self._copy(dst, src, buf.nbytes, tag)
         if to_device:
             self.ledger.h2d_bytes += buf.nbytes
         else:

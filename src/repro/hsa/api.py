@@ -14,7 +14,10 @@ copies with their async handlers, kernel dispatches) hand back a
 :class:`Signal` and run as chains of engine callbacks that start where a
 process's bootstrap would have, then take their engine or queue and charge
 their time fused where they can; the events a process would have added
-are still counted, so ``processed_events`` is unchanged.
+are still counted, so ``processed_events`` is unchanged.  Work the host
+waits on at once (``dispatch_and_wait``, ``copy_and_wait``) runs that
+chain in the host's own frame when the reference engine would run it next
+(``Environment._inline``), and otherwise as the asynchronous call does.
 """
 
 from __future__ import annotations
@@ -69,6 +72,16 @@ def _after(env: Environment, us: float, then: Callable) -> None:
     if env.fuse(us):
         return then(None)
     env.timeout(us).callbacks.append(then)
+
+
+def _complete_after(env: Environment, sig: Signal, us: float, finish: Callable) -> None:
+    """Complete ``sig`` with ``finish()`` once ``us`` have passed."""
+    _after(env, us, lambda _ev: sig.complete(finish()))
+
+
+def _chain(env: Environment, sig: Signal, start: Callable) -> Callable:
+    """The callback form of the chain ``start`` from its grant, completing ``sig``."""
+    return lambda grant: _complete_after(env, sig, *start(grant))
 
 
 class HsaRuntime:
@@ -148,27 +161,15 @@ class HsaRuntime:
         Legacy Copy's host-to-device transfers that a later barrier covers
         (zero-copy configurations never use it; Table I prints N/A).
         """
-        if nbytes < 0:
-            raise ValueError(f"negative copy size {nbytes}")
         env = self.env
         sig = Signal(env, tag or "copy")
-        t_submit = env.now
+        copy = _chain(env, sig, self._copy(dst, src, nbytes, tag))
 
-        def start(_ev):
+        def begin(_ev):
             if handler:
                 sig.event.callbacks.append(on_signal)
                 env._event_count += 1  # the handler's bootstrap, popped next
             _when_granted(self.sdma, copy)
-
-        def copy(grant):
-            def done(_ev):
-                if dst is not None and src is not None:
-                    _functional_copy(dst, src)
-                self.sdma.release(grant)
-                self.trace.record("memory_async_copy", t_submit, env.now - t_submit, tag=tag)
-                sig.complete()
-
-            _after(env, self.op_jitter.apply(self.cost.copy_us(nbytes)), done)
 
         def on_signal(_ev):
             dur = self.op_jitter.apply(self.cost.signal_handler_us)
@@ -179,8 +180,48 @@ class HsaRuntime:
 
             _after(env, dur, handled)
 
-        env._bootstrap(start)
+        env._bootstrap(begin)
         return sig
+
+    def copy_and_wait(self, dst: Optional[np.ndarray], src: Optional[np.ndarray],
+                      nbytes: int, tag: str):
+        """(generator) ``memory_async_copy`` and ``signal_wait_scacquire``
+        on its signal at once: Legacy Copy's synchronous transfers."""
+        return self._sync(self.sdma, self._copy(dst, src, nbytes, tag), tag)
+
+    def _copy(self, dst, src, nbytes: int, tag: str) -> Callable:
+        """A copy's chain from its SDMA grant (see ``_chain``)."""
+        if nbytes < 0:
+            raise ValueError(f"negative copy size {nbytes}")
+        env = self.env
+        t_submit = env.now
+
+        def start(grant):
+            def finish():
+                if dst is not None and src is not None:
+                    _functional_copy(dst, src)
+                self.sdma.release(grant)
+                self.trace.record("memory_async_copy", t_submit, env.now - t_submit, tag=tag)
+
+            return self.op_jitter.apply(self.cost.copy_us(nbytes)), finish
+
+        return start
+
+    def _sync(self, res: Resource, start: Callable, tag: str):
+        """(generator) Run the chain ``start`` on ``res`` and wait on it at
+        once; returns its value.  It runs in this frame as far as
+        ``Environment._inline`` lets it, then as the asynchronous call does."""
+        env = self.env
+        t0 = env.now
+        ran = env._inline(res, start)
+        if ran is not None and ran[0]:
+            return self._wait(t0, None, ran[1])
+        sig = Signal(env, tag)
+        if ran is None:
+            env._bootstrap(lambda _ev: _when_granted(res, _chain(env, sig, start)))
+        else:
+            _complete_after(env, sig, *ran[1])
+        return self._wait(t0, sig)
 
     # ------------------------------------------------------------------
     # signal waits
@@ -193,12 +234,19 @@ class HsaRuntime:
         latency ratio for this call (2.07–2.71) is far smaller than its
         call-count ratio.
         """
-        t0 = self.env.now
-        yield sig.event
+        return (yield from self._wait(self.env.now, sig))
+
+    def _wait(self, t0: float, sig: Optional[Signal], value=None):
+        """(generator) A ``signal_wait_scacquire`` begun at ``t0`` on
+        ``sig``, or on work already done with ``value``; returns the value."""
+        env = self.env
+        if sig is not None:
+            value = yield sig.event
         base = self.op_jitter.apply(self.cost.signal_wait_base_us)
-        if not self.env.fuse(base):
-            yield self.env.timeout(base)
-        self.trace.record("signal_wait_scacquire", t0, self.env.now - t0)
+        if not env.fuse(base):
+            yield env.timeout(base)
+        self.trace.record("signal_wait_scacquire", t0, env.now - t0)
+        return value
 
     def signal_wait_scacquire_all(self, sigs: Sequence[Signal]):
         """(generator) One barrier wait over several signals (one traced
@@ -207,10 +255,7 @@ class HsaRuntime:
         pending = [s.event for s in sigs if not s.done]
         if pending:
             yield AllOf(self.env, pending)
-        base = self.op_jitter.apply(self.cost.signal_wait_base_us)
-        if not self.env.fuse(base):
-            yield self.env.timeout(base)
-        self.trace.record("signal_wait_scacquire", t0, self.env.now - t0)
+        yield from self._wait(t0, None)
 
     # ------------------------------------------------------------------
     # Eager-Maps prefault
@@ -248,17 +293,31 @@ class HsaRuntime:
         duration (the MI overhead of Table III).  ``fn`` is the functional
         payload, executed at kernel completion.
         """
+        env = self.env
+        sig = Signal(env, name)
+        run = _chain(env, sig, self._kernel(name, compute_us, fn, fault_ranges, on_complete))
+        env._bootstrap(lambda _ev: _when_granted(self.queues, run))
+        return sig
+
+    def dispatch_and_wait(self, name, compute_us, fn=None, fault_ranges=None, on_complete=None):
+        """(generator) :meth:`dispatch_kernel` (same arguments) and
+        ``signal_wait_scacquire`` on its signal at once: a target region
+        without ``nowait``.  Returns the :class:`KernelRecord`."""
+        return self._sync(
+            self.queues, self._kernel(name, compute_us, fn, fault_ranges, on_complete), name)
+
+    def _kernel(self, name, compute_us, fn, fault_ranges, on_complete) -> Callable:
+        """A kernel's chain from its queue grant (see ``_chain``)."""
         if compute_us < 0:
             raise ValueError(f"negative kernel time {compute_us}")
         env = self.env
-        sig = Signal(env, name)
         t_submit = env.now
 
-        def run(grant):
+        def start(grant):
             t_start = env.now
             fr = self.driver.service_xnack_faults(fault_ranges or [])
 
-            def done(_ev):
+            def finish():
                 if fn is not None:
                     fn()
                 self.queues.release(grant)
@@ -266,10 +325,9 @@ class HsaRuntime:
                                    fr.stall_us, fr.n_faults)
                 if on_complete is not None:
                     on_complete(rec)
-                sig.complete(rec)
+                return rec
 
-            _after(env, self.op_jitter.apply(
-                self.cost.dispatch_us + compute_us + fr.stall_us), done)
+            return self.op_jitter.apply(
+                self.cost.dispatch_us + compute_us + fr.stall_us), finish
 
-        env._bootstrap(lambda _ev: _when_granted(self.queues, run))
-        return sig
+        return start

@@ -219,29 +219,29 @@ class OmpThread:
             check_info = self.rt.recorder.begin_kernel(
                 name, self.tid, self.env.now, maps, touches, uncovered, globals_used
             )
-        sig = self.rt.hsa.dispatch_kernel(
-            name,
-            compute_us,
-            fn=body,
-            fault_ranges=fault_ranges,
-            on_complete=self.rt._on_kernel_complete,
-        )
-        handle = AsyncTarget(sig, maps, check_info=check_info)
+        hsa = self.rt.hsa
+        kernel = (name, compute_us, body, fault_ranges, self.rt._on_kernel_complete)
         if nowait:
-            return handle
-        rec = yield from self.wait(handle)
+            return AsyncTarget(hsa.dispatch_kernel(*kernel), maps, check_info=check_info)
+        t0 = self.env.now
+        rec = yield from hsa.dispatch_and_wait(*kernel)
+        self._waited(check_info, rec, t0)
+        yield from self._policy.map_exit_all(maps, tid=self.tid)
         return rec
 
     def wait(self, handle: AsyncTarget):
         """(generator) Complete a target region: kernel wait + map-exit."""
         t0 = self.env.now
-        yield from self.rt.hsa.signal_wait_scacquire(handle.signal)
-        self.rt.ledger.wait_us += self.env.now - t0
-        rec: KernelRecord = handle.signal.value
-        if self.rt.recorder is not None and handle.check_info is not None:
-            self.rt.recorder.end_kernel(handle.check_info, rec, self.tid, t0)
+        rec = yield from self.rt.hsa.signal_wait_scacquire(handle.signal)
+        self._waited(handle.check_info, rec, t0)
         yield from self._policy.map_exit_all(handle.maps, tid=self.tid)
         return rec
+
+    def _waited(self, check_info, rec: KernelRecord, t0: float) -> None:
+        """Account a kernel wait that began at ``t0`` and returned ``rec``."""
+        self.rt.ledger.wait_us += self.env.now - t0
+        if self.rt.recorder is not None and check_info is not None:
+            self.rt.recorder.end_kernel(check_info, rec, self.tid, t0)
 
     # ------------------------------------------------------------------
     # instrumentation

@@ -33,10 +33,7 @@ __all__ = ["MemoryManager"]
 
 def _size_class(nbytes: int) -> int:
     """Next power of two >= nbytes (the manager's bucket granularity)."""
-    size = 1
-    while size < nbytes:
-        size <<= 1
-    return size
+    return 1 << (nbytes - 1).bit_length()
 
 
 class MemoryManager:

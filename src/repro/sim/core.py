@@ -37,7 +37,12 @@ Design constraints that shaped this module:
     no heap entry is at or before the current time counts one processed
     event and never touches the heap.  A critical section that holds
     only a fixed charge fuses as a whole through ``res.hold(us)``: grant,
-    charge and release in one call, two events counted.  Fusion is held
+    charge and release in one call, two events counted.  A kernel or copy
+    the process waits on at once runs in the process's frame
+    (:meth:`Environment._inline`) when ``grab()`` takes its unit: if its
+    charge fuses too, it completes with no heap entry and no signal,
+    counting the bootstrap, grant, charge, signal and end event; a
+    refused charge goes on as a callback chain.  Fusion is held
     off while an event with several waiters runs their callbacks: the
     later waiters must still see the event's own time.  A
     :class:`Completion`'s lone waiter runs unheld instead; the end event
@@ -608,6 +613,30 @@ class Environment:
         ev.succeed()
         ev.add_callback(fn)
         return ev
+
+    def _inline(self, res: Any, start: Callable) -> Optional[tuple]:
+        """Run in place a callback chain the running process waits on at once.
+
+        The chain is a bootstrap at ``now``, a grant of a unit of ``res``,
+        ``start(grant)`` returning ``(us, finish)``, the ``us`` charge, then
+        ``finish()`` and the signal the process waits on.  Returns ``None``,
+        changing nothing, if ``res.grab()`` refuses.  Else the reference
+        engine would pop the bootstrap and the grant next, so ``start`` runs
+        here.  If the charge fuses, ``finish`` runs too and ``(True, value)``
+        is returned, with the bootstrap, the signal's pop and the end event
+        behind it counted: no heap entry, no suspension.  Else only the
+        bootstrap is counted and ``(False, (us, finish))`` is returned.
+        """
+        grant = res.grab()  # counts an owed end event, then the grant
+        if grant is None:
+            return None
+        self._event_count += 1  # the bootstrap, popped before the grant
+        us, finish = start(grant)
+        if not self.fuse(us):
+            return False, (us, finish)
+        value = finish()
+        self._event_count += 2  # the signal's pop and the end event behind it
+        return True, value
 
     def _elide(self) -> None:
         """Count the end event a callback chain's process would queue now:

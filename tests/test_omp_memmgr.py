@@ -20,6 +20,23 @@ def test_size_class_power_of_two():
     assert _size_class(4097) == 8192
 
 
+def _size_class_by_loop(nbytes):
+    size = 1
+    while size < nbytes:
+        size <<= 1
+    return size
+
+
+def test_size_class_matches_doubling_loop():
+    """The closed form agrees with doubling from 1 over every size up to
+    2**17 and around every power of two up to 2**40."""
+    sizes = set(range(1, (1 << 17) + 1))
+    for k in range(1, 41):
+        sizes.update(((1 << k) - 1, 1 << k, (1 << k) + 1))
+    for n in sorted(sizes):
+        assert _size_class(n) == _size_class_by_loop(n), n
+
+
 def churn_body(nbytes, cycles=10):
     def body(th, tid):
         buf = yield from th.alloc("buf", nbytes, payload=np.zeros(4))

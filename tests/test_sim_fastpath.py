@@ -1398,19 +1398,13 @@ def test_reference_engine_builds_every_event_fresh(monkeypatch):
     assert envs[0]._timeout_pool == [] and envs[0]._event_pool == []
 
 
-def test_eager_target_region_pushes_two_heap_entries(monkeypatch):
-    """Each target region of a single-thread Eager cell pushes only its
-    kernel's bootstrap and its completion signal: the map cycles hold the
-    device lock inline, and the post-wait charge fuses behind the signal's
-    lone waiter.  The event count and HSA rows are those of the runtime
-    that pushed a third entry per region for that charge."""
+def _count_pushes(monkeypatch, workload, config):
+    """Run ``workload`` under ``config`` counting heap pushes: returns the
+    run, the pushes of each target region and the pushes of the run."""
     import heapq
 
-    from repro.core import RuntimeConfig
     from repro.experiments.runner import execute
     from repro.omp.api import OmpThread
-    from repro.workloads.base import Fidelity
-    from repro.workloads.specaccel.stencil import Stencil403
 
     pushes = [0]
     push = heapq.heappush
@@ -1430,8 +1424,24 @@ def test_eager_target_region_pushes_two_heap_entries(monkeypatch):
 
     monkeypatch.setattr(heapq, "heappush", counting)
     monkeypatch.setattr(OmpThread, "target", counted_target)
-    run = execute(Stencil403(Fidelity.TEST), RuntimeConfig.EAGER_MAPS)
-    assert per_region == [2] * 41
+    run = execute(workload, config)
+    return run, per_region, pushes[0]
+
+
+def test_eager_target_region_pushes_no_heap_entries(monkeypatch):
+    """A target region of a single-thread Eager cell pushes no heap entry:
+    the map cycles hold the device lock inline, the kernel runs in the
+    host's frame (``Environment._inline``) and the post-wait charge fuses.
+    The event count and HSA rows are those of the runtimes that pushed
+    the kernel's bootstrap and completion signal per region, and before
+    them a third entry for that charge."""
+    from repro.core import RuntimeConfig
+    from repro.workloads.base import Fidelity
+    from repro.workloads.specaccel.stencil import Stencil403
+
+    run, per_region, _ = _count_pushes(
+        monkeypatch, Stencil403(Fidelity.TEST), RuntimeConfig.EAGER_MAPS)
+    assert per_region == [0] * 41
     assert run.sim_events == 912
     assert run.hsa_trace.as_rows() == [
         ("signal_wait_scacquire", 42, 1000504.3698057143, 23821.53261442177),
@@ -1439,3 +1449,30 @@ def test_eager_target_region_pushes_two_heap_entries(monkeypatch):
         ("memory_pool_allocate", 19, 7090.0, 373.1578947368421),
         ("memory_async_copy", 3, 118.60251428571429, 39.53417142857143),
     ]
+
+
+def test_usm_lbm_target_region_pushes_no_heap_entries(monkeypatch):
+    """The same for every target region of a single-thread USM lbm cell,
+    whose kernels fault on first touch."""
+    from repro.core import RuntimeConfig
+    from repro.workloads.base import Fidelity
+    from repro.workloads.specaccel.lbm import Lbm404
+
+    _, per_region, _ = _count_pushes(
+        monkeypatch, Lbm404(Fidelity.TEST), RuntimeConfig.UNIFIED_SHARED_MEMORY)
+    assert per_region == [0] * 150
+
+
+def test_copy_lbm_heap_pushes(monkeypatch):
+    """A whole single-thread Copy lbm cell: kernels and d2h copies run
+    in the host's frame; the async h2d copies and their handlers still
+    push.  The runtime that ran every kernel and copy as a callback chain
+    pushed 4,382 entries here, counted the same way."""
+    from repro.core import RuntimeConfig
+    from repro.workloads.base import Fidelity
+    from repro.workloads.specaccel.lbm import Lbm404
+
+    run, _, pushes = _count_pushes(
+        monkeypatch, Lbm404(Fidelity.TEST), RuntimeConfig.COPY)
+    assert pushes == 3630
+    assert run.sim_events == 11807
