@@ -123,12 +123,12 @@ def _fig_grid(args, threads):
     )
 
 
-def cmd_fig3(args) -> str:
-    return render_fig3(_fig_grid(args, tuple(args.threads)))
+def cmd_fig3(args, grid=None) -> str:
+    return render_fig3(grid if grid is not None else _fig_grid(args, tuple(args.threads)))
 
 
-def cmd_fig4(args) -> str:
-    return render_fig4(_fig_grid(args, (8,)), threads=8)
+def cmd_fig4(args, grid=None) -> str:
+    return render_fig4(grid if grid is not None else _fig_grid(args, (8,)), threads=8)
 
 
 def cmd_table1(args) -> str:
@@ -154,9 +154,11 @@ def cmd_table3(args) -> str:
 
 
 def cmd_all(args) -> str:
+    # Fig 3's grid holds every Fig 4 cell, with the same seeds, when it has 8 threads
+    grid = _fig_grid(args, tuple(args.threads)) if 8 in args.threads else None
     parts = [
-        cmd_fig3(args),
-        cmd_fig4(args),
+        cmd_fig3(args, grid),
+        cmd_fig4(args, grid),
         cmd_table1(args),
         cmd_table2(args),
         cmd_table3(args),

@@ -66,13 +66,11 @@ class DataPolicy:
 
     # -- helpers ---------------------------------------------------------
     def _note_map(self, op, clause, tid, t0, *, is_new, refcount, removed):
-        """Report one map operation to the MapCheck recorder (if attached)."""
-        rec = self.rt.recorder
-        if rec is not None:
-            rec.note_map(
-                op, clause, tid, t0, self.env.now,
-                is_new=is_new, refcount=refcount, removed=removed,
-            )
+        """Report one map operation to ``rt.recorder`` (called only when set)."""
+        self.rt.recorder.note_map(
+            op, clause, tid, t0, self.env.now,
+            is_new=is_new, refcount=refcount, removed=removed,
+        )
 
     def _locked(self, us: float):
         """(generator) One device-lock cycle holding only a ``us`` charge:
@@ -137,67 +135,73 @@ class CopyPolicy(DataPolicy):
         self.ledger.mm_copy_us += self.env.now - t0
 
     def map_enter_all(self, clauses: Sequence[MapClause], tid=None):
+        env, lock, table, ledger = self.env, self.rt.lock, self.table, self.ledger
+        call_us, rec = self.cost.omp_runtime_call_us, self.rt.recorder
         h2d_signals = []
         for clause in clauses:
             if clause.kind in (MapKind.RELEASE, MapKind.DELETE):
                 raise MappingError(f"map({clause.kind.value}) is exit-only")
             buf = clause.buffer
             buf.check_alive()
-            self.ledger.n_map_enters += 1
-            t_op = self.env.now
-            grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
+            ledger.n_map_enters += 1
+            t_op = env.now if rec is not None else None
+            grant = lock.grab() or (yield lock.acquire())
             try:
-                if not self.env.fuse(self.cost.omp_runtime_call_us):
-                    yield self.env.timeout(self.cost.omp_runtime_call_us)
-                entry = self.table.lookup(buf)
+                if not env.fuse(call_us):
+                    yield env.timeout(call_us)
+                entry = table.lookup(buf)
                 is_new = entry is None
                 if is_new:
-                    t0 = self.env.now
+                    t0 = env.now
                     rng = yield from self.rt.device_mem.allocate(buf.nbytes)
-                    self.ledger.mm_alloc_us += self.env.now - t0
+                    ledger.mm_alloc_us += env.now - t0
                     entry = PresentEntry(
                         host=buf, device=DeviceBuffer(rng, buf.payload), refcount=0
                     )
-                    self.table.insert(entry)
+                    table.insert(entry)
                 entry.refcount += 1
             finally:
-                self.rt.lock.release(grant)
+                lock.release(grant)
             if clause.kind.copies_to_device and (is_new or clause.always):
                 sig = self.hsa.memory_async_copy(entry.device.payload, buf.payload, buf.nbytes,
                                                  tag=f"h2d:{buf.name}", handler=True)
-                self.ledger.mm_copy_us += self.cost.copy_us(buf.nbytes)
-                self.ledger.h2d_bytes += buf.nbytes
+                ledger.mm_copy_us += self.cost.copy_us(buf.nbytes)
+                ledger.h2d_bytes += buf.nbytes
                 h2d_signals.append(sig)
-            self._note_map("enter", clause, tid, t_op,
-                           is_new=is_new, refcount=entry.refcount, removed=False)
+            if rec is not None:
+                self._note_map("enter", clause, tid, t_op,
+                               is_new=is_new, refcount=entry.refcount, removed=False)
         return h2d_signals
 
     def map_exit_all(self, clauses: Sequence[MapClause], tid=None):
+        env, lock, table, ledger = self.env, self.rt.lock, self.table, self.ledger
+        call_us, rec = self.cost.omp_runtime_call_us, self.rt.recorder
         for clause in clauses:
             buf = clause.buffer
             buf.check_alive()
-            self.ledger.n_map_exits += 1
-            t_op = self.env.now
-            if not self.rt.lock.hold(self.cost.omp_runtime_call_us):
-                yield from self._locked(self.cost.omp_runtime_call_us)
-            entry = self.table.release(buf, delete=clause.kind is MapKind.DELETE)
+            ledger.n_map_exits += 1
+            t_op = env.now if rec is not None else None
+            if not lock.hold(call_us):
+                yield from self._locked(call_us)
+            entry = table.release(buf, delete=clause.kind is MapKind.DELETE)
             last = entry.refcount == 0
             if clause.kind.copies_to_host and (last or clause.always):
                 yield from self._copy(buf.payload, entry.device.payload, buf.nbytes,
                                       f"d2h:{buf.name}")
-                self.ledger.d2h_bytes += buf.nbytes
+                ledger.d2h_bytes += buf.nbytes
             if last:
-                grant = self.rt.lock.grab() or (yield self.rt.lock.acquire())
+                grant = lock.grab() or (yield lock.acquire())
                 try:
-                    t0 = self.env.now
+                    t0 = env.now
                     yield from self.rt.device_mem.free(entry.device.range)
                     entry.device.freed = True
-                    self.ledger.mm_alloc_us += self.env.now - t0
-                    self.table.remove(entry)
+                    ledger.mm_alloc_us += env.now - t0
+                    table.remove(entry)
                 finally:
-                    self.rt.lock.release(grant)
-            self._note_map("exit", clause, tid, t_op,
-                           is_new=False, refcount=entry.refcount, removed=last)
+                    lock.release(grant)
+            if rec is not None:
+                self._note_map("exit", clause, tid, t_op,
+                               is_new=False, refcount=entry.refcount, removed=last)
 
     def resolve_kernel_args(self, clauses):
         args: Dict[str, np.ndarray] = {}
@@ -242,47 +246,51 @@ class ZeroCopyPolicy(DataPolicy):
     """Shared behaviour of the three zero-copy configurations: maps do
     presence bookkeeping only; kernels receive host pointers."""
 
+    _post_enter = None  #: generator method run after each map-enter (Eager's prefault)
+
     def map_enter_all(self, clauses: Sequence[MapClause], tid=None):
+        env, lock, table, ledger = self.env, self.rt.lock, self.table, self.ledger
+        call_us, rec = self.cost.zc_map_call_us, self.rt.recorder
+        post_enter = self._post_enter
         for clause in clauses:
             if clause.kind in (MapKind.RELEASE, MapKind.DELETE):
                 raise MappingError(f"map({clause.kind.value}) is exit-only")
             buf = clause.buffer
             buf.check_alive()
-            self.ledger.n_map_enters += 1
-            t_op = self.env.now
-            if not self.rt.lock.hold(self.cost.zc_map_call_us):
-                yield from self._locked(self.cost.zc_map_call_us)
-            entry = self.table.lookup(buf)
+            ledger.n_map_enters += 1
+            t_op = env.now if rec is not None else None
+            if not lock.hold(call_us):
+                yield from self._locked(call_us)
+            entry = table.lookup(buf)
             is_new = entry is None
             if is_new:
                 entry = PresentEntry(host=buf, device=None, refcount=0)
-                self.table.insert(entry)
+                table.insert(entry)
             entry.refcount += 1
-            self._note_map("enter", clause, tid, t_op,
-                           is_new=is_new, refcount=entry.refcount, removed=False)
-            yield from self._post_enter(clause)
+            if rec is not None:
+                self._note_map("enter", clause, tid, t_op,
+                               is_new=is_new, refcount=entry.refcount, removed=False)
+            if post_enter is not None:
+                yield from post_enter(clause)
         return []
 
-    def _post_enter(self, clause: MapClause):
-        """Hook for Eager Maps' prefaulting; default does nothing."""
-        return
-        yield  # pragma: no cover - makes this a generator
-
     def map_exit_all(self, clauses: Sequence[MapClause], tid=None):
+        env, lock, table, ledger = self.env, self.rt.lock, self.table, self.ledger
+        call_us, rec = self.cost.zc_map_call_us, self.rt.recorder
         for clause in clauses:
-            clause.buffer.check_alive()
-            self.ledger.n_map_exits += 1
-            t_op = self.env.now
-            if not self.rt.lock.hold(self.cost.zc_map_call_us):
-                yield from self._locked(self.cost.zc_map_call_us)
-            entry = self.table.release(
-                clause.buffer, delete=clause.kind is MapKind.DELETE
-            )
+            buf = clause.buffer
+            buf.check_alive()
+            ledger.n_map_exits += 1
+            t_op = env.now if rec is not None else None
+            if not lock.hold(call_us):
+                yield from self._locked(call_us)
+            entry = table.release(buf, delete=clause.kind is MapKind.DELETE)
             removed = entry.refcount == 0
             if removed:
-                self.table.remove(entry)
-            self._note_map("exit", clause, tid, t_op,
-                           is_new=False, refcount=entry.refcount, removed=removed)
+                table.remove(entry)
+            if rec is not None:
+                self._note_map("exit", clause, tid, t_op,
+                               is_new=False, refcount=entry.refcount, removed=removed)
 
     def resolve_kernel_args(self, clauses):
         args = {c.buffer.name: c.buffer.payload for c in clauses}

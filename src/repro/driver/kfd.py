@@ -36,8 +36,7 @@ charges, which is what lets the HSA facade fuse them through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from ..core.params import CostModel
 from ..memory.layout import DEVICE_POOL_BASE, AddressRange, align_up
@@ -51,8 +50,7 @@ class GpuMemoryError(RuntimeError):
     """GPU accessed untranslated memory with XNACK disabled (fatal on HW)."""
 
 
-@dataclass(frozen=True)
-class PrefaultResult:
+class PrefaultResult(NamedTuple):
     """Outcome of one prefault ioctl."""
 
     n_new: int
@@ -60,8 +58,7 @@ class PrefaultResult:
     work_us: float  #: kernel-side work excluding the syscall base cost
 
 
-@dataclass(frozen=True)
-class FaultResult:
+class FaultResult(NamedTuple):
     """Outcome of XNACK servicing for one kernel launch."""
 
     n_faults: int

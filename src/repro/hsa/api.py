@@ -22,8 +22,7 @@ chain in the host's own frame when the reference engine would run it next
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from .signals import Signal
 __all__ = ["HsaRuntime", "KernelRecord"]
 
 
-@dataclass(frozen=True)
-class KernelRecord:
+class KernelRecord(NamedTuple):
     """Completion record carried on a kernel's signal."""
 
     name: str

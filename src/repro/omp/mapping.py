@@ -19,7 +19,7 @@ the full refcount bookkeeping (OpenMP semantics require it for
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, List, Optional
 
 from ..memory.buffers import DeviceBuffer, HostBuffer
@@ -68,19 +68,45 @@ class MapKind(enum.Enum):
         return self in (MapKind.FROM, MapKind.TOFROM)
 
 
-@dataclass(frozen=True)
 class MapClause:
-    """One ``map([always,] kind: buffer)`` clause."""
+    """One ``map([always,] kind: buffer)`` clause: a frozen value with a
+    dataclass ``repr``, cheap to build because workloads build one per launch."""
 
-    buffer: HostBuffer
-    kind: MapKind = MapKind.TOFROM
-    always: bool = False
+    __slots__ = ("buffer", "kind", "always")
 
-    def __post_init__(self):
-        if self.always and self.kind in (MapKind.ALLOC, MapKind.RELEASE, MapKind.DELETE):
-            raise AlwaysMisuseError(
-                f"'always' modifier is meaningless on map({self.kind.value})"
-            )
+    def __init__(self, buffer: HostBuffer, kind: MapKind = MapKind.TOFROM,
+                 always: bool = False):
+        if always and kind in _NEVER_TRANSFERS:
+            raise AlwaysMisuseError(f"'always' modifier is meaningless on map({kind.value})")
+        _set_buffer(self, buffer)
+        _set_kind(self, kind)
+        _set_always(self, always)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return MapClause, (self.buffer, self.kind, self.always)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.buffer, self.kind, self.always) == (other.buffer, other.kind, other.always)
+
+    def __hash__(self):
+        return hash((self.buffer, self.kind, self.always))
+
+    def __repr__(self):
+        return f"MapClause(buffer={self.buffer!r}, kind={self.kind!r}, always={self.always!r})"
+
+
+_NEVER_TRANSFERS = (MapKind.ALLOC, MapKind.RELEASE, MapKind.DELETE)
+_set_buffer = MapClause.buffer.__set__
+_set_kind = MapClause.kind.__set__
+_set_always = MapClause.always.__set__
 
 
 @dataclass
@@ -114,9 +140,9 @@ class PresentTable:
         self.lock_probe = None
 
     def _notify(self, op: str, buffer: Optional[HostBuffer], refcount) -> None:
-        if self.observer is not None:
-            locked = bool(self.lock_probe()) if self.lock_probe is not None else True
-            self.observer.note_table(op, buffer, refcount, locked)
+        """Report to the observer; callers call it only when one is set."""
+        locked = bool(self.lock_probe()) if self.lock_probe is not None else True
+        self.observer.note_table(op, buffer, refcount, locked)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -152,22 +178,26 @@ class PresentTable:
         self._entries[key] = entry
         if len(self._entries) > self.peak_entries:
             self.peak_entries = len(self._entries)
-        self._notify("insert", entry.host, entry.refcount)
+        if self.observer is not None:
+            self._notify("insert", entry.host, entry.refcount)
 
     def remove(self, entry: PresentEntry) -> None:
         found = self._entries.pop(entry.key, None)
         if found is not entry:
             raise MappingError(f"removing unknown present-table entry {entry.host.name!r}")
-        self._notify("remove", entry.host, entry.refcount)
+        if self.observer is not None:
+            self._notify("remove", entry.host, entry.refcount)
 
     def retain(self, buffer: HostBuffer) -> PresentEntry:
         """Increment the refcount of an existing entry."""
         entry = self.lookup(buffer)
         if entry is None:
-            self._notify("retain_absent", buffer, None)
+            if self.observer is not None:
+                self._notify("retain_absent", buffer, None)
             raise MappingError(f"retain of absent buffer {buffer.name!r}")
         entry.refcount += 1
-        self._notify("retain", buffer, entry.refcount)
+        if self.observer is not None:
+            self._notify("retain", buffer, entry.refcount)
         return entry
 
     def release(self, buffer: HostBuffer, delete: bool = False) -> PresentEntry:
@@ -179,10 +209,12 @@ class PresentTable:
         """
         entry = self.lookup(buffer)
         if entry is None:
-            self._notify("release_absent", buffer, None)
+            if self.observer is not None:
+                self._notify("release_absent", buffer, None)
             raise MappingError(f"unmap of absent buffer {buffer.name!r}")
         if entry.refcount <= 0:
-            self._notify("underflow", buffer, entry.refcount)
+            if self.observer is not None:
+                self._notify("underflow", buffer, entry.refcount)
             raise RefcountUnderflowError(
                 f"refcount underflow for {buffer.name!r}: release at refcount "
                 f"{entry.refcount} (unbalanced map-exit)"
@@ -191,7 +223,8 @@ class PresentTable:
             entry.refcount = 0
         else:
             entry.refcount -= 1
-        self._notify("release", buffer, entry.refcount)
+        if self.observer is not None:
+            self._notify("release", buffer, entry.refcount)
         return entry
 
     def entries(self) -> List[PresentEntry]:

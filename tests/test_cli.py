@@ -60,3 +60,52 @@ def test_fig3_cache_warm_run_identical(tmp_path, capsys):
     assert warm == cold
     # the cache directory was actually populated
     assert any((tmp_path / "cache").iterdir())
+
+
+class _StubRatio:
+    """A grid cell whose ratio is a fixed function of its coordinates."""
+
+    def __init__(self, size, threads):
+        self.size, self.threads = size, threads
+
+    def ratio(self, config):
+        return self.size + self.threads / 10 + len(config.name) / 100
+
+
+def _stub_grid_collector(monkeypatch):
+    """Replace the QMCPack grid collector and the three tables with stubs;
+    returns the list of ``threads`` each grid collection asked for."""
+    import repro.cli as cli
+    from repro.experiments.figures import QmcPackGrid
+
+    calls = []
+
+    def collect(sizes, threads, *, fidelity, reps, **_kw):
+        calls.append(tuple(threads))
+        grid = QmcPackGrid(fidelity=fidelity, reps=reps)
+        grid.cells = {(s, t): _StubRatio(s, t) for s in sizes for t in threads}
+        return grid
+
+    monkeypatch.setattr(cli, "collect_qmcpack_grid", collect)
+    for name in ("cmd_table1", "cmd_table2", "cmd_table3"):
+        monkeypatch.setattr(cli, name, lambda _args, name=name: name)
+    return calls
+
+
+@pytest.mark.parametrize("threads, grids", [
+    ("1,8", [(1, 8)]),
+    ("1,2,4,8", [(1, 2, 4, 8)]),
+    ("1,2", [(1, 2), (8,)]),
+])
+def test_all_collects_the_qmcpack_grid_once_when_it_has_8_threads(monkeypatch, threads, grids):
+    import repro.cli as cli
+
+    calls = _stub_grid_collector(monkeypatch)
+    args = build_parser().parse_args(["all", "--quick", "--sizes", "2,8", "--threads", threads])
+    sections = cli.cmd_all(args).split("\n\n" + "=" * 72 + "\n\n")
+    assert calls == grids
+    assert sections[2:] == ["cmd_table1", "cmd_table2", "cmd_table3"]
+    calls.clear()
+    assert sections[0] == cli.cmd_fig3(args)
+    assert sections[1] == cli.cmd_fig4(args)
+    assert calls == [tuple(int(t) for t in threads.split(",")), (8,)]
