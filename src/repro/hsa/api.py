@@ -13,7 +13,8 @@ env.fuse(us): yield env.timeout(us)``.  Asynchronous operations (SDMA
 copies with their async handlers, kernel dispatches) hand back a
 :class:`Signal` and run as chains of engine callbacks that start where a
 process's bootstrap would have, then take their engine or queue and charge
-their time fused where they can; the events a process would have added
+their time fused where they can, else waiting as bare heap entries
+(``Environment._schedule_call``); the events a process would have added
 are still counted, so ``processed_events`` is unchanged.  Work the host
 waits on at once (``dispatch_and_wait``, ``copy_and_wait``) runs that
 chain in the host's own frame when the reference engine would run it next
@@ -62,24 +63,80 @@ def _when_granted(res: Resource, then: Callable) -> None:
     grant = res.grab()
     if grant is not None:
         return then(grant)
-    res.acquire().callbacks.append(lambda ev: then(ev.value))
+    res.request(then)
 
 
 def _after(env: Environment, us: float, then: Callable) -> None:
-    """Call ``then(event_or_None)`` once ``us`` have passed: fused if it can."""
+    """Call ``then()`` once ``us`` have passed: fused if it can."""
     if env.fuse(us):
-        return then(None)
-    env.timeout(us).callbacks.append(then)
+        return then()
+    env._schedule_call(then, us)
 
 
 def _complete_after(env: Environment, sig: Signal, us: float, finish: Callable) -> None:
     """Complete ``sig`` with ``finish()`` once ``us`` have passed."""
-    _after(env, us, lambda _ev: sig.complete(finish()))
+    _after(env, us, lambda: sig.complete(finish()))
 
 
 def _chain(env: Environment, sig: Signal, start: Callable) -> Callable:
     """The callback form of the chain ``start`` from its grant, completing ``sig``."""
     return lambda grant: _complete_after(env, sig, *start(grant))
+
+
+class _Copy:
+    """One SDMA copy; its bound methods are its chain's steps.  ``_sync``
+    runs ``start(grant) -> (us, finish)``; an asynchronous copy runs
+    ``begin`` → ``granted`` → ``done`` (completing ``sig``), and with a
+    handler ``on_signal`` → ``handled``."""
+
+    __slots__ = ("hsa", "dst", "src", "nbytes", "tag", "t_submit", "grant",
+                 "sig", "handler", "dur")
+
+    def __init__(self, hsa: "HsaRuntime", dst, src, nbytes: int, tag: str,
+                 sig: Optional[Signal] = None, handler: bool = False):
+        if nbytes < 0:
+            raise ValueError(f"negative copy size {nbytes}")
+        self.hsa, self.dst, self.src, self.nbytes, self.tag = hsa, dst, src, nbytes, tag
+        self.t_submit = hsa.env.now
+        self.sig, self.handler = sig, handler
+
+    def start(self, grant) -> tuple:
+        self.grant = grant
+        hsa = self.hsa
+        return hsa.op_jitter.apply(hsa.cost.copy_us(self.nbytes)), self.finish
+
+    def finish(self) -> None:
+        hsa = self.hsa
+        if self.dst is not None and self.src is not None:
+            _functional_copy(self.dst, self.src)
+        hsa.sdma.release(self.grant)
+        hsa.trace.record("memory_async_copy", self.t_submit,
+                         hsa.env.now - self.t_submit, tag=self.tag)
+
+    def begin(self) -> None:
+        hsa = self.hsa
+        if self.handler:
+            self.sig.event.callbacks.append(self.on_signal)
+            hsa.env._event_count += 1  # the handler's bootstrap, popped next
+        _when_granted(hsa.sdma, self.granted)
+
+    def granted(self, grant) -> None:
+        _after(self.hsa.env, self.start(grant)[0], self.done)
+
+    def done(self) -> None:
+        self.finish()
+        self.sig.complete()
+
+    def on_signal(self, _ev) -> None:
+        hsa = self.hsa
+        self.dur = hsa.op_jitter.apply(hsa.cost.signal_handler_us)
+        _after(hsa.env, self.dur, self.handled)
+
+    def handled(self) -> None:
+        sig = self.sig
+        self.hsa.trace.record("signal_async_handler", sig.completed_at, self.dur,
+                              tag=sig.tag)
+        self.hsa.env._elide()  # the handler's end event
 
 
 class HsaRuntime:
@@ -159,51 +216,16 @@ class HsaRuntime:
         Legacy Copy's host-to-device transfers that a later barrier covers
         (zero-copy configurations never use it; Table I prints N/A).
         """
-        env = self.env
-        sig = Signal(env, tag or "copy")
-        copy = _chain(env, sig, self._copy(dst, src, nbytes, tag))
-
-        def begin(_ev):
-            if handler:
-                sig.event.callbacks.append(on_signal)
-                env._event_count += 1  # the handler's bootstrap, popped next
-            _when_granted(self.sdma, copy)
-
-        def on_signal(_ev):
-            dur = self.op_jitter.apply(self.cost.signal_handler_us)
-
-            def handled(_ev):
-                self.trace.record("signal_async_handler", sig.completed_at, dur, tag=sig.tag)
-                env._elide()  # the handler's end event
-
-            _after(env, dur, handled)
-
-        env._bootstrap(begin)
+        sig = Signal(self.env, tag or "copy")
+        copy = _Copy(self, dst, src, nbytes, tag, sig, handler)
+        self.env._schedule_call(copy.begin)
         return sig
 
     def copy_and_wait(self, dst: Optional[np.ndarray], src: Optional[np.ndarray],
                       nbytes: int, tag: str):
         """(generator) ``memory_async_copy`` and ``signal_wait_scacquire``
         on its signal at once: Legacy Copy's synchronous transfers."""
-        return self._sync(self.sdma, self._copy(dst, src, nbytes, tag), tag)
-
-    def _copy(self, dst, src, nbytes: int, tag: str) -> Callable:
-        """A copy's chain from its SDMA grant (see ``_chain``)."""
-        if nbytes < 0:
-            raise ValueError(f"negative copy size {nbytes}")
-        env = self.env
-        t_submit = env.now
-
-        def start(grant):
-            def finish():
-                if dst is not None and src is not None:
-                    _functional_copy(dst, src)
-                self.sdma.release(grant)
-                self.trace.record("memory_async_copy", t_submit, env.now - t_submit, tag=tag)
-
-            return self.op_jitter.apply(self.cost.copy_us(nbytes)), finish
-
-        return start
+        return self._sync(self.sdma, _Copy(self, dst, src, nbytes, tag).start, tag)
 
     def _sync(self, res: Resource, start: Callable, tag: str):
         """(generator) Run the chain ``start`` on ``res`` and wait on it at
@@ -216,7 +238,7 @@ class HsaRuntime:
             return self._wait(t0, None, ran[1])
         sig = Signal(env, tag)
         if ran is None:
-            env._bootstrap(lambda _ev: _when_granted(res, _chain(env, sig, start)))
+            env._schedule_call(lambda: _when_granted(res, _chain(env, sig, start)))
         else:
             _complete_after(env, sig, *ran[1])
         return self._wait(t0, sig)
@@ -294,7 +316,7 @@ class HsaRuntime:
         env = self.env
         sig = Signal(env, name)
         run = _chain(env, sig, self._kernel(name, compute_us, fn, fault_ranges, on_complete))
-        env._bootstrap(lambda _ev: _when_granted(self.queues, run))
+        env._schedule_call(lambda: _when_granted(self.queues, run))
         return sig
 
     def dispatch_and_wait(self, name, compute_us, fn=None, fault_ranges=None, on_complete=None):

@@ -14,14 +14,20 @@ Design constraints that shaped this module:
 * **Throughput.**  QMCPack full-fidelity runs push a few million events
   through the queue, so the hot path is engineered around three costs:
 
-  - *allocation*: processed :class:`Timeout` and bootstrap :class:`Event`
-    objects are recycled through per-environment free lists.  Recycling is
-    gated on ``sys.getrefcount`` — an object is only reclaimed when the
-    engine holds the sole remaining reference — so user-held events keep
-    their historical semantics, and a generation counter stored in every
-    heap entry makes any engine-internal stale reference fail loudly
-    instead of silently firing a reincarnated event.
-  - *heap traffic*: uncontended fixed delays and free resource grants
+  - *allocation*: processed :class:`Timeout` objects are recycled through
+    a per-environment free list.  Recycling is gated on
+    ``sys.getrefcount`` — an object is only reclaimed when the engine
+    holds the sole remaining reference — so user-held events keep their
+    historical semantics, and a generation counter stored in every heap
+    entry makes any engine-internal stale reference fail loudly instead
+    of silently firing a reincarnated event.
+  - *heap traffic*: engine-internal wakes (process starts, the HSA
+    callback chains' steps, grants to ``Resource.request`` waiters,
+    :meth:`Environment._elide`'s no-ops) are *bare entries*
+    ``(time, seq, None, fn)`` (:meth:`Environment._schedule_call`), not
+    events: a bare entry takes one ``seq`` and counts one processed
+    event exactly where the event it replaces did, and the loop calls
+    ``fn()`` as that event's lone callback.  Uncontended fixed delays and free resource grants
     are **fused** inline.  The running process calls
     ``if not env.fuse(us): yield env.timeout(us)``: :meth:`Environment.fuse`
     accumulates the charge in a scalar as long as no other scheduled
@@ -42,7 +48,7 @@ Design constraints that shaped this module:
     (:meth:`Environment._inline`) when ``grab()`` takes its unit: if its
     charge fuses too, it completes with no heap entry and no signal,
     counting the bootstrap, grant, charge, signal and end event; a
-    refused charge goes on as a callback chain.  Fusion is held
+    refused charge goes on as a chain of bare entries.  Fusion is held
     off while an event with several waiters runs their callbacks: the
     later waiters must still see the event's own time.  A
     :class:`Completion`'s lone waiter runs unheld instead; the end event
@@ -51,15 +57,16 @@ Design constraints that shaped this module:
     mark to its stop event, so that event's waiters run held off too
     and none of them fuses past the end of the run.  These calls are valid
     in a process's generator and in a callback the event loop runs (the
-    HSA operations); a callback must settle (read ``env.now``) before it
-    returns, as the loop sets the next event's time without settling.
+    HSA operations' bare entries); a callback must settle (read
+    ``env.now``) before it returns, as the loop sets the next entry's
+    time without settling.
   - *dispatch*: ``run(until=Event)`` inlines the pop/advance/process
     loop with hoisted locals instead of calling :meth:`step` per event.
 
 * **Auditability.**  :class:`ReferenceEnvironment` retains the historical
   one-heap-event-per-delay scheduler (the ``FlatPageTable`` precedent):
   ``fuse``, ``grab`` and ``hold`` always refuse, so every delay and
-  every grant is a heap event, and nothing is recycled.  Both engines count one
+  every grant is a heap entry, and nothing is recycled.  Both engines count one
   processed event per charge and per grant, so ``processed_events`` —
   and every simulated-time observable — is bit-identical between them;
   ``repro bench`` pins that equivalence with a randomized differential.
@@ -71,6 +78,7 @@ Design constraints that shaped this module:
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from sys import getrefcount as _getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -119,7 +127,7 @@ PROCESSED = 2  # callbacks have run
 RECYCLED = 3   # returned to the environment's free list
 
 
-#: free lists are bounded so a one-off burst cannot pin memory forever
+#: the free list is bounded so a one-off burst cannot pin memory forever
 _POOL_MAX = 1024
 
 #: sequence number of the ``run(until=number)`` horizon marker: sorts
@@ -129,6 +137,10 @@ _HORIZON_SEQ = float("inf")
 
 def _stop_mark(event: "Event") -> None:
     """No-op callback :meth:`Environment.run` adds to its stop event."""
+
+
+def _noop() -> None:
+    """Bare heap entry standing for an end event nothing waits on."""
 
 
 class Event:
@@ -279,9 +291,7 @@ class Completion(Event):
     def _process(self) -> None:
         env = self.env
         if _stop_mark in self.callbacks:
-            tail = Event(env)
-            tail._state = TRIGGERED
-            heapq.heappush(env._queue, (env._now, self._tail, tail._era, tail))
+            env._schedule_call(_noop, seq=self._tail)
             return Event._process(self)
         if len(self.callbacks) == 1 and not env._hold:
             env._owed = 1
@@ -327,8 +337,9 @@ class Process(Event):
         #: identity test
         self._cb = self._resume
         self.name = name or getattr(gen, "__name__", "process")
-        # Bootstrap: start executing at the current time.
-        env._bootstrap(self._cb)
+        # Bootstrap: start executing at the current time.  The pending
+        # process itself reads as the trigger: a success with no value.
+        env._schedule_call(partial(self._cb, self))
 
     @property
     def is_alive(self) -> bool:
@@ -482,7 +493,7 @@ class Environment:
     """The simulation clock and event queue.
 
     Time is a float in **microseconds**.  All scheduling goes through
-    :meth:`_schedule`; user code creates events with :meth:`event`,
+    :meth:`_schedule` (events) or :meth:`_schedule_call` (bare entries); user code creates events with :meth:`event`,
     :meth:`timeout` and :meth:`process`, and fuses uncontended delays
     with :meth:`fuse`.
 
@@ -494,7 +505,7 @@ class Environment:
 
     __slots__ = ("_now", "_queue", "_seq", "_event_count",
                  "_pending", "_pending_n", "_hold", "_owed",
-                 "_timeout_pool", "_event_pool")
+                 "_timeout_pool")
 
     def __init__(self, initial_time: float = 0.0):
         self._now: float = float(initial_time)
@@ -510,9 +521,8 @@ class Environment:
         # 1 while a Completion's lone waiter runs and the end event behind
         # the Completion is not counted yet (see Completion._process)
         self._owed = 0
-        # free lists of recycled event objects
+        # free list of recycled timeouts
         self._timeout_pool: List[Timeout] = []
-        self._event_pool: List[Event] = []
 
     # -- clock -------------------------------------------------------------
     @property
@@ -598,21 +608,20 @@ class Environment:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, self._seq, event._era, event))
 
-    def _bootstrap(self, fn: Callable[[Event], None]) -> Event:
-        """An immediately-succeeding event carrying a process's first resume
-        or a callback chain's start (recycled through the event free list)."""
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev._state = TRIGGERED
-            ev._ok = True
-            self._schedule(ev, 0.0)
-            ev.callbacks.append(fn)
-            return ev
-        ev = Event(self)
-        ev.succeed()
-        ev.add_callback(fn)
-        return ev
+    def _schedule_call(self, fn: Callable[[], None], delay: float = 0.0,
+                       seq: int = 0) -> None:
+        """Queue ``fn()`` as a bare heap entry ``delay`` µs from now.
+
+        It takes the next ``seq`` (or the reserved one given) and counts
+        one processed event when popped, exactly where an :class:`Event`
+        scheduled here would; ``fn()`` runs as that event's lone, unheld
+        callback and must settle before it returns (see :meth:`fuse`).
+        """
+        if self._pending_n:
+            self._settle()
+        if not seq:
+            self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue, (self._now + delay, seq, None, fn))
 
     def _inline(self, res: Any, start: Callable) -> Optional[tuple]:
         """Run in place a callback chain the running process waits on at once.
@@ -644,7 +653,7 @@ class Environment:
         if self.peek() > self._now:  # peek() settles first
             self._event_count += 1
         else:
-            Event(self).succeed()
+            self._schedule_call(_noop)
 
     @property
     def processed_events(self) -> int:
@@ -670,7 +679,7 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event."""
         t, _seq, era, event = heapq.heappop(self._queue)
-        if era != event._era:
+        if era is not None and era != event._era:
             raise SimulationError(
                 "stale heap entry: event was recycled while scheduled"
             )
@@ -678,22 +687,18 @@ class Environment:
             raise SimulationError("time went backwards; corrupted queue")
         self._now = t
         self._event_count += 1
+        if era is None:  # a bare entry (_schedule_call)
+            event()
+            return
         event._process()
         # Recycle iff the engine held the only reference (local + arg = 2):
         # user-held events keep their full post-processing semantics.
-        cls = event.__class__
-        if (cls is Timeout and _getrefcount(event) == 2
+        if (event.__class__ is Timeout and _getrefcount(event) == 2
                 and len(self._timeout_pool) < _POOL_MAX):
             event._state = RECYCLED
             event._era += 1
             event._value = None
             self._timeout_pool.append(event)
-        elif (cls is Event and _getrefcount(event) == 2
-                and len(self._event_pool) < _POOL_MAX):
-            event._state = RECYCLED
-            event._era += 1
-            event._value = None
-            self._event_pool.append(event)
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run until ``until`` fires (an Event), until time ``until`` (a
@@ -708,7 +713,7 @@ class Environment:
                 # several-callback event: its callbacks run under _hold,
                 # so no waiter fuses past the end of the run.
                 stop.callbacks.append(_stop_mark)
-            # Inlined stepping loop: hoists the queue, heap pop, free lists
+            # Inlined stepping loop: hoists the queue, heap pop, free list
             # and the refcount probe into locals — per-event method
             # dispatch through step() costs ~25% on charge-light runs.  The
             # processed counter is bumped before each event runs, as in
@@ -717,7 +722,6 @@ class Environment:
             q = self._queue
             pop = heapq.heappop
             tpool = self._timeout_pool
-            epool = self._event_pool
             getref = _getrefcount
             while stop._state != PROCESSED:
                 if not q:
@@ -725,7 +729,7 @@ class Environment:
                         f"event queue drained before {stop!r} fired (deadlock?)"
                     )
                 t, _seq, era, event = pop(q)
-                if era != event._era:
+                if era is not None and era != event._era:
                     raise SimulationError(
                         "stale heap entry: event was recycled while scheduled"
                     )
@@ -733,20 +737,16 @@ class Environment:
                     raise SimulationError("time went backwards; corrupted queue")
                 self._now = t
                 self._event_count += 1
+                if era is None:  # a bare entry (_schedule_call)
+                    event()
+                    continue
                 event._process()
-                cls = event.__class__
-                if (cls is Timeout and getref(event) == 2
+                if (event.__class__ is Timeout and getref(event) == 2
                         and len(tpool) < _POOL_MAX):
                     event._state = RECYCLED
                     event._era += 1
                     event._value = None
                     tpool.append(event)
-                elif (cls is Event and getref(event) == 2
-                        and len(epool) < _POOL_MAX):
-                    event._state = RECYCLED
-                    event._era += 1
-                    event._value = None
-                    epool.append(event)
             if not stop.ok:
                 raise stop._value
             return stop._value
@@ -779,9 +779,8 @@ class ReferenceEnvironment(Environment):
 
     Fusion is permanently held off, so :meth:`fuse` and
     :meth:`~repro.sim.resources.Resource.grab` always refuse: every delay
-    is its own heap-scheduled :class:`Timeout`, every resource grant is a
-    heap-scheduled event, and its un-inlined stepping loop never fills the
-    free lists, so nothing is recycled.  Kept — like ``FlatPageTable`` —
+    and every resource grant is its own heap entry, and its un-inlined
+    stepping loop never fills the free list, so nothing is recycled.  Kept — like ``FlatPageTable`` —
     so a randomized differential can pin the fast path's equivalence on
     every simulated-time observable, including ``processed_events``.
     """
@@ -793,12 +792,15 @@ class ReferenceEnvironment(Environment):
         self._hold = 1
 
     def step(self) -> None:
-        t, _seq, _era, event = heapq.heappop(self._queue)
+        t, _seq, era, event = heapq.heappop(self._queue)
         if t < self._now:
             raise SimulationError("time went backwards; corrupted queue")
         self._now = t
         self._event_count += 1
-        event._process()
+        if era is None:  # a bare entry (_schedule_call)
+            event()
+        else:
+            event._process()
 
     def run(self, until: Optional[Any] = None) -> Any:
         if isinstance(until, Event):

@@ -31,12 +31,18 @@ critical section that holds nothing but a fixed charge fuses as a whole:
 ``if not res.hold(us):`` the pattern above with ``env.fuse(us)`` inside.
 :meth:`Resource.hold` never calls :meth:`Resource.release`, so a tracer
 wrapping ``release`` sees only that slow path.
+
+Engine callback chains (the HSA copies and kernels) take a unit with
+``res.grab()`` or else :meth:`Resource.request`, which runs
+``then(grant)`` from a bare heap entry queued where the grant's event
+would have been: at once on a free unit, else by the handing ``release``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from functools import partial
+from typing import Callable, Deque, Optional
 
 from .core import Environment, Event, SimulationError
 
@@ -72,7 +78,8 @@ class Resource:
         self.capacity = capacity
         self.name = name or f"resource@{id(self):x}"
         self._in_use = 0
-        self._waiters: Deque[tuple[Event, Grant]] = deque()
+        # (event, grant) per acquire(), (bound callback, None) per request()
+        self._waiters: Deque[tuple] = deque()
         # occupancy bookkeeping for utilization diagnostics
         self._busy_time = 0.0
         self._last_change = env.now
@@ -116,6 +123,18 @@ class Resource:
         else:
             self._waiters.append((ev, grant))
         return ev
+
+    def request(self, then: Callable[[Grant], None]) -> None:
+        """:meth:`acquire` for a callback: ``then(grant)`` runs from a bare
+        heap entry (``Environment._schedule_call``) queued where the
+        grant's event would have been."""
+        call = partial(then, Grant(self))
+        if self._in_use < self.capacity and not self._waiters:
+            self._account()
+            self._in_use += 1
+            self.env._schedule_call(call)
+        else:
+            self._waiters.append((call, None))
 
     def grab(self) -> Optional[Grant]:
         """Take a free unit inline: ``res.grab() or (yield res.acquire())``.
@@ -191,9 +210,12 @@ class Resource:
         grant.active = False
         self._account()
         if self._waiters:
-            ev, next_grant = self._waiters.popleft()
             # hand the unit straight over: in_use stays constant
-            ev.succeed(next_grant)
+            waiter, next_grant = self._waiters.popleft()
+            if next_grant is None:  # a request(): the grant is bound in
+                self.env._schedule_call(waiter)
+            else:
+                waiter.succeed(next_grant)
         else:
             self._in_use -= 1
             if self._in_use < 0:  # pragma: no cover - internal invariant

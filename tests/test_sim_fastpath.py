@@ -1334,6 +1334,8 @@ def test_grant_shapes_fused_vs_reference(shape):
 
 @pytest.fixture
 def settled_on_every_pop(monkeypatch):
+    """Check the clock is settled at every pop: an event's ``_process`` and
+    every bare entry queued through ``Environment._schedule_call``."""
     process = Event._process
 
     def checked(self):
@@ -1341,7 +1343,18 @@ def settled_on_every_pop(monkeypatch):
             f"{type(self).__name__} popped with fused charges unsettled")
         process(self)
 
+    schedule_call = Environment._schedule_call
+
+    def checked_schedule_call(self, fn, delay=0.0, seq=0):
+        def call():
+            assert self._pending_n == 0, (
+                f"bare entry {fn!r} popped with fused charges unsettled")
+            fn()
+
+        schedule_call(self, call, delay, seq)
+
     monkeypatch.setattr(Event, "_process", checked)
+    monkeypatch.setattr(Environment, "_schedule_call", checked_schedule_call)
 
 
 @pytest.mark.parametrize("config", ["COPY", "IMPLICIT_ZERO_COPY", "EAGER_MAPS"])
@@ -1359,26 +1372,26 @@ def test_runtime_callbacks_settle_before_returning(settled_on_every_pop, config)
 def test_callback_fusing_without_settling_fails_loudly(settled_on_every_pop):
     env = Environment()
 
-    def settles(_ev):
+    def settles():
         assert env.fuse(1.0)
         assert env.now == 1.0  # reading the clock settles
 
-    def leaves_charge_pending(_ev):
+    def leaves_charge_pending():
         assert env.fuse(1.0)
 
-    env._bootstrap(settles)
+    env._schedule_call(settles)
     env.timeout(5.0)
     env.run()
-    env._bootstrap(leaves_charge_pending)
+    env._schedule_call(leaves_charge_pending)
     env.timeout(5.0)
     with pytest.raises(AssertionError, match="unsettled"):
         env.run()
 
 
 def test_reference_engine_builds_every_event_fresh(monkeypatch):
-    """The reference engine inherits the pool-aware ``timeout`` and
-    ``_bootstrap``; its ``step`` never fills the free lists, so both
-    always build fresh events and the oracle recycles nothing."""
+    """The reference engine inherits the pool-aware ``timeout``; its
+    ``step`` never fills the free list, so it always builds fresh
+    timeouts and the oracle recycles nothing."""
     from repro.core import RuntimeConfig
     from repro.experiments.runner import execute
     from repro.workloads.base import Fidelity
@@ -1395,7 +1408,7 @@ def test_reference_engine_builds_every_event_fresh(monkeypatch):
     run = execute(QmcPackNio(size=2, n_threads=2, fidelity=Fidelity.TEST),
                   RuntimeConfig.COPY, engine="reference")
     assert [env.processed_events for env in envs] == [run.sim_events]
-    assert envs[0]._timeout_pool == [] and envs[0]._event_pool == []
+    assert envs[0]._timeout_pool == []
 
 
 def _count_pushes(monkeypatch, workload, config):
