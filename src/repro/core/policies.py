@@ -21,7 +21,10 @@ indirection); the other three keep a device copy refreshed by
 ``map(always, to:)`` / ``target update`` transfers.
 
 All methods that consume simulated time are generators driven with
-``yield from`` inside a host-thread process.  The policies hold the
+``yield from`` inside a host-thread process: a fixed charge is
+``if not env.fuse(us): yield us`` and a lock grant
+``lock.grab() or (yield lock)``, both bare heap entries when they wait
+(see :class:`repro.sim.core.Process`).  The policies hold the
 libomptarget device lock across present-table manipulation (and, for
 Copy, across pool allocation) — which is exactly the serialization that
 makes Copy scale poorly with host threads (§V.A.2).  A lock cycle that
@@ -76,10 +79,10 @@ class DataPolicy:
         """(generator) One device-lock cycle holding only a ``us`` charge:
         the slow path of ``if not lock.hold(us): yield from self._locked(us)``."""
         lock = self.rt.lock
-        grant = lock.grab() or (yield lock.acquire())
+        grant = lock.grab() or (yield lock)
         try:
             if not self.env.fuse(us):
-                yield self.env.timeout(us)
+                yield us
         finally:
             lock.release(grant)
 
@@ -145,10 +148,10 @@ class CopyPolicy(DataPolicy):
             buf.check_alive()
             ledger.n_map_enters += 1
             t_op = env.now if rec is not None else None
-            grant = lock.grab() or (yield lock.acquire())
+            grant = lock.grab() or (yield lock)
             try:
                 if not env.fuse(call_us):
-                    yield env.timeout(call_us)
+                    yield call_us
                 entry = table.lookup(buf)
                 is_new = entry is None
                 if is_new:
@@ -190,7 +193,7 @@ class CopyPolicy(DataPolicy):
                                       f"d2h:{buf.name}")
                 ledger.d2h_bytes += buf.nbytes
             if last:
-                grant = lock.grab() or (yield lock.acquire())
+                grant = lock.grab() or (yield lock)
                 try:
                     t0 = env.now
                     yield from self.rt.device_mem.free(entry.device.range)
@@ -228,7 +231,7 @@ class CopyPolicy(DataPolicy):
         if entry is None or entry.device is None:
             # motion clauses for absent data are no-ops
             if not self.env.fuse(self.cost.omp_runtime_call_us):
-                yield self.env.timeout(self.cost.omp_runtime_call_us)
+                yield self.cost.omp_runtime_call_us
             return
         dst, src, tag = (
             (entry.device.payload, buf.payload, f"upd-to:{buf.name}")
@@ -301,14 +304,14 @@ class ZeroCopyPolicy(DataPolicy):
         """One shared copy of the data: the update is bookkeeping only."""
         buf.check_alive()
         if not self.env.fuse(self.cost.zc_map_call_us):
-            yield self.env.timeout(self.cost.zc_map_call_us)
+            yield self.cost.zc_map_call_us
 
     def global_update(self, glob: GlobalVar):
         """Implicit Z-C / Eager handle globals "as if operating in Copy
         mode" (§IV.C): a system-scope transfer into the device copy."""
         dur = self.cost.copy_us(glob.nbytes)
         if not self.env.fuse(dur):
-            yield self.env.timeout(dur)
+            yield dur
         np.copyto(glob.device_view(), glob.host_payload)
         self.hsa.trace.record("memory_copy", self.env.now - dur, dur)
         self.ledger.mm_copy_us += dur
@@ -327,7 +330,7 @@ class UsmPolicy(ZeroCopyPolicy):
         """The device pointer aliases the host global: mapping a global
         moves no data (runtime bookkeeping only)."""
         if not self.env.fuse(self.cost.omp_runtime_call_us):
-            yield self.env.timeout(self.cost.omp_runtime_call_us)
+            yield self.cost.omp_runtime_call_us
 
 
 class ImplicitZeroCopyPolicy(ZeroCopyPolicy):
@@ -359,7 +362,7 @@ class EagerMapsPolicy(ZeroCopyPolicy):
             # installing translations takes the process mm lock
             # exclusively; concurrent prefaults from many host threads
             # serialize here (§VI)
-            grant = self.rt.mm_lock.grab() or (yield self.rt.mm_lock.acquire())
+            grant = self.rt.mm_lock.grab() or (yield self.rt.mm_lock)
             try:
                 yield from self.hsa.svm_attributes_set(rng)
             finally:

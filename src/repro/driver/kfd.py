@@ -31,7 +31,8 @@ walk — only the number of Python-level operations changes.
 The driver itself never touches the simulation clock: every method
 returns *durations* (stall/work microseconds) that the calling layer
 charges, which is what lets the HSA facade fuse them through
-``env.fuse(us)`` without this module knowing about the fast path.
+``if not env.fuse(us): yield us`` without this module knowing about the
+fast path or the bare heap entry a refused charge becomes.
 """
 
 from __future__ import annotations

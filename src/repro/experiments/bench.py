@@ -188,11 +188,11 @@ def _scheduler_workout(env, chains: int, chain_len: int) -> Tuple[float, int]:
         for i in range(chains):
             for _ in range(chain_len):
                 if not env.fuse(0.25):
-                    yield env.timeout(0.25)
-            grant = lock.grab() or (yield lock.acquire())
+                    yield 0.25
+            grant = lock.grab() or (yield lock)
             try:
                 if not env.fuse(0.5):
-                    yield env.timeout(0.5)
+                    yield 0.5
             finally:
                 lock.release(grant)
             if i % 8 == 0:

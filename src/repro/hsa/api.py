@@ -9,8 +9,8 @@ prefixes dropped, as in the paper): ``signal_wait_scacquire``,
 
 Methods that consume simulated time are generators driven with ``yield
 from`` inside a host-thread process, charging fixed delays as ``if not
-env.fuse(us): yield env.timeout(us)``.  Asynchronous operations (SDMA
-copies with their async handlers, kernel dispatches) hand back a
+env.fuse(us): yield us``, a bare heap entry when the charge is refused.
+Asynchronous operations (SDMA copies with their async handlers, kernel dispatches) hand back a
 :class:`Signal` and run as chains of engine callbacks that start where a
 process's bootstrap would have, then take their engine or queue and charge
 their time fused where they can, else waiting as bare heap entries
@@ -184,7 +184,7 @@ class HsaRuntime:
         rng, dur, _cached = self.pool.allocate(nbytes)
         dur = self.op_jitter.apply(dur)
         if not self.env.fuse(dur):
-            yield self.env.timeout(dur)
+            yield dur
         self.trace.record("memory_pool_allocate", t0, dur)
         return rng
 
@@ -193,7 +193,7 @@ class HsaRuntime:
         t0 = self.env.now
         dur = self.op_jitter.apply(self.pool.free(rng))
         if not self.env.fuse(dur):
-            yield self.env.timeout(dur)
+            yield dur
         self.trace.record("memory_pool_free", t0, dur)
 
     # ------------------------------------------------------------------
@@ -264,7 +264,7 @@ class HsaRuntime:
             value = yield sig.event
         base = self.op_jitter.apply(self.cost.signal_wait_base_us)
         if not env.fuse(base):
-            yield env.timeout(base)
+            yield base
         self.trace.record("signal_wait_scacquire", t0, env.now - t0)
         return value
 
@@ -290,7 +290,7 @@ class HsaRuntime:
         extra = max(0.0, self.cost.prefault_call_us - self.cost.syscall_base_us)
         dur = self.syscalls.duration(extra + res.work_us)
         if not self.env.fuse(dur):
-            yield self.env.timeout(dur)
+            yield dur
         self.trace.record("svm_attributes_set", t0, dur)
         return res
 

@@ -84,7 +84,7 @@ class OmpThread:
         pages = osalloc.populate_cost_pages(nbytes)
         us = pages * self._cost.os_populate_page_us
         if not self.env.fuse(us):
-            yield self.env.timeout(us)
+            yield us
         return HostBuffer(name, rng, payload=payload, region=region)
 
     def free(self, buf: HostBuffer):
@@ -99,7 +99,7 @@ class OmpThread:
         self.rt.system.os_alloc.free(buf.range)
         buf.freed = True
         if not self.env.fuse(self._cost.syscall_base_us):
-            yield self.env.timeout(self._cost.syscall_base_us)
+            yield self._cost.syscall_base_us
 
     # ------------------------------------------------------------------
     # data environment

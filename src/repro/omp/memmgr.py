@@ -71,7 +71,7 @@ class MemoryManager:
             self.cache_hits += 1
             # cache hit is pure host-side bookkeeping
             if not self.hsa.env.fuse(self.cost.zc_map_call_us):
-                yield self.hsa.env.timeout(self.cost.zc_map_call_us)
+                yield self.cost.zc_map_call_us
             rng = AddressRange(block.start, nbytes)
             self._backing[rng.start] = (bucket, True)
             return rng
@@ -92,7 +92,7 @@ class MemoryManager:
                 AddressRange(rng.start, backing)
             )
             if not self.hsa.env.fuse(self.cost.zc_map_call_us):
-                yield self.hsa.env.timeout(self.cost.zc_map_call_us)
+                yield self.cost.zc_map_call_us
             return
         yield from self.hsa.memory_pool_free(AddressRange(rng.start, backing))
 

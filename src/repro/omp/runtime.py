@@ -11,8 +11,8 @@ pools and kernarg regions; the paper reports 19 calls with one thread and
 90 with eight).
 
 The runtime's fixed bookkeeping delays go through
-``if not env.fuse(us): yield env.timeout(us)`` and its device-lock grants
-through ``lock.grab() or (yield lock.acquire())``, or ``lock.hold(us)``
+``if not env.fuse(us): yield us`` and its device-lock grants
+through ``lock.grab() or (yield lock)``, or ``lock.hold(us)``
 for a cycle that holds only a charge (see :mod:`repro.sim.core`):
 sequential libomptarget/HSA call costs on an
 uncontended host thread fuse into one clock adjustment without a

@@ -23,22 +23,27 @@ Design constraints that shaped this module:
     of silently firing a reincarnated event.
   - *heap traffic*: engine-internal wakes (process starts, the HSA
     callback chains' steps, grants to ``Resource.request`` waiters,
-    :meth:`Environment._elide`'s no-ops) are *bare entries*
-    ``(time, seq, None, fn)`` (:meth:`Environment._schedule_call`), not
-    events: a bare entry takes one ``seq`` and counts one processed
-    event exactly where the event it replaces did, and the loop calls
-    ``fn()`` as that event's lone callback.  Uncontended fixed delays and free resource grants
+    :meth:`Environment._elide`'s no-ops) and a process's own sleeps and
+    lock grants are *bare entries* ``(time, seq, None, fn)``
+    (:meth:`Environment._schedule_call`), not events: a bare entry takes
+    one ``seq`` and counts one processed event exactly where the event
+    it replaces did, and the loop calls ``fn()`` as that event's lone
+    callback.  A process sleeps by yielding a ``float`` delay and waits
+    for a unit by yielding the :class:`~repro.sim.resources.Resource`
+    (see :class:`Process`); ``env.timeout(us)`` and ``res.acquire()``
+    stay the public :class:`Event` API for workloads and tests.
+    Uncontended fixed delays and free resource grants
     are **fused** inline.  The running process calls
-    ``if not env.fuse(us): yield env.timeout(us)``: :meth:`Environment.fuse`
+    ``if not env.fuse(us): yield us``: :meth:`Environment.fuse`
     accumulates the charge in a scalar as long as no other scheduled
     event falls inside the charged window (strict comparison, so
     exact-time ties still interleave exactly as separate timeouts would)
     and returns ``True``; the accumulator settles — one clock jump, no
     heap event — before anything observable: reading ``env.now``,
-    scheduling any event, or suspending on a real event.  A contended
-    charge returns ``False`` and the caller yields a real timeout, which
-    is byte-for-byte the reference behaviour.  Free grants work the same
-    way through ``res.grab() or (yield res.acquire())``
+    scheduling any event, or suspending.  A contended charge returns
+    ``False`` and the caller yields the delay, a heap entry where the
+    reference engine has one.  Free grants work the same
+    way through ``res.grab() or (yield res)``
     (:meth:`repro.sim.resources.Resource.grab`): a free unit taken while
     no heap entry is at or before the current time counts one processed
     event and never touches the heap.  A critical section that holds
@@ -227,15 +232,18 @@ class Event:
 
     def _process(self) -> None:
         self._state = PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
+        callbacks = self.callbacks
         if len(callbacks) == 1:
-            fn = callbacks[0]
+            fn = callbacks.pop()  # in place: no fresh list per event
             if fn is not None:  # None = tombstone left by Process.interrupt
                 fn(self)
+            return
+        if not callbacks:
             return
         # Several waiters: each one's actions must happen at this event's
         # time, before the next waiter runs, so fusion is held off until
         # the last callback returns (see Environment.fuse).
+        self.callbacks = []
         env = self.env
         env._hold += 1
         try:
@@ -319,27 +327,35 @@ class Process(Event):
     succeeds, its value is sent back into the generator; when it fails, the
     exception is thrown into the generator (giving it a chance to handle
     failure).  The process event's value is the generator's return value.
+
+    Two waits need no event: a yielded ``float`` sleeps that many µs, and a
+    yielded :class:`~repro.sim.resources.Resource` waits for a unit and
+    sends in its :class:`~repro.sim.resources.Grant`.  Each is one bare
+    heap entry (:meth:`Environment._schedule_call`) that takes its ``seq``
+    and counts its processed event exactly where ``env.timeout(us)`` or
+    ``res.acquire()`` would have: the slow paths of
+    ``if not env.fuse(us): yield us`` and ``res.grab() or (yield res)``.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "_waiting_slot", "_interrupt_ev",
-                 "_cb", "name")
+    __slots__ = ("_gen", "_waiting_on", "_interrupt_ev", "_cb", "_wake", "name")
 
     def __init__(self, env: "Environment", gen: Generator, name: str = ""):
         if not hasattr(gen, "send"):
             raise TypeError(f"Process expects a generator, got {type(gen)!r}")
         super().__init__(env)
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
-        self._waiting_slot = -1
+        #: what the suspended process waits on: an Event, a float delay or
+        #: a Resource (None while it runs; read only by interrupt)
+        self._waiting_on: Any = None
         self._interrupt_ev: Optional[Event] = None
         #: one bound method reused for every registration — avoids a fresh
-        #: method object per wait and makes interrupt's tombstone check an
-        #: identity test
+        #: method object per wait and lets interrupt find it by identity
         self._cb = self._resume
+        #: the bare wake of a start or a sleep: the pending process itself
+        #: reads as the trigger, a success with no value
+        self._wake = partial(self._cb, self)
         self.name = name or getattr(gen, "__name__", "process")
-        # Bootstrap: start executing at the current time.  The pending
-        # process itself reads as the trigger: a success with no value.
-        env._schedule_call(partial(self._cb, self))
+        env._schedule_call(self._wake)  # start at the current time
 
     @property
     def is_alive(self) -> bool:
@@ -348,48 +364,65 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        Detaching the process from whatever it was waiting on is O(1): the
-        registration slot recorded at suspension is tombstoned (set to
-        ``None``) instead of searched-and-removed.  Interrupting a process
-        whose previous interrupt wakeup is still queued is an error — the
-        second wakeup would resume the generator a second time while it is
-        already running its interrupt handler (a silent double-resume in
-        the historical engine).
+        The process is first detached from its wait, found by a scan: an
+        event's callback is tombstoned (set to ``None``); a sleep's wake,
+        or a grant still queued on the resource or in the heap, becomes a
+        no-op at its place.  Either way the stale entry still pops and
+        counts one event, and a unit handed to it stays in use, granted to
+        nobody.  Interrupting a process whose previous interrupt wakeup is
+        still queued is an error — the second wakeup would resume the
+        generator a second time while it is already running its interrupt
+        handler (a silent double-resume in the historical engine).
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt dead process {self.name!r}")
-        prior = self._interrupt_ev
-        if prior is not None and prior._state != PROCESSED:
+        if self._interrupt_ev is not None:
             raise SimulationError(
                 f"process {self.name!r} already has a queued interrupt "
                 "wakeup (double interrupt before delivery)"
             )
-        target = self._waiting_on
-        if target is not None:
-            slot = self._waiting_slot
+        target, cb = self._waiting_on, self._cb
+        if isinstance(target, Event):
             cbs = target.callbacks
-            if 0 <= slot < len(cbs) and cbs[slot] is self._cb:
-                cbs[slot] = None  # O(1) tombstone; _process skips it
+            for i, fn in enumerate(cbs):
+                if fn is cb:
+                    cbs[i] = None  # tombstone; _process skips it
+                    break
+        elif target is not None:  # a bare wait: the sleep's or the grant's
+            waiters = () if isinstance(target, float) else target._waiters
+            for i, (fn, _grant) in enumerate(waiters):
+                if fn.__class__ is partial and fn.func is cb:
+                    waiters[i] = (_noop, None)  # handed over to nobody
+                    break
+            else:
+                q = self.env._queue
+                for i, entry in enumerate(q):
+                    fn = entry[3]
+                    if entry[2] is None and fn.__class__ is partial and fn.func is cb:
+                        q[i] = entry[:3] + (_noop,)  # same key: heap order holds
+                        break
         self._waiting_on = None
-        self._waiting_slot = -1
         wakeup = Event(self.env)
         self._interrupt_ev = wakeup
         wakeup.fail(Interrupt(cause))
-        wakeup.add_callback(self._cb)
+        wakeup.add_callback(self._interrupted)
 
-    def _resume(self, trigger: Event) -> None:
+    def _interrupted(self, wakeup: Event) -> None:
+        self._interrupt_ev = None
+        self._resume(wakeup)
+
+    def _resume(self, trigger: Any) -> None:
         # Iterative resume loop: if the yielded event is already processed we
         # feed its value straight back in rather than recursing through
         # add_callback — a process draining a long list of completed signals
-        # must not grow the Python stack.
+        # must not grow the Python stack.  A trigger is an Event, or the
+        # process itself (a start or a sleep) or a Grant: both read as a
+        # success carrying their _value.
+        self._waiting_on = None  # no stale reference keeps an event from recycling
         env = self.env
         gen = self._gen
         send = gen.send
         while True:
-            self._waiting_on = None
-            self._waiting_slot = -1
-            if trigger is self._interrupt_ev:
-                self._interrupt_ev = None
             try:
                 nxt = (send(trigger._value) if trigger._ok
                        else gen.throw(trigger._value))
@@ -406,10 +439,23 @@ class Process(Event):
                 else:
                     raise
                 return
+            if isinstance(nxt, float):  # a bare sleep
+                self._waiting_on = nxt
+                env._schedule_call(self._wake, nxt)
+                return
             if not isinstance(nxt, Event):
-                raise SimulationError(
-                    f"process {self.name!r} yielded {type(nxt).__name__}, expected Event"
-                )
+                if not isinstance(nxt, Resource):
+                    raise SimulationError(
+                        f"process {self.name!r} yielded {type(nxt).__name__}, "
+                        "expected Event, float delay or Resource"
+                    )
+                if nxt.env is not env:
+                    raise SimulationError("yielded resource belongs to a different Environment")
+                if env._pending_n:  # suspending: settle, as for an event below
+                    env._settle()
+                self._waiting_on = nxt
+                nxt.request(self._cb)  # a bare grant: sends in the Grant
+                return
             if nxt.env is not env:
                 raise SimulationError("yielded event belongs to a different Environment")
             state = nxt._state
@@ -426,7 +472,6 @@ class Process(Event):
             if env._pending_n:
                 env._settle()
             self._waiting_on = nxt
-            self._waiting_slot = len(nxt.callbacks)
             nxt.callbacks.append(self._cb)
             return
 
@@ -564,7 +609,7 @@ class Environment:
     def fuse(self, delay: float) -> bool:
         """Charge ``delay`` µs in place if nothing can tell the difference.
 
-        ``if not env.fuse(us): yield env.timeout(us)`` is the fused form of
+        ``if not env.fuse(us): yield us`` is the fused form of
         ``yield env.timeout(us)``.  If no heap entry is at or before
         ``now + pending + delay`` (strictly: an exact-time tie must
         interleave in FIFO order, which needs a real heap event) and no
@@ -572,8 +617,9 @@ class Environment:
         current time, the delay joins the accumulator, counts one
         processed event once settled, and ``True`` is returned.
         Otherwise nothing changes and ``False`` tells the caller to yield
-        the real timeout.  Valid in a process's generator or a settling
-        event-loop callback; :class:`ReferenceEnvironment` always refuses.
+        the delay (or a real timeout).  Valid in a process's generator or
+        a settling event-loop callback; :class:`ReferenceEnvironment`
+        always refuses.
         """
         if delay < 0:
             raise ValueError(f"negative charge delay: {delay}")
@@ -825,3 +871,7 @@ class ReferenceEnvironment(Environment):
         while self._queue:
             self.step()
         return None
+
+
+# Resource builds on this module; a yielded one is a bare grant wait.
+from .resources import Resource  # noqa: E402

@@ -10,15 +10,9 @@ Models everything in the stack that serializes concurrent activity:
   libomptarget/ROCr allocation lock that makes Legacy Copy scale poorly
   with host threads (paper §V.A.2).
 
-Requests are context-manager friendly inside processes::
+Inside a process the idiomatic pattern is explicit::
 
-    with (yield res.acquire()) :   # not valid python - use pattern below
-        ...
-
-Because generators cannot ``yield`` inside a ``with`` header cleanly, the
-idiomatic pattern here is explicit::
-
-    grant = res.grab() or (yield res.acquire())
+    grant = res.grab() or (yield res)
     try:
         ...
     finally:
@@ -26,9 +20,13 @@ idiomatic pattern here is explicit::
 
 :meth:`Resource.grab` takes a free unit inline, without a heap event,
 when the fused engine can prove nobody could observe the difference;
-otherwise the process waits on :meth:`Resource.acquire` as usual.  A
-critical section that holds nothing but a fixed charge fuses as a whole:
-``if not res.hold(us):`` the pattern above with ``env.fuse(us)`` inside.
+otherwise the process yields the resource itself and waits through
+:meth:`Resource.request`, which pushes its :class:`Grant` as a bare heap
+entry where :meth:`Resource.acquire`'s event would have been.
+``acquire()`` stays the public :class:`~repro.sim.core.Event` form (for
+workloads, ``AllOf`` over grants and tests).  A critical section that
+holds nothing but a fixed charge fuses as a whole: ``if not res.hold(us):``
+the pattern above with ``env.fuse(us)`` inside.
 :meth:`Resource.hold` never calls :meth:`Resource.release`, so a tracer
 wrapping ``release`` sees only that slow path.
 
@@ -50,9 +48,16 @@ __all__ = ["Resource", "Mutex", "Grant"]
 
 
 class Grant:
-    """Token proving ownership of one unit of a resource."""
+    """Token proving ownership of one unit of a resource.
+
+    It is also the trigger of the bare grant wait it ends: a process
+    resumed by it reads a success carrying the grant itself.
+    """
 
     __slots__ = ("resource", "active")
+
+    _ok = True
+    _value = property(lambda self: self)
 
     def __init__(self, resource: "Resource"):
         self.resource = resource
@@ -78,7 +83,8 @@ class Resource:
         self.capacity = capacity
         self.name = name or f"resource@{id(self):x}"
         self._in_use = 0
-        # (event, grant) per acquire(), (bound callback, None) per request()
+        # (event, grant) per acquire(), (bound callback, None) per request():
+        # (_noop, None) once Process.interrupt detached a waiting process
         self._waiters: Deque[tuple] = deque()
         # occupancy bookkeeping for utilization diagnostics
         self._busy_time = 0.0
@@ -137,7 +143,7 @@ class Resource:
             self._waiters.append((call, None))
 
     def grab(self) -> Optional[Grant]:
-        """Take a free unit inline: ``res.grab() or (yield res.acquire())``.
+        """Take a free unit inline: ``res.grab() or (yield res)``.
 
         Succeeds only when a unit is free, nobody queues for one, no heap
         entry is at or before the current time (the strict-tie rule: the

@@ -1,9 +1,11 @@
 """Engine fast path: inline charge fusion (``Environment.fuse``), inline
 grants (``Resource.grab``) and lock cycles (``Resource.hold``), event
-recycling, O(1) interrupt, and the retained reference scheduler."""
+recycling, interrupts, and the retained reference scheduler."""
 
 import contextlib
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.sim import (
     Event,
     Interrupt,
     Mutex,
+    Process,
     ReferenceEnvironment,
     Resource,
     SimulationError,
@@ -22,25 +25,28 @@ from repro.sim import (
 )
 
 ENGINES = (Environment, ReferenceEnvironment)
+#: how a refused charge or grant waits: the modeled code's bare heap
+#: entries (``yield us``, ``yield res``) or the public Event API
+IDIOMS = ("bare", "event")
 
 
-def _charge(env, us):
+def _charge(env, us, idiom="bare"):
     """(generator) The fused-delay idiom of the modeled code."""
     if not env.fuse(us):
-        yield env.timeout(us)
+        yield us if idiom == "bare" else env.timeout(us)
 
 
-def _take(res):
+def _take(res, idiom="bare"):
     """(generator) The inline-grant idiom of the modeled code."""
-    return res.grab() or (yield res.acquire())
+    return res.grab() or (yield res if idiom == "bare" else res.acquire())
 
 
-def _cycle(env, res, us):
+def _cycle(env, res, us, idiom="bare"):
     """(generator) The inline lock-cycle idiom: a unit held for a charge."""
     if not res.hold(us):
-        grant = yield from _take(res)
+        grant = yield from _take(res, idiom)
         try:
-            yield from _charge(env, us)
+            yield from _charge(env, us, idiom)
         finally:
             res.release(grant)
 
@@ -701,7 +707,7 @@ def test_recycled_timeout_reuse_is_clean():
 
 
 # ---------------------------------------------------------------------------
-# O(1) interrupt + double-interrupt protection
+# interrupt + double-interrupt protection
 # ---------------------------------------------------------------------------
 
 
@@ -974,16 +980,16 @@ def test_stop_process_nobody_waits_on_still_raises_out_of_run():
 # ---------------------------------------------------------------------------
 
 
-def _mixed_workload(env, log):
+def _mixed_workload(env, log, idiom="bare"):
     """Charges, timeouts, a mutex handoff, a condition and an interrupt."""
     lock = Mutex(env)
 
     def worker(wid):
         for i in range(5):
-            yield from _charge(env, 0.5 * (wid + 1))
-            grant = yield from _take(lock)
+            yield from _charge(env, 0.5 * (wid + 1), idiom)
+            grant = yield from _take(lock, idiom)
             try:
-                yield from _charge(env, 1.0)
+                yield from _charge(env, 1.0, idiom)
             finally:
                 lock.release(grant)
             log.append((wid, i, env.now))
@@ -1008,12 +1014,13 @@ def _mixed_workload(env, log):
 
 def test_fused_and_reference_engines_bit_identical():
     logs = {}
-    for cls in (Environment, ReferenceEnvironment):
-        env = cls()
-        log = []
-        env.run(_mixed_workload(env, log))
-        logs[cls] = (log, env.now, env.processed_events)
-    assert logs[Environment] == logs[ReferenceEnvironment]
+    for cls in ENGINES:
+        for idiom in IDIOMS:
+            env = cls()
+            log = []
+            env.run(_mixed_workload(env, log, idiom))
+            logs[cls, idiom] = (log, env.now, env.processed_events)
+    assert len(set(map(repr, logs.values()))) == 1, logs
 
 
 def test_engine_version_exported():
@@ -1036,12 +1043,12 @@ def test_apusystem_rejects_unknown_engine():
 # ---------------------------------------------------------------------------
 
 
-def _resource_program(env, seed):
+def _resource_program(env, seed, idiom="bare"):
     """A seeded random program over Resource capacities 1, 2, 4 and a
     Mutex: exact-time ties, acquires right after same-time timeouts,
     lock cycles (``hold``), also while the worker keeps units of a
     capacity-2 or -4 resource busy, interrupts while waiting in a FIFO,
-    and AllOf over acquires.
+    and AllOf over acquires.  Charges and grants wait in ``idiom``.
     Returns ``(log, resources, stop)``; ``stop`` is None or an event to
     run until."""
     rnd = random.Random(seed)
@@ -1052,12 +1059,12 @@ def _resource_program(env, seed):
     def hold(wid, grants):
         roll = rnd.random()
         if roll < 0.4:
-            yield from _charge(env, rnd.choice((0.0, 0.5, 1.0)))
+            yield from _charge(env, rnd.choice((0.0, 0.5, 1.0)), idiom)
         elif roll < 0.8:
             yield env.timeout(rnd.choice((0.0, 1.0, 2.0)))
         else:
             yield from _cycle(env, rnd.choice(res[1:3]),
-                              rnd.choice((0.0, 0.5, 1.0)))
+                              rnd.choice((0.0, 0.5, 1.0)), idiom)
         log.append((wid, "held", [g.resource.name for g in grants], env.now))
 
     def worker(wid, steps):
@@ -1065,20 +1072,20 @@ def _resource_program(env, seed):
             kind = step[0]
             try:
                 if kind == "charge":
-                    yield from _charge(env, step[1])
+                    yield from _charge(env, step[1], idiom)
                 elif kind == "timeout":
                     yield env.timeout(step[1])
                 elif kind in ("acquire", "tie-acquire"):
                     if kind == "tie-acquire":
                         yield env.timeout(0.0)
-                    grant = yield from _take(step[1])
+                    grant = yield from _take(step[1], idiom)
                     log.append((wid, "got", step[1].name, env.now))
                     try:
                         yield from hold(wid, [grant])
                     finally:
                         step[1].release(grant)
                 elif kind == "cycle":
-                    yield from _cycle(env, step[1], step[2])
+                    yield from _cycle(env, step[1], step[2], idiom)
                     log.append((wid, "cycled", step[1].name, env.now))
                 elif kind == "allof":
                     a, b = step[1], step[2]
@@ -1138,19 +1145,21 @@ def _resource_program(env, seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_resource_programs_fused_vs_reference(seed):
+    """Both engines, each with bare and Event waits: one outcome."""
     sides = {}
     for cls in ENGINES:
-        env = cls()
-        log, res, stop = _resource_program(env, seed)
-        env.run(stop)
-        sides[cls] = (
-            log,
-            env.now,
-            env.processed_events,
-            [r.utilization() for r in res],
-            [(r.in_use, r.queue_length) for r in res],
-        )
-    assert sides[Environment] == sides[ReferenceEnvironment]
+        for idiom in IDIOMS:
+            env = cls()
+            log, res, stop = _resource_program(env, seed, idiom)
+            env.run(stop)
+            sides[cls, idiom] = (
+                log,
+                env.now,
+                env.processed_events,
+                [r.utilization() for r in res],
+                [(r.in_use, r.queue_length) for r in res],
+            )
+    assert len(set(map(repr, sides.values()))) == 1, sides
 
 
 def test_resource_programs_take_and_refuse_holds(monkeypatch):
@@ -1170,6 +1179,30 @@ def test_resource_programs_take_and_refuse_holds(monkeypatch):
         _log, _res, stop = _resource_program(env, seed)
         env.run(stop)
     assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_resource_programs_interrupt_every_bare_wait(monkeypatch):
+    """The differential above interrupts processes in each bare wait: a
+    sleep, a grant still queued on the resource and one already pushed."""
+    hits = Counter()
+    interrupt = Process.interrupt
+
+    def counted(self, cause=None):
+        target = self._waiting_on
+        if isinstance(target, float):
+            hits["sleep"] += 1
+        elif isinstance(target, Resource):
+            queued = any(isinstance(fn, partial) and fn.func is self._cb
+                         for fn, _ in target._waiters)
+            hits["queued grant" if queued else "pending grant"] += 1
+        interrupt(self, cause)
+
+    monkeypatch.setattr(Process, "interrupt", counted)
+    for seed in range(40):
+        env = Environment()
+        _log, _res, stop = _resource_program(env, seed)
+        env.run(stop)
+    assert set(hits) == {"sleep", "queued grant", "pending grant"}, hits
 
 
 def test_uncontended_grants_stay_off_the_heap():
