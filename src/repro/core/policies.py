@@ -145,7 +145,8 @@ class CopyPolicy(DataPolicy):
             if clause.kind in (MapKind.RELEASE, MapKind.DELETE):
                 raise MappingError(f"map({clause.kind.value}) is exit-only")
             buf = clause.buffer
-            buf.check_alive()
+            if buf.freed:
+                buf.check_alive()
             ledger.n_map_enters += 1
             t_op = env.now if rec is not None else None
             grant = lock.grab() or (yield lock)
@@ -181,7 +182,8 @@ class CopyPolicy(DataPolicy):
         call_us, rec = self.cost.omp_runtime_call_us, self.rt.recorder
         for clause in clauses:
             buf = clause.buffer
-            buf.check_alive()
+            if buf.freed:
+                buf.check_alive()
             ledger.n_map_exits += 1
             t_op = env.now if rec is not None else None
             if not lock.hold(call_us):
@@ -259,7 +261,8 @@ class ZeroCopyPolicy(DataPolicy):
             if clause.kind in (MapKind.RELEASE, MapKind.DELETE):
                 raise MappingError(f"map({clause.kind.value}) is exit-only")
             buf = clause.buffer
-            buf.check_alive()
+            if buf.freed:
+                buf.check_alive()
             ledger.n_map_enters += 1
             t_op = env.now if rec is not None else None
             if not lock.hold(call_us):
@@ -282,7 +285,8 @@ class ZeroCopyPolicy(DataPolicy):
         call_us, rec = self.cost.zc_map_call_us, self.rt.recorder
         for clause in clauses:
             buf = clause.buffer
-            buf.check_alive()
+            if buf.freed:
+                buf.check_alive()
             ledger.n_map_exits += 1
             t_op = env.now if rec is not None else None
             if not lock.hold(call_us):
@@ -354,7 +358,7 @@ class EagerMapsPolicy(ZeroCopyPolicy):
     def _post_enter(self, clause: MapClause):
         t0 = self.env.now
         rng = clause.buffer.range
-        if not self.rt.system.driver.has_missing_pages([rng]):
+        if self.rt.system.driver.resident(rng):
             # fast path: presence verification reads the page table under
             # a shared lock — no cross-thread serialization
             yield from self.hsa.svm_attributes_set(rng)

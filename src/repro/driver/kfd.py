@@ -26,7 +26,10 @@ a range is computed as coalesced extents (one ``bisect`` walk), CPU
 frames for each extent are gathered in one pass, and GPU translations are
 installed or shot down per extent.  Fault counts, per-page counters, and
 stall/work microseconds are identical to the historical page-by-page
-walk — only the number of Python-level operations changes.
+walk — only the number of Python-level operations changes.  A resident
+range costs one ``bisect`` (``missing_runs`` returns no gap at once, and
+:meth:`Kfd.resident` answers an Eager map's probe the same way), and the
+launches that fault on nothing share one ``FaultResult(0, 0.0)``.
 
 The driver itself never touches the simulation clock: every method
 returns *durations* (stall/work microseconds) that the calling layer
@@ -64,6 +67,9 @@ class FaultResult(NamedTuple):
 
     n_faults: int
     stall_us: float  #: added to the kernel's execution time
+
+
+_NO_FAULTS = FaultResult(0, 0.0)  #: shared by every launch that faults on nothing
 
 
 class Kfd:
@@ -128,8 +134,9 @@ class Kfd:
         """
         n = 0
         installed: List[int] = []
+        gpu_pt = self.gpu_pt
         for rng in ranges:
-            for gap in self.gpu_pt.missing_runs(rng):
+            for gap in gpu_pt.missing_runs(rng):
                 if not self.xnack_enabled:
                     raise GpuMemoryError(
                         f"GPU touched unmapped page 0x{gap.start:x} "
@@ -138,28 +145,20 @@ class Kfd:
                 frames = self._cpu_frames(gap, "GPU touched page")
                 if self.fault_cost_adjuster is not None:
                     installed.extend(frames)
-                n += self.gpu_pt.install_range(
-                    gap, frames, MapOrigin.XNACK_REPLAY
-                )
+                n += gpu_pt.install_range(gap, frames, MapOrigin.XNACK_REPLAY)
+        if not n:
+            return _NO_FAULTS
         self.xnack_faults_serviced += n
-        stall = 0.0
-        if n:
-            stall = self.cost.xnack_kernel_entry_us + n * self.cost.xnack_fault_us_per_page
-            if self.stall_jitter is not None:
-                stall = self.stall_jitter.apply(stall)
-            if self.fault_cost_adjuster is not None:
-                stall = self.fault_cost_adjuster(installed, stall)
+        stall = self.cost.xnack_kernel_entry_us + n * self.cost.xnack_fault_us_per_page
+        if self.stall_jitter is not None:
+            stall = self.stall_jitter.apply(stall)
+        if self.fault_cost_adjuster is not None:
+            stall = self.fault_cost_adjuster(installed, stall)
         return FaultResult(n, stall)
 
-    def count_missing_pages(self, ranges: List[AddressRange]) -> int:
-        """How many pages a kernel touching these ranges would fault on."""
-        return sum(self.gpu_pt.coverage(rng)[1] for rng in ranges)
-
-    def has_missing_pages(self, ranges: List[AddressRange]) -> bool:
-        """Early-exit presence probe: True as soon as any page of any
-        range lacks a GPU translation (the Eager-Maps fast/slow path
-        decision only needs the boolean, not the count)."""
-        return any(self.gpu_pt.coverage(rng)[1] for rng in ranges)
+    def resident(self, rng: AddressRange) -> bool:
+        """True when every page of ``rng`` has a GPU translation."""
+        return self.gpu_pt.resident(rng)
 
     # -- ROCr pool path (bulk, XNACK-disabled style) -----------------------
     def bulk_map_new_memory(self, nbytes: int) -> Tuple[AddressRange, float]:

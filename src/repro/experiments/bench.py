@@ -435,6 +435,7 @@ def _observable_state(pt, probe: AddressRange):
         pt.missing_pages(probe),
         pt.present_pages(probe),
         pt.coverage(probe),
+        pt.resident(probe),
         [(s, f, o.value) for s, f, o in pt.present_runs(probe)],
         [(r.start, r.nbytes) for r in pt.missing_runs(probe)],
         pt.frames_for(probe),

@@ -15,9 +15,11 @@ Asynchronous operations (SDMA copies with their async handlers, kernel dispatche
 process's bootstrap would have, then take their engine or queue and charge
 their time fused where they can, else waiting as bare heap entries
 (``Environment._schedule_call``); the events a process would have added
-are still counted, so ``processed_events`` is unchanged.  Work the host
-waits on at once (``dispatch_and_wait``, ``copy_and_wait``) runs that
-chain in the host's own frame when the reference engine would run it next
+are still counted, so ``processed_events`` is unchanged.  A copy or a
+kernel launch is one ``_Copy`` or ``_Kernel`` object whose bound methods
+are its chain's steps.  Work the host waits on at once
+(``dispatch_and_wait``, ``copy_and_wait``) runs that chain in the host's
+own frame when the reference engine would run it next
 (``Environment._inline``), and otherwise as the asynchronous call does.
 """
 
@@ -73,21 +75,22 @@ def _after(env: Environment, us: float, then: Callable) -> None:
     env._schedule_call(then, us)
 
 
-def _complete_after(env: Environment, sig: Signal, us: float, finish: Callable) -> None:
-    """Complete ``sig`` with ``finish()`` once ``us`` have passed."""
-    _after(env, us, lambda: sig.complete(finish()))
+class _Chain:
+    """A device operation whose bound methods are its chain's steps: ``_sync``
+    runs ``start(grant) -> (us, finish)`` inline; the asynchronous chain is
+    ``begin`` → ``granted`` → ``done``, completing ``sig`` with ``finish()``."""
+
+    __slots__ = ()
+
+    def granted(self, grant) -> None:
+        _after(self.hsa.env, self.start(grant)[0], self.done)
+
+    def done(self) -> None:
+        self.sig.complete(self.finish())
 
 
-def _chain(env: Environment, sig: Signal, start: Callable) -> Callable:
-    """The callback form of the chain ``start`` from its grant, completing ``sig``."""
-    return lambda grant: _complete_after(env, sig, *start(grant))
-
-
-class _Copy:
-    """One SDMA copy; its bound methods are its chain's steps.  ``_sync``
-    runs ``start(grant) -> (us, finish)``; an asynchronous copy runs
-    ``begin`` → ``granted`` → ``done`` (completing ``sig``), and with a
-    handler ``on_signal`` → ``handled``."""
+class _Copy(_Chain):
+    """One SDMA copy; with a handler its signal runs ``on_signal`` → ``handled``."""
 
     __slots__ = ("hsa", "dst", "src", "nbytes", "tag", "t_submit", "grant",
                  "sig", "handler", "dur")
@@ -97,8 +100,7 @@ class _Copy:
         if nbytes < 0:
             raise ValueError(f"negative copy size {nbytes}")
         self.hsa, self.dst, self.src, self.nbytes, self.tag = hsa, dst, src, nbytes, tag
-        self.t_submit = hsa.env.now
-        self.sig, self.handler = sig, handler
+        self.t_submit, self.sig, self.handler = hsa.env.now, sig, handler
 
     def start(self, grant) -> tuple:
         self.grant = grant
@@ -120,13 +122,6 @@ class _Copy:
             hsa.env._event_count += 1  # the handler's bootstrap, popped next
         _when_granted(hsa.sdma, self.granted)
 
-    def granted(self, grant) -> None:
-        _after(self.hsa.env, self.start(grant)[0], self.done)
-
-    def done(self) -> None:
-        self.finish()
-        self.sig.complete()
-
     def on_signal(self, _ev) -> None:
         hsa = self.hsa
         self.dur = hsa.op_jitter.apply(hsa.cost.signal_handler_us)
@@ -137,6 +132,43 @@ class _Copy:
         self.hsa.trace.record("signal_async_handler", sig.completed_at, self.dur,
                               tag=sig.tag)
         self.hsa.env._elide()  # the handler's end event
+
+
+class _Kernel(_Chain):
+    """One kernel launch: ``start`` services its XNACK faults; ``finish`` runs
+    ``fn``, frees the queue and returns the :class:`KernelRecord`."""
+
+    __slots__ = ("hsa", "name", "compute_us", "fn", "fault_ranges",
+                 "on_complete", "t_submit", "t_start", "grant", "faults", "sig")
+
+    def __init__(self, hsa: "HsaRuntime", name: str, compute_us: float, fn,
+                 fault_ranges, on_complete, sig: Optional[Signal] = None):
+        if compute_us < 0:
+            raise ValueError(f"negative kernel time {compute_us}")
+        self.hsa, self.name, self.compute_us, self.fn = hsa, name, compute_us, fn
+        self.fault_ranges, self.on_complete = fault_ranges or (), on_complete
+        self.t_submit, self.sig = hsa.env.now, sig
+
+    def start(self, grant) -> tuple:
+        hsa = self.hsa
+        self.grant, self.t_start = grant, hsa.env.now
+        self.faults = fr = hsa.driver.service_xnack_faults(self.fault_ranges)
+        return hsa.op_jitter.apply(
+            hsa.cost.dispatch_us + self.compute_us + fr.stall_us), self.finish
+
+    def finish(self) -> KernelRecord:
+        hsa, fr = self.hsa, self.faults
+        if self.fn is not None:
+            self.fn()
+        hsa.queues.release(self.grant)
+        rec = KernelRecord(self.name, self.t_submit, self.t_start, hsa.env.now,
+                           self.compute_us, fr.stall_us, fr.n_faults)
+        if self.on_complete is not None:
+            self.on_complete(rec)
+        return rec
+
+    def begin(self) -> None:
+        _when_granted(self.hsa.queues, self.granted)
 
 
 class HsaRuntime:
@@ -171,6 +203,7 @@ class HsaRuntime:
             scale=speed,
         )
         self.syscalls = SyscallModel(env, cost.syscall_base_us, syscall_jitter)
+        self._prefault_extra_us = max(0.0, cost.prefault_call_us - cost.syscall_base_us)
         self.pool = MemoryPool(cost, driver)
         self.sdma = Resource(env, capacity=cost.n_sdma_engines, name="sdma")
         self.queues = Resource(env, capacity=cost.n_gpu_queues, name="gpu-queues")
@@ -225,22 +258,22 @@ class HsaRuntime:
                       nbytes: int, tag: str):
         """(generator) ``memory_async_copy`` and ``signal_wait_scacquire``
         on its signal at once: Legacy Copy's synchronous transfers."""
-        return self._sync(self.sdma, _Copy(self, dst, src, nbytes, tag).start, tag)
+        return self._sync(self.sdma, _Copy(self, dst, src, nbytes, tag), tag)
 
-    def _sync(self, res: Resource, start: Callable, tag: str):
-        """(generator) Run the chain ``start`` on ``res`` and wait on it at
-        once; returns its value.  It runs in this frame as far as
-        ``Environment._inline`` lets it, then as the asynchronous call does."""
+    def _sync(self, res: Resource, op: _Chain, tag: str):
+        """(generator) Run ``op`` on ``res`` and wait on it at once; returns
+        its value.  It runs in this frame as far as ``Environment._inline``
+        lets it, then as the asynchronous call does."""
         env = self.env
         t0 = env.now
-        ran = env._inline(res, start)
+        ran = env._inline(res, op.start)
         if ran is not None and ran[0]:
             return self._wait(t0, None, ran[1])
-        sig = Signal(env, tag)
+        op.sig = sig = Signal(env, tag)
         if ran is None:
-            env._schedule_call(lambda: _when_granted(res, _chain(env, sig, start)))
+            env._schedule_call(op.begin)
         else:
-            _complete_after(env, sig, *ran[1])
+            _after(env, ran[1][0], op.done)
         return self._wait(t0, sig)
 
     # ------------------------------------------------------------------
@@ -287,8 +320,7 @@ class HsaRuntime:
         """
         t0 = self.env.now
         res: PrefaultResult = self.driver.prefault(rng)
-        extra = max(0.0, self.cost.prefault_call_us - self.cost.syscall_base_us)
-        dur = self.syscalls.duration(extra + res.work_us)
+        dur = self.syscalls.duration(self._prefault_extra_us + res.work_us)
         if not self.env.fuse(dur):
             yield dur
         self.trace.record("svm_attributes_set", t0, dur)
@@ -313,10 +345,9 @@ class HsaRuntime:
         duration (the MI overhead of Table III).  ``fn`` is the functional
         payload, executed at kernel completion.
         """
-        env = self.env
-        sig = Signal(env, name)
-        run = _chain(env, sig, self._kernel(name, compute_us, fn, fault_ranges, on_complete))
-        env._schedule_call(lambda: _when_granted(self.queues, run))
+        sig = Signal(self.env, name)
+        kernel = _Kernel(self, name, compute_us, fn, fault_ranges, on_complete, sig)
+        self.env._schedule_call(kernel.begin)
         return sig
 
     def dispatch_and_wait(self, name, compute_us, fn=None, fault_ranges=None, on_complete=None):
@@ -324,30 +355,4 @@ class HsaRuntime:
         ``signal_wait_scacquire`` on its signal at once: a target region
         without ``nowait``.  Returns the :class:`KernelRecord`."""
         return self._sync(
-            self.queues, self._kernel(name, compute_us, fn, fault_ranges, on_complete), name)
-
-    def _kernel(self, name, compute_us, fn, fault_ranges, on_complete) -> Callable:
-        """A kernel's chain from its queue grant (see ``_chain``)."""
-        if compute_us < 0:
-            raise ValueError(f"negative kernel time {compute_us}")
-        env = self.env
-        t_submit = env.now
-
-        def start(grant):
-            t_start = env.now
-            fr = self.driver.service_xnack_faults(fault_ranges or [])
-
-            def finish():
-                if fn is not None:
-                    fn()
-                self.queues.release(grant)
-                rec = KernelRecord(name, t_submit, t_start, env.now, compute_us,
-                                   fr.stall_us, fr.n_faults)
-                if on_complete is not None:
-                    on_complete(rec)
-                return rec
-
-            return self.op_jitter.apply(
-                self.cost.dispatch_us + compute_us + fr.stall_us), finish
-
-        return start
+            self.queues, _Kernel(self, name, compute_us, fn, fault_ranges, on_complete), name)

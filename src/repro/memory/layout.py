@@ -122,7 +122,7 @@ class AddressRange:
         return pages_in(self.start, self.nbytes, page_size)
 
     def n_pages(self, page_size: int) -> int:
-        return self.page_span(page_size)[1]
+        return page_span(self.start, self.nbytes, page_size)[1]
 
     def __repr__(self) -> str:
         return f"AddressRange(0x{self.start:x}, {self.nbytes}B)"

@@ -20,9 +20,9 @@ list of ``(start_page, frames, origin)`` extents with ``bisect``-based
 lookup.  Batched operations (:meth:`install_range`, :meth:`evict_range`,
 :meth:`missing_runs`, :meth:`coverage`) are O(log runs + touched runs)
 instead of O(pages); the single-page API survives as thin wrappers so
-existing callers and tests keep working unchanged.  The residency
-queries answer the common "one run already covers the whole range" case
-in O(log runs) before building any walk.
+existing callers and tests keep working unchanged.  The residency queries
+(:meth:`resident`, :meth:`coverage`, :meth:`missing_runs`) answer the
+common "one run covers the whole range" case in O(log runs).
 
 PTEs record which mechanism installed them so traces can attribute MI
 (memory initialization) cost to the right configuration behaviour
@@ -194,8 +194,15 @@ class PageTable:
         total = rng.n_pages(self.page_size)
         if self._covers(rng):
             return total, 0
-        present = sum(hi - lo for _, _, lo, hi in self._overlapping(rng))
+        present = self._n_present(rng)
         return present, total - present
+
+    def resident(self, rng: AddressRange) -> bool:
+        """True when no page of ``rng`` lacks a translation."""
+        return self._covers(rng) or self._n_present(rng) == rng.n_pages(self.page_size)
+
+    def _n_present(self, rng: AddressRange) -> int:
+        return sum(hi - lo for _, _, lo, hi in self._overlapping(rng))
 
     def missing_runs(self, rng: AddressRange) -> List[AddressRange]:
         """Maximal contiguous untranslated extents of ``rng``, page
@@ -421,6 +428,9 @@ class FlatPageTable:
             else:
                 missing += 1
         return present, missing
+
+    def resident(self, rng: AddressRange) -> bool:
+        return all(p in self._entries for p in rng.pages(self.page_size))
 
     def missing_runs(self, rng: AddressRange) -> List[AddressRange]:
         ps = self.page_size

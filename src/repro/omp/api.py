@@ -188,29 +188,32 @@ class OmpThread:
         MC-P01 lint exists to flag.
         """
         maps = tuple(maps)
-        touches = tuple(touches)
         sigs = yield from self._policy.map_enter_all(maps, tid=self.tid)
         if sigs:
             t0 = self.env.now
             yield from self.rt.hsa.signal_wait_scacquire_all(sigs)
             self.rt.ledger.wait_us += self.env.now - t0
         args, fault_ranges = self._policy.resolve_kernel_args(maps)
-        fault_ranges = list(fault_ranges) if self.rt.config.is_zero_copy else []
+        fault_ranges = list(fault_ranges) if fault_ranges and self.rt.config.is_zero_copy else []
         uncovered = []
-        for buf in touches:
-            buf.check_alive()
-            args.setdefault(buf.name, buf.payload)
-            if (self.rt.table.find_covering(buf.range) is None
-                    and self.rt.globals.find_covering(buf.range) is None):
-                uncovered.append(buf)
-                fault_ranges.append(buf.range)
+        if touches:
+            touches = tuple(touches)
+            for buf in touches:
+                buf.check_alive()
+                args.setdefault(buf.name, buf.payload)
+                if (self.rt.table.find_covering(buf.range) is None
+                        and self.rt.globals.find_covering(buf.range) is None):
+                    uncovered.append(buf)
+                    fault_ranges.append(buf.range)
         if self.rt.kernel_cost_adjuster is not None:
             compute_us = self.rt.kernel_cost_adjuster(maps, compute_us)
-        gviews = {g.name: self._policy.resolve_global(g) for g in globals_used}
-        if self.rt.config is RuntimeConfig.UNIFIED_SHARED_MEMORY and globals_used:
-            # double-indirection tax + the host global's page is GPU-touched
-            compute_us = compute_us + len(gviews) * self._cost.usm_indirection_us
-            fault_ranges = list(fault_ranges) + [g.range for g in globals_used]
+        gviews = {}
+        if globals_used:
+            gviews = {g.name: self._policy.resolve_global(g) for g in globals_used}
+            if self.rt.config is RuntimeConfig.UNIFIED_SHARED_MEMORY:
+                # double-indirection tax + the host global's page is GPU-touched
+                compute_us = compute_us + len(gviews) * self._cost.usm_indirection_us
+                fault_ranges.extend(g.range for g in globals_used)
         body = None
         if fn is not None:
             body = lambda: fn(args, gviews)  # noqa: E731

@@ -99,10 +99,10 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of capacity busy since time ``since``."""
+    def utilization(self) -> float:
+        """Mean fraction of capacity busy over ``[0, now]``."""
         self._account()
-        horizon = self.env.now - since
+        horizon = self.env.now
         if horizon <= 0:
             return 0.0
         return self._busy_time / (horizon * self.capacity)
@@ -162,7 +162,11 @@ class Resource:
                 if env._owed:
                     env._owed = 0
                     env._event_count += 1
-                self._account()
+                now = env._now  # _account(), inline
+                dt = now - self._last_change
+                if dt > 0:
+                    self._busy_time += dt * self._in_use
+                    self._last_change = now
                 self._in_use += 1
                 env._event_count += 1
                 return Grant(self)
@@ -214,12 +218,19 @@ class Resource:
         if not grant.active:
             raise SimulationError("grant released twice")
         grant.active = False
-        self._account()
+        env = self.env
+        if env._pending_n:  # _account(), inline
+            env._settle()
+        now = env._now
+        dt = now - self._last_change
+        if dt > 0:
+            self._busy_time += dt * self._in_use
+            self._last_change = now
         if self._waiters:
             # hand the unit straight over: in_use stays constant
             waiter, next_grant = self._waiters.popleft()
             if next_grant is None:  # a request(): the grant is bound in
-                self.env._schedule_call(waiter)
+                env._schedule_call(waiter)
             else:
                 waiter.succeed(next_grant)
         else:

@@ -2,8 +2,9 @@
 
 Engine-internal wakes are plain callables queued by
 ``Environment._schedule_call``: process starts, the HSA callback chains
-(an asynchronous copy's ``_Copy`` steps, a kernel's chain), grants handed
-to ``Resource.request`` waiters and the no-op of ``Environment._elide``.
+(the steps of a copy's ``_Copy`` and of a kernel's ``_Kernel``), grants
+handed to ``Resource.request`` waiters and the no-op of
+``Environment._elide``.
 Each takes one ``seq`` and counts one processed event where the
 :class:`Event` it replaces did.  Each case below runs on both engines and
 compares every observable, the detailed HSA rows and the event count
@@ -47,7 +48,7 @@ from repro.workloads.specaccel.lbm import Lbm404
 ENGINES = {"fast": Environment, "reference": ReferenceEnvironment}
 
 #: what a bare entry runs -> the branch it stands for
-_TIMERS = {"_Copy.done", "_Copy.handled", "_complete_after.<locals>.<lambda>"}
+_TIMERS = {"_Chain.done", "_Copy.handled"}
 
 
 def _target(fn):

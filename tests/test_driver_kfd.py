@@ -72,11 +72,26 @@ def test_xnack_unbacked_page_is_fatal():
 
 
 def test_count_missing_pages():
-    _, kfd, osalloc, _, _, _ = make_stack()
+    _, kfd, osalloc, _, gpu_pt, _ = make_stack()
     rng = osalloc.alloc(4 * PAGE_2M)
-    assert kfd.count_missing_pages([rng]) == 4
+    assert gpu_pt.coverage(rng)[1] == 4
     kfd.service_xnack_faults([AddressRange(rng.start, PAGE_2M)])
-    assert kfd.count_missing_pages([rng]) == 3
+    assert gpu_pt.coverage(rng)[1] == 3
+
+
+def test_resident_query_and_shared_zero_fault_result():
+    _, kfd, osalloc, _, _, _ = make_stack()
+    rng = osalloc.alloc(2 * PAGE_2M)
+    assert not kfd.resident(rng)
+    first = kfd.service_xnack_faults([rng])
+    assert first.n_faults == 2
+    assert kfd.resident(rng)
+    # a launch that faults on nothing gets the one shared, immutable result
+    again = kfd.service_xnack_faults([rng])
+    assert again == (0, 0.0)
+    assert kfd.service_xnack_faults([]) is again
+    with pytest.raises(AttributeError):
+        again.n_faults = 1
 
 
 # ---------------------------------------------------------------------------

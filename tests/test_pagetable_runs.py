@@ -8,6 +8,7 @@ randomized differential.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -237,6 +238,7 @@ def _assert_queries_match(runs, flat, rng):
     assert runs.coverage(rng) == flat.coverage(rng)
     assert runs.missing_runs(rng) == flat.missing_runs(rng)
     assert runs.missing_pages(rng) == flat.missing_pages(rng)
+    assert runs.resident(rng) == flat.resident(rng) == (flat.coverage(rng)[1] == 0)
 
 
 _ONE_RUN = [("install", rng_pages(2, 4), [10, 11, 12, 13], MapOrigin.PREFAULT)]
@@ -247,12 +249,14 @@ def test_fast_path_range_ending_at_run_end():
     exact = AddressRange(2 * P, 4 * P)
     assert runs._covers(exact)
     assert runs.coverage(exact) == (4, 0)
+    assert runs.resident(exact) and flat.resident(exact)
     _assert_queries_match(runs, flat, exact)
     # one byte past the run's end: the fast path declines
     past = AddressRange(2 * P, 4 * P + 1)
     assert not runs._covers(past)
     assert runs.coverage(past) == (4, 1)
     assert runs.missing_runs(past) == [AddressRange(6 * P, P)]
+    assert not runs.resident(past) and not flat.resident(past)
     _assert_queries_match(runs, flat, past)
     # one byte before the run's start also declines
     before = AddressRange(2 * P - 1, 2)
@@ -266,6 +270,7 @@ def test_fast_path_unaligned_range_inside_one_page():
     assert runs._covers(inner)
     assert runs.coverage(inner) == (1, 0)
     assert runs.missing_runs(inner) == []
+    assert runs.resident(inner) and flat.resident(inner)
     _assert_queries_match(runs, flat, inner)
     straddle = AddressRange(3 * P + P // 2, P)  # crosses into page 4
     assert runs._covers(straddle)
@@ -278,6 +283,7 @@ def test_fast_path_zero_length_range():
         empty = AddressRange(start, 0)
         assert runs.coverage(empty) == (0, 0)
         assert runs.missing_runs(empty) == []
+        assert runs.resident(empty) and flat.resident(empty)
         _assert_queries_match(runs, flat, empty)
 
 
@@ -290,6 +296,8 @@ def test_fast_path_declines_on_adjacent_runs_of_different_origin():
     assert not runs._covers(both)
     assert runs.coverage(both) == (4, 0)
     assert runs.missing_runs(both) == []
+    # not one run, yet no page is missing: the query walks and says resident
+    assert runs.resident(both) and flat.resident(both)
     _assert_queries_match(runs, flat, both)
 
 
@@ -299,9 +307,11 @@ def test_fast_path_after_partial_evict():
     whole = rng_pages(2, 4)
     assert not runs._covers(whole)
     assert runs.missing_runs(whole) == [rng_pages(3, 1)]
+    assert not runs.resident(whole) and not flat.resident(whole)
     _assert_queries_match(runs, flat, whole)
     tail = AddressRange(4 * P + 1, 2 * P - 1)
     assert runs._covers(tail)
+    assert runs.resident(tail) and flat.resident(tail)
     _assert_queries_match(runs, flat, tail)
     assert not runs._covers(rng_pages(3, 1))
     _assert_queries_match(runs, flat, rng_pages(3, 1))
@@ -313,6 +323,7 @@ def test_fast_path_random_probes_match_flat(seed):
     runs, flat = PageTable(P), FlatPageTable(P)
     origins = list(MapOrigin)
     frame = 0
+    hits = Counter()
     for _ in range(60):
         first, n = rnd.randrange(32), rnd.randint(1, 6)
         rng = rng_pages(first, n)
@@ -326,7 +337,16 @@ def test_fast_path_random_probes_match_flat(seed):
         else:
             for pt in (runs, flat):
                 pt.evict_range(rng)
+        probes = []
         for _ in range(4):
             start = rnd.randrange(40 * P)
-            probe = AddressRange(start, rnd.choice((0, 1, P - 1, P, 3 * P + 5)))
+            probes.append(AddressRange(start, rnd.choice((0, 1, P - 1, P, 3 * P + 5))))
+        # across the seam of two adjacent runs (of different origins)
+        for left, right in zip(runs._runs, runs._runs[1:]):
+            if runs._run_end(left) == right.start:
+                probes.append(AddressRange(right.start - rnd.randint(1, P), 2 * P))
+        for probe in probes:
             _assert_queries_match(runs, flat, probe)
+            hits["one run" if runs._covers(probe) else
+                 "several runs" if runs.resident(probe) else "missing"] += 1
+    assert hits["one run"] and hits["several runs"] and hits["missing"], hits
