@@ -231,9 +231,9 @@ def remediate(
 ) -> RemediationResult:
     """Synthesize, verify and rank fixes for one workload.
 
-    ``dynamic=False`` stops after static verification (the bench tier
-    and the advisor's in-process phase use it); the corpus differential
-    and CI always run the dynamic gate.  ``rebuild`` instantiates the
+    ``dynamic=False`` stops after static verification (``check
+    --fix-dry-run --no-sim`` and the advisor's in-process phase use
+    it); the corpus differential and CI always run the dynamic gate.  ``rebuild`` instantiates the
     workload from a sandbox module when the class needs constructor
     arguments (see :func:`.sandbox.load_patched`).
     """

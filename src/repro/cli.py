@@ -15,9 +15,6 @@
                           [--write-baseline FILE] [--jobs N]
                           [--differential {flow,cost,place,all}]
                           [--fix-dry-run] [--fix-out DIR] [--fix-json FILE]
-    python -m repro bench  [--quick] [--jobs N] [--bench-json BENCH.json]
-                           [--only scheduler|pagetable|meso|static]
-                           [--bench-history DIR]
 
 ``check`` runs the MapCheck sanitizer/lint over a bundled workload (or
 all of them) and exits 1 if any finding survives — suitable for CI.
@@ -63,12 +60,7 @@ to ``--jobs 1``.  ``--cache`` additionally serves unchanged cells from a
 content-addressed on-disk store (``--cache-dir``), so a warm rerun of
 fig3/fig4/table2 performs zero simulations; any input change (workload
 parameters, cost model, engine version) changes the digest and re-runs
-the cell.  ``bench`` times scheduler/pagetable micro-ops, a QMCPack run,
-a full ratio experiment and the static pipeline, runs the
-fused-vs-reference differential, writes
-``BENCH.json`` plus a timestamped history copy, and exits 1 if any
-run-equivalence invariant (never a timing) regresses.  ``--only TIER``
-restricts the run to one tier.
+the cell.
 """
 
 from __future__ import annotations
@@ -325,23 +317,6 @@ def cmd_check(args) -> str:
     return ("\n\n" + "=" * 72 + "\n\n").join(parts)
 
 
-def cmd_bench(args) -> str:
-    """Benchmark harness; writes BENCH.json and gates on equivalence."""
-    from .experiments.bench import write_bench
-
-    report = write_bench(
-        args.bench_json,
-        quick=args.quick,
-        jobs=args.jobs if args.jobs and args.jobs > 1 else 4,
-        progress=_progress,
-        only=args.only,
-        history_dir=args.bench_history,
-    )
-    print(f"wrote {args.bench_json}", file=sys.stderr)
-    args.exit_code = 0 if report.ok else 1
-    return report.render()
-
-
 _COMMANDS = {
     "fig3": cmd_fig3,
     "fig4": cmd_fig4,
@@ -350,7 +325,6 @@ _COMMANDS = {
     "table3": cmd_table3,
     "all": cmd_all,
     "check": cmd_check,
-    "bench": cmd_bench,
 }
 
 
@@ -484,21 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir", default=".repro-cache",
         help="cell-cache directory (default: .repro-cache)",
-    )
-    parser.add_argument(
-        "--bench-json", default="BENCH.json",
-        help="for 'bench': where to write the JSON results",
-    )
-    parser.add_argument(
-        "--only", default=None, metavar="TIER",
-        choices=("scheduler", "pagetable", "meso", "static"),
-        help="for 'bench': run a single tier (scheduler|pagetable|meso|"
-        "static) instead of all of them",
-    )
-    parser.add_argument(
-        "--bench-history", default="benchmarks/history", metavar="DIR",
-        help="for 'bench': directory receiving a timestamped copy of "
-        "every report (empty string disables the history write)",
     )
     parser.add_argument(
         "--quick", action="store_true",

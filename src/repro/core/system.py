@@ -11,33 +11,28 @@ GPU").
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Type
 
 from ..driver.kfd import Kfd
 from ..hsa.api import HsaRuntime
 from ..memory.os_alloc import OsAllocator
 from ..memory.pagetable import PageTable
 from ..memory.physical import PhysicalMemory
-from ..sim import Environment, Jitter, ReferenceEnvironment, RngHub
+from ..sim import Environment, Jitter, RngHub
 from ..trace.hsa_trace import HsaTrace
 from .params import CostModel
 
 __all__ = ["ApuSystem"]
 
-_ENGINES = {
-    "fast": Environment,
-    "reference": ReferenceEnvironment,
-}
-
 
 class ApuSystem:
     """A fully wired single-socket APU simulation.
 
-    ``engine`` selects the simulation scheduler: ``"fast"`` (default —
-    charge fusion, event recycling, inlined stepping) or ``"reference"``
-    (the retained one-heap-event-per-delay scheduler, the test oracle).
-    Both produce bit-identical simulated-time results; the bench
-    differential gates it.
+    ``env_cls`` is the simulation scheduler class: :class:`Environment`
+    (charge fusion, event recycling, inlined stepping) or a subclass such
+    as :class:`~repro.sim.ReferenceEnvironment`, the retained
+    one-heap-event-per-delay scheduler the differential tests compare it
+    against.
     """
 
     def __init__(
@@ -46,16 +41,11 @@ class ApuSystem:
         seed: int = 0,
         detailed_trace: bool = False,
         xnack_enabled: bool = True,
-        engine: str = "fast",
+        env_cls: Type[Environment] = Environment,
     ):
-        if engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {sorted(_ENGINES)}"
-            )
         self.cost = cost or CostModel()
         self.seed = seed
-        self.engine = engine
-        self.env = _ENGINES[engine]()
+        self.env = env_cls()
         self.rng_hub = RngHub(seed)
         self.physical = PhysicalMemory(
             total_bytes=self.cost.hbm_bytes, frame_bytes=self.cost.page_size

@@ -18,7 +18,6 @@ from .report import (
     render_table2,
     render_table3,
 )
-from .bench import BenchEntry, BenchReport, run_bench, write_bench
 from .cache import CACHE_SCHEMA, CellCache, cell_digest
 from .deepdive import EagerVsIzc, eager_vs_izc_analysis
 from .parallel import CellOutcome, ExperimentCell, run_cells
@@ -34,8 +33,6 @@ from .tables import (
 )
 
 __all__ = [
-    "BenchEntry",
-    "BenchReport",
     "CACHE_SCHEMA",
     "CellCache",
     "cell_digest",
@@ -58,9 +55,7 @@ __all__ = [
     "fig3_series",
     "fig4_series",
     "ratio_experiment",
-    "run_bench",
     "run_cells",
-    "write_bench",
     "render_cost_table",
     "render_place_table",
     "render_fig3",

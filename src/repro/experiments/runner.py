@@ -15,12 +15,13 @@ path and any ``jobs`` value produces bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Type
 
 from ..core.config import RuntimeConfig
 from ..core.params import CostModel
 from ..core.system import ApuSystem
 from ..omp.runtime import OpenMPRuntime, RunResult
+from ..sim import Environment
 from ..trace.stats import RepetitionStats
 from ..workloads.base import Workload
 
@@ -46,18 +47,17 @@ def execute(
     noise: bool = False,
     kernel_trace: bool = False,
     detailed_trace: bool = False,
-    engine: str = "fast",
+    env_cls: Type[Environment] = Environment,
 ) -> RunResult:
     """Run one workload under one configuration on a fresh system.
 
-    ``engine="reference"`` runs the retained per-timeout scheduler; the
-    bench differential uses it to pin the fast path's equivalence.
+    ``env_cls`` picks the scheduler (see :class:`~repro.core.system.ApuSystem`).
     """
     c = cost or CostModel()
     if noise:
         c = c.with_noise()
     system = ApuSystem(
-        cost=c, seed=seed, detailed_trace=detailed_trace, engine=engine
+        cost=c, seed=seed, detailed_trace=detailed_trace, env_cls=env_cls
     )
     runtime = OpenMPRuntime(system, config, kernel_trace=kernel_trace)
     prepare = getattr(workload, "prepare", None)

@@ -18,7 +18,7 @@ from .layout import (
     pages_in,
 )
 from .os_alloc import AllocationError, OsAllocator
-from .pagetable import FlatPageTable, MapOrigin, PageTable, Pte
+from .pagetable import MapOrigin, PageTable, Pte
 from .physical import OutOfMemoryError, PhysicalMemory
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "AllocationError",
     "DEVICE_POOL_BASE",
     "DeviceBuffer",
-    "FlatPageTable",
     "GIB",
     "HOST_HEAP_BASE",
     "HOST_STACK_BASE",

@@ -28,8 +28,8 @@ PTEs record which mechanism installed them so traces can attribute MI
 (memory initialization) cost to the right configuration behaviour
 (Table III).  Per-page install/evict counters and the per-origin
 histogram are maintained exactly as the historical flat-dict table did —
-:class:`FlatPageTable` keeps that reference implementation alive for
-differential tests and the ``repro bench`` micro-benchmarks.
+the differential tests keep that flat reference implementation as their
+oracle (``FlatPageTable`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .layout import AddressRange
 
-__all__ = ["PageTable", "FlatPageTable", "Pte", "MapOrigin"]
+__all__ = ["PageTable", "Pte", "MapOrigin"]
 
 
 class MapOrigin(enum.Enum):
@@ -378,146 +378,3 @@ class PageTable:
             frames.extend(fr)
         return len(frames), frames
 
-
-class FlatPageTable:
-    """The historical flat ``Dict[page, Pte]`` page table.
-
-    Kept as the reference implementation: ``repro bench`` measures the run
-    engine against it, and the differential tests in
-    ``tests/test_pagetable_runs.py`` assert observable-state parity
-    between the two on randomized operation sequences.
-    """
-
-    def __init__(self, page_size: int, name: str = ""):
-        if page_size <= 0 or page_size & (page_size - 1):
-            raise ValueError(f"page_size must be a power of two, got {page_size}")
-        self.page_size = page_size
-        self.name = name or "pagetable"
-        self._entries: Dict[int, Pte] = {}
-        self.install_count = 0
-        self.evict_count = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._entries
-
-    @property
-    def run_count(self) -> int:
-        return len(self._entries)
-
-    # -- queries ---------------------------------------------------------
-    def lookup(self, page: int) -> Optional[Pte]:
-        return self._entries.get(page)
-
-    def present(self, page: int) -> bool:
-        return page in self._entries
-
-    def missing_pages(self, rng: AddressRange) -> List[int]:
-        return [p for p in rng.pages(self.page_size) if p not in self._entries]
-
-    def present_pages(self, rng: AddressRange) -> List[int]:
-        return [p for p in rng.pages(self.page_size) if p in self._entries]
-
-    def coverage(self, rng: AddressRange) -> Tuple[int, int]:
-        present = missing = 0
-        for p in rng.pages(self.page_size):
-            if p in self._entries:
-                present += 1
-            else:
-                missing += 1
-        return present, missing
-
-    def resident(self, rng: AddressRange) -> bool:
-        return all(p in self._entries for p in rng.pages(self.page_size))
-
-    def missing_runs(self, rng: AddressRange) -> List[AddressRange]:
-        ps = self.page_size
-        out: List[AddressRange] = []
-        for p in self.missing_pages(rng):
-            if out and out[-1].end == p:
-                out[-1] = AddressRange(out[-1].start, out[-1].nbytes + ps)
-            else:
-                out.append(AddressRange(p, ps))
-        return out
-
-    def present_runs(
-        self, rng: AddressRange
-    ) -> List[Tuple[int, List[int], MapOrigin]]:
-        out: List[Tuple[int, List[int], MapOrigin]] = []
-        for p in rng.pages(self.page_size):
-            pte = self._entries.get(p)
-            if pte is None:
-                continue
-            if (
-                out
-                and out[-1][0] + len(out[-1][1]) * self.page_size == p
-                and out[-1][2] is pte.origin
-            ):
-                out[-1][1].append(pte.frame)
-            else:
-                out.append((p, [pte.frame], pte.origin))
-        return out
-
-    def frames_for(self, rng: AddressRange) -> List[int]:
-        return [
-            self._entries[p].frame
-            for p in rng.pages(self.page_size)
-            if p in self._entries
-        ]
-
-    def origins_histogram(self) -> Dict[MapOrigin, int]:
-        hist: Dict[MapOrigin, int] = {}
-        for pte in self._entries.values():
-            hist[pte.origin] = hist.get(pte.origin, 0) + 1
-        return hist
-
-    def pages(self) -> Iterable[int]:
-        return self._entries.keys()
-
-    # -- mutation -----------------------------------------------------------
-    def install(self, page: int, frame: int, origin: MapOrigin) -> None:
-        if page % self.page_size:
-            raise ValueError(f"page 0x{page:x} not aligned to {self.page_size}")
-        if page in self._entries:
-            raise KeyError(f"page 0x{page:x} already mapped in {self.name}")
-        self._entries[page] = Pte(frame, origin)
-        self.install_count += 1
-
-    def install_range(
-        self, rng: AddressRange, frames: Sequence[int], origin: MapOrigin
-    ) -> int:
-        pages = list(rng.pages(self.page_size))
-        if len(pages) != len(frames):
-            raise ValueError(
-                f"frame count {len(frames)} != page count {len(pages)} for {rng}"
-            )
-        for p in pages:  # atomic, like the run engine: check before install
-            if p in self._entries:
-                raise KeyError(f"page 0x{p:x} already mapped in {self.name}")
-        for p, f in zip(pages, frames, strict=True):
-            self._entries[p] = Pte(f, origin)
-        self.install_count += len(pages)
-        return len(pages)
-
-    def evict(self, page: int) -> Pte:
-        try:
-            pte = self._entries.pop(page)
-        except KeyError:
-            raise KeyError(f"page 0x{page:x} not mapped in {self.name}") from None
-        self.evict_count += 1
-        return pte
-
-    def evict_range(self, rng: AddressRange) -> List[Pte]:
-        out = []
-        for p in rng.pages(self.page_size):
-            pte = self._entries.pop(p, None)
-            if pte is not None:
-                self.evict_count += 1
-                out.append(pte)
-        return out
-
-    def evict_range_frames(self, rng: AddressRange) -> Tuple[int, List[int]]:
-        frames = [pte.frame for pte in self.evict_range(rng)]
-        return len(frames), frames

@@ -93,7 +93,7 @@ class RunResult:
     peak_hbm_bytes: int = 0
     outputs: Dict[str, object] = field(default_factory=dict)
     #: discrete-event count the run pushed through the simulation engine
-    #: (throughput denominator for ``repro bench``)
+    #: (throughput denominator of perfbench's ``sim_events_per_s``)
     sim_events: int = 0
 
     @property

@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`Environment`, :class:`Event`, :class:`Completion`, :class:`Timeout`,
   :class:`Process`, :class:`AllOf`, :class:`AnyOf` — the core engine (``repro.sim.core``).
-* :class:`ReferenceEnvironment` — the retained pre-fast-path scheduler
-  used by the ``repro bench`` fused-vs-reference differential.
+* :class:`ReferenceEnvironment` — the retained pre-fast-path scheduler,
+  the oracle of the fused-vs-reference differential tests.
 * :class:`Resource`, :class:`Mutex` — contention primitives
   (``repro.sim.resources``).
 * :class:`RngHub`, :class:`Jitter` — reproducible noise (``repro.sim.rng``).

@@ -69,12 +69,13 @@ Design constraints that shaped this module:
     loop with hoisted locals instead of calling :meth:`step` per event.
 
 * **Auditability.**  :class:`ReferenceEnvironment` retains the historical
-  one-heap-event-per-delay scheduler (the ``FlatPageTable`` precedent):
+  one-heap-event-per-delay scheduler as the oracle of the fast path:
   ``fuse``, ``grab`` and ``hold`` always refuse, so every delay and
   every grant is a heap entry, and nothing is recycled.  Both engines count one
   processed event per charge and per grant, so ``processed_events`` —
   and every simulated-time observable — is bit-identical between them;
-  ``repro bench`` pins that equivalence with a randomized differential.
+  ``tests/test_engine_differential.py`` pins that equivalence on real
+  workloads.
 * **Debuggability.**  Failures inside a process propagate to whoever waits
   on it, and unhandled failures abort :meth:`Environment.run` with the
   original traceback.
@@ -105,7 +106,7 @@ __all__ = [
 #: event accounting.  Part of the experiment cell-cache key: a cached
 #: result can never be served across an engine whose numbers might differ.
 #: The fused and reference schedulers share one version: their numbers are
-#: bit-identical, pinned by the bench fused-vs-reference differential.
+#: bit-identical, pinned by the fused-vs-reference differential tests.
 ENGINE_VERSION = 3
 
 
@@ -544,8 +545,8 @@ class Environment:
 
     Reading :attr:`now` settles any fused-but-unsettled charges of the
     currently executing process, so the clock is always fully advanced at
-    every observable point — the fusion invariant the differential bench
-    pins.
+    every observable point — the fusion invariant the fused-vs-reference
+    differential tests pin.
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_event_count",
@@ -826,8 +827,8 @@ class ReferenceEnvironment(Environment):
     Fusion is permanently held off, so :meth:`fuse` and
     :meth:`~repro.sim.resources.Resource.grab` always refuse: every delay
     and every resource grant is its own heap entry, and its un-inlined
-    stepping loop never fills the free list, so nothing is recycled.  Kept — like ``FlatPageTable`` —
-    so a randomized differential can pin the fast path's equivalence on
+    stepping loop never fills the free list, so nothing is recycled.  Kept
+    so the differential tests can pin the fast path's equivalence on
     every simulated-time observable, including ``processed_events``.
     """
 

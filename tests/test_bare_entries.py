@@ -28,12 +28,12 @@ from functools import partial
 
 import numpy as np
 import pytest
+from oracles import run_observables
 
 import repro.sim.core as core
 from repro.core import RuntimeConfig
 from repro.core.params import CostModel
 from repro.driver import Kfd
-from repro.experiments.bench import _run_observables
 from repro.experiments.runner import execute
 from repro.hsa import HsaRuntime
 from repro.hsa.api import _Copy
@@ -242,11 +242,11 @@ def _run_workload(monkeypatch, factory, config, engine, seed, noise):
 
     monkeypatch.setattr(OmpThread, "target", counted_target)
     workload = factory()
-    run = execute(workload, config, seed=seed, noise=noise, engine=engine,
+    run = execute(workload, config, seed=seed, noise=noise, env_cls=ENGINES[engine],
                   detailed_trace=True)
     monkeypatch.undo()
     observed = (
-        _run_observables(run, workload),
+        run_observables(run, workload),
         [(e.name, e.start_us, e.duration_us, e.tag) for e in run.hsa_trace.events],
         events,
     )

@@ -151,16 +151,25 @@ def test_run_cells_partial_warm_executes_only_misses(tmp_path):
     assert set(out) == {("c", 0), ("c", 1)}
 
 
-def test_ratio_experiment_cache_matches_uncached(tmp_path):
+def _check_cache_matches_uncached(tmp_path, jobs):
     factory = partial(QmcPackNio, size=2, n_threads=1, fidelity=Fidelity.TEST)
     configs = [RuntimeConfig.COPY, RuntimeConfig.IMPLICIT_ZERO_COPY]
     plain = ratio_experiment(factory, configs, reps=2)
     cache = CellCache(str(tmp_path))
-    cold = ratio_experiment(factory, configs, reps=2, cache=cache)
+    cold = ratio_experiment(factory, configs, reps=2, jobs=jobs, cache=cache)
     warm_cache = CellCache(str(tmp_path))
-    warm = ratio_experiment(factory, configs, reps=2, cache=warm_cache)
-    assert warm_cache.misses == 0
+    warm = ratio_experiment(factory, configs, reps=2, jobs=jobs, cache=warm_cache)
+    assert warm_cache.misses == 0 and warm_cache.stores == 0
     for result in (cold, warm):
         assert result.summary() == plain.summary()
         assert result.ledgers == plain.ledgers
         assert result.sim_events == plain.sim_events
+
+
+def test_ratio_experiment_cache_matches_uncached(tmp_path):
+    _check_cache_matches_uncached(tmp_path, jobs=1)
+
+
+def test_ratio_experiment_cache_matches_uncached_fanned_out(tmp_path):
+    # a warm cache behind a process pool simulates nothing either
+    _check_cache_matches_uncached(tmp_path, jobs=2)

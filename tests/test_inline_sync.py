@@ -17,15 +17,15 @@ from functools import partial
 
 import numpy as np
 import pytest
+from oracles import run_observables
 
 from repro.core import RuntimeConfig
-from repro.experiments.bench import _run_observables
 from repro.experiments.runner import execute
 from repro.hsa.api import HsaRuntime
 from repro.memory import PAGE_2M
 from repro.omp import MapClause, MapKind
 from repro.omp.api import OmpThread
-from repro.sim import Environment
+from repro.sim import Environment, ReferenceEnvironment
 from repro.workloads.base import Fidelity, Workload
 from repro.workloads.qmcpack import QmcPackNio
 from repro.workloads.specaccel.lbm import Lbm404
@@ -58,7 +58,7 @@ class _NowaitMix(Workload):
         return body
 
 
-def _run(monkeypatch, factory, config, engine, seed, noise):
+def _run(monkeypatch, factory, config, env_cls, seed, noise):
     """One run's observables and the branches its device work took."""
     branches = Counter()
     inline = Environment._inline
@@ -87,11 +87,11 @@ def _run(monkeypatch, factory, config, engine, seed, noise):
     monkeypatch.setattr(HsaRuntime, "dispatch_kernel", counted_dispatch)
     monkeypatch.setattr(OmpThread, "target", counted_target)
     workload = factory()
-    run = execute(workload, config, seed=seed, noise=noise, engine=engine,
+    run = execute(workload, config, seed=seed, noise=noise, env_cls=env_cls,
                   kernel_trace=True, detailed_trace=True)
     monkeypatch.undo()
     observed = (
-        _run_observables(run, workload),
+        run_observables(run, workload),
         [(e.name, e.start_us, e.duration_us, e.tag) for e in run.hsa_trace.events],
         run.kernel_trace.records,
         events,
@@ -122,8 +122,8 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_sync_path_fused_vs_reference(monkeypatch, case):
     factory, config, noise, expected = CASES[case]
-    fused, branches = _run(monkeypatch, factory, config, "fast", 17, noise)
-    reference, ref_branches = _run(monkeypatch, factory, config, "reference", 17, noise)
+    fused, branches = _run(monkeypatch, factory, config, Environment, 17, noise)
+    reference, ref_branches = _run(monkeypatch, factory, config, ReferenceEnvironment, 17, noise)
     assert fused == reference
     assert fused[3], "no target region ran"
     for branch in expected:
@@ -133,6 +133,6 @@ def test_sync_path_fused_vs_reference(monkeypatch, case):
 
 def test_reference_engine_never_inlines(monkeypatch):
     factory, config, noise, _ = CASES["lbm-copy"]
-    _, branches = _run(monkeypatch, factory, config, "reference", 17, noise)
+    _, branches = _run(monkeypatch, factory, config, ReferenceEnvironment, 17, noise)
     assert branches["predicate failed"] > 0
     assert branches["inline"] == branches["charge refused"] == 0

@@ -21,17 +21,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from oracles import run_observables
 
 import repro.driver.kfd as kfd_module
 from repro.core import RuntimeConfig
 from repro.driver import Kfd
-from repro.experiments.bench import _run_observables
 from repro.experiments.runner import execute
 from repro.hsa.api import HsaRuntime, _Kernel
 from repro.memory import PAGE_2M
 from repro.omp import MapClause, MapKind
 from repro.omp.api import OmpThread
-from repro.sim import Environment
+from repro.sim import Environment, ReferenceEnvironment
 from repro.workloads.base import Fidelity, Workload
 from repro.workloads.specaccel.lbm import Lbm404
 
@@ -114,7 +114,7 @@ def _counting(monkeypatch):
     return branches
 
 
-def _run(monkeypatch, factory, config, engine, seed, noise):
+def _run(monkeypatch, factory, config, env_cls, seed, noise):
     """One run's observables and the branches its regions took."""
     branches = _counting(monkeypatch)
     events = []
@@ -127,11 +127,11 @@ def _run(monkeypatch, factory, config, engine, seed, noise):
 
     monkeypatch.setattr(OmpThread, "target", counted_target)
     workload = factory()
-    run = execute(workload, config, seed=seed, noise=noise, engine=engine,
+    run = execute(workload, config, seed=seed, noise=noise, env_cls=env_cls,
                   kernel_trace=True, detailed_trace=True)
     monkeypatch.undo()
     observed = (
-        _run_observables(run, workload),
+        run_observables(run, workload),
         [(e.name, e.start_us, e.duration_us, e.tag) for e in run.hsa_trace.events],
         run.kernel_trace.records,
         run.hsa_trace.as_rows(),
@@ -186,9 +186,9 @@ def _sha(obj) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_region_host_path_fused_vs_reference(monkeypatch, case):
     factory, config, noise, expected = CASES[case]
-    fused, branches = _run(monkeypatch, factory, config, "fast", 1016, noise)
-    reference, ref_branches = _run(monkeypatch, factory, config, "reference", 1016,
-                                   noise)
+    fused, branches = _run(monkeypatch, factory, config, Environment, 1016, noise)
+    reference, ref_branches = _run(monkeypatch, factory, config, ReferenceEnvironment,
+                                   1016, noise)
     assert fused == reference
     assert fused[4], "no target region ran"
     for branch in expected:

@@ -1031,13 +1031,6 @@ def test_engine_version_is_3():
     assert ENGINE_VERSION == 3
 
 
-def test_apusystem_rejects_unknown_engine():
-    from repro.core.system import ApuSystem
-
-    with pytest.raises(ValueError, match="engine"):
-        ApuSystem(engine="warp9")
-
-
 # ---------------------------------------------------------------------------
 # grant fusion: fused vs. reference on resource programs
 # ---------------------------------------------------------------------------
@@ -1439,7 +1432,7 @@ def test_reference_engine_builds_every_event_fresh(monkeypatch):
 
     monkeypatch.setattr(ReferenceEnvironment, "__init__", tracking_init)
     run = execute(QmcPackNio(size=2, n_threads=2, fidelity=Fidelity.TEST),
-                  RuntimeConfig.COPY, engine="reference")
+                  RuntimeConfig.COPY, env_cls=ReferenceEnvironment)
     assert [env.processed_events for env in envs] == [run.sim_events]
     assert envs[0]._timeout_pool == []
 
