@@ -29,9 +29,9 @@ class ApuSystem:
     """A fully wired single-socket APU simulation.
 
     ``env_cls`` is the simulation scheduler class: :class:`Environment`
-    (charge fusion, event recycling, inlined stepping) or a subclass such
-    as :class:`~repro.sim.ReferenceEnvironment`, the retained
-    one-heap-event-per-delay scheduler the differential tests compare it
+    (charge fusion, bare heap entries, inlined stepping) or a subclass
+    such as :class:`~repro.sim.ReferenceEnvironment`, the same engine
+    with fusion held off, which the differential tests compare it
     against.
     """
 

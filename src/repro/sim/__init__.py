@@ -3,8 +3,9 @@
 Public surface:
 
 * :class:`Environment`, :class:`Event`, :class:`Completion`, :class:`Timeout`,
-  :class:`Process`, :class:`AllOf`, :class:`AnyOf` — the core engine (``repro.sim.core``).
-* :class:`ReferenceEnvironment` — the retained pre-fast-path scheduler,
+  :class:`Process`, :class:`AllOf` — the core engine (``repro.sim.core``),
+  whose heap entries all have the one shape ``(time, seq, fn)``.
+* :class:`ReferenceEnvironment` — the same engine with fusion held off,
   the oracle of the fused-vs-reference differential tests.
 * :class:`Resource`, :class:`Mutex` — contention primitives
   (``repro.sim.resources``).
@@ -14,7 +15,6 @@ Public surface:
 from .core import (
     ENGINE_VERSION,
     AllOf,
-    AnyOf,
     Completion,
     Environment,
     Event,
@@ -30,7 +30,6 @@ from .rng import Jitter, RngHub
 __all__ = [
     "ENGINE_VERSION",
     "AllOf",
-    "AnyOf",
     "Completion",
     "Environment",
     "Event",

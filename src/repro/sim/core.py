@@ -3,33 +3,30 @@
 This is the substrate every other subsystem runs on.  It is a compact,
 from-scratch engine in the style of SimPy: an :class:`Environment` owns a
 priority queue of scheduled events, a :class:`Process` wraps a Python
-generator that ``yield``\\ s events, and composite events (:class:`AllOf`,
-:class:`AnyOf`) build barriers.
+generator that ``yield``\\ s events, and :class:`AllOf` builds barriers.
 
 Design constraints that shaped this module:
 
 * **Determinism.**  Two events scheduled for the same simulated time fire in
   schedule order (a monotonically increasing sequence number breaks ties).
   There is no wall-clock anywhere; repeated runs are bit-identical.
+* **One entry shape.**  Every heap entry is ``(time, seq, fn)``, and the
+  loop pops it, advances the clock, counts one processed event and calls
+  ``fn()``.  A triggered event pushes its bound ``_process``
+  (:meth:`Environment._schedule`); anything else pushes a plain callable
+  (:meth:`Environment._schedule_call`).
 * **Throughput.**  QMCPack full-fidelity runs push a few million events
-  through the queue, so the hot path is engineered around three costs:
+  through the queue, so the hot path is engineered around two costs:
 
-  - *allocation*: processed :class:`Timeout` objects are recycled through
-    a per-environment free list.  Recycling is gated on
-    ``sys.getrefcount`` — an object is only reclaimed when the engine
-    holds the sole remaining reference — so user-held events keep their
-    historical semantics, and a generation counter stored in every heap
-    entry makes any engine-internal stale reference fail loudly instead
-    of silently firing a reincarnated event.
   - *heap traffic*: engine-internal wakes (process starts, the HSA
     callback chains' steps, grants to ``Resource.request`` waiters,
     :meth:`Environment._elide`'s no-ops) and a process's own sleeps and
-    lock grants are *bare entries* ``(time, seq, None, fn)``
-    (:meth:`Environment._schedule_call`), not events: a bare entry takes
-    one ``seq`` and counts one processed event exactly where the event
-    it replaces did, and the loop calls ``fn()`` as that event's lone
-    callback.  A process sleeps by yielding a ``float`` delay and waits
-    for a unit by yielding the :class:`~repro.sim.resources.Resource`
+    lock grants are *bare entries* (:meth:`Environment._schedule_call`),
+    not events: a bare entry takes one ``seq`` and counts one processed
+    event exactly where the event it replaces did, and ``fn()`` runs as
+    that event's lone callback.  A process sleeps by yielding a ``float``
+    delay and waits for a unit by yielding the
+    :class:`~repro.sim.resources.Resource`
     (see :class:`Process`); ``env.timeout(us)`` and ``res.acquire()``
     stay the public :class:`Event` API for workloads and tests.
     Uncontended fixed delays and free resource grants
@@ -65,13 +62,13 @@ Design constraints that shaped this module:
     HSA operations' bare entries); a callback must settle (read
     ``env.now``) before it returns, as the loop sets the next entry's
     time without settling.
-  - *dispatch*: ``run(until=Event)`` inlines the pop/advance/process
-    loop with hoisted locals instead of calling :meth:`step` per event.
+  - *dispatch*: ``run(until=Event)`` inlines the pop/advance/call loop
+    with hoisted locals instead of calling :meth:`step` per event.
 
 * **Auditability.**  :class:`ReferenceEnvironment` retains the historical
   one-heap-event-per-delay scheduler as the oracle of the fast path:
   ``fuse``, ``grab`` and ``hold`` always refuse, so every delay and
-  every grant is a heap entry, and nothing is recycled.  Both engines count one
+  every grant is a heap entry.  Both engines count one
   processed event per charge and per grant, so ``processed_events`` —
   and every simulated-time observable — is bit-identical between them;
   ``tests/test_engine_differential.py`` pins that equivalence on real
@@ -85,7 +82,6 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from sys import getrefcount as _getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -96,7 +92,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Interrupt",
     "SimulationError",
     "ENGINE_VERSION",
@@ -130,11 +125,7 @@ class Interrupt(Exception):
 PENDING = 0
 TRIGGERED = 1  # scheduled, sitting in the queue
 PROCESSED = 2  # callbacks have run
-RECYCLED = 3   # returned to the environment's free list
 
-
-#: the free list is bounded so a one-off burst cannot pin memory forever
-_POOL_MAX = 1024
 
 #: sequence number of the ``run(until=number)`` horizon marker: sorts
 #: after every real heap entry at the horizon time
@@ -157,7 +148,7 @@ class Event:
     and, when its time arrives, runs all registered callbacks exactly once.
     """
 
-    __slots__ = ("env", "callbacks", "_state", "_value", "_ok", "_era")
+    __slots__ = ("env", "callbacks", "_state", "_value", "_ok")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -165,10 +156,6 @@ class Event:
         self._state = PENDING
         self._value: Any = None
         self._ok = True
-        #: generation counter: bumped when the event is recycled, recorded
-        #: in every heap entry, checked on pop — stale queue entries for a
-        #: recycled event raise instead of firing the new incarnation.
-        self._era = 0
 
     # -- inspection ------------------------------------------------------
     @property
@@ -188,15 +175,11 @@ class Event:
     def value(self) -> Any:
         if self._state == PENDING:
             raise SimulationError("event value read before it was triggered")
-        if self._state == RECYCLED:
-            raise SimulationError("stale reference: event was recycled")
         return self._value
 
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         if self._state != PENDING:
-            if self._state == RECYCLED:
-                raise SimulationError("stale reference: event was recycled")
             raise SimulationError("event already triggered")
         self._state = TRIGGERED
         self._value = value
@@ -206,8 +189,6 @@ class Event:
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
         if self._state != PENDING:
-            if self._state == RECYCLED:
-                raise SimulationError("stale reference: event was recycled")
             raise SimulationError("event already triggered")
         if not isinstance(exc, BaseException):
             raise TypeError("fail() expects an exception instance")
@@ -226,8 +207,6 @@ class Event:
         """
         if self._state == PROCESSED:
             fn(self)
-        elif self._state == RECYCLED:
-            raise SimulationError("stale reference: event was recycled")
         else:
             self.callbacks.append(fn)
 
@@ -256,7 +235,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {PENDING: "pending", TRIGGERED: "triggered",
-                 PROCESSED: "processed", RECYCLED: "recycled"}
+                 PROCESSED: "processed"}
         return f"<{type(self).__name__} {state[self._state]} at t={self.env.now}>"
 
 
@@ -398,9 +377,9 @@ class Process(Event):
             else:
                 q = self.env._queue
                 for i, entry in enumerate(q):
-                    fn = entry[3]
-                    if entry[2] is None and fn.__class__ is partial and fn.func is cb:
-                        q[i] = entry[:3] + (_noop,)  # same key: heap order holds
+                    fn = entry[2]
+                    if fn.__class__ is partial and fn.func is cb:
+                        q[i] = entry[:2] + (_noop,)  # same key: heap order holds
                         break
         self._waiting_on = None
         wakeup = Event(self.env)
@@ -419,7 +398,7 @@ class Process(Event):
         # must not grow the Python stack.  A trigger is an Event, or the
         # process itself (a start or a sleep) or a Grant: both read as a
         # success carrying their _value.
-        self._waiting_on = None  # no stale reference keeps an event from recycling
+        self._waiting_on = None  # running: nothing for interrupt to detach
         env = self.env
         gen = self._gen
         send = gen.send
@@ -459,15 +438,9 @@ class Process(Event):
                 return
             if nxt.env is not env:
                 raise SimulationError("yielded event belongs to a different Environment")
-            state = nxt._state
-            if state == PROCESSED:
+            if nxt._state == PROCESSED:
                 trigger = nxt
                 continue
-            if state == RECYCLED:
-                raise SimulationError(
-                    f"process {self.name!r} yielded a recycled event "
-                    "(stale reference)"
-                )
             # Suspending on a real event: settle fused charges first so the
             # clock the next event fires against is fully advanced.
             if env._pending_n:
@@ -483,32 +456,20 @@ class Process(Event):
         return len(cbs) > 1 or (bool(cbs) and cbs[0] is not _stop_mark)
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AllOf(Event):
+    """Fires when every constituent event has fired; value is {event: value}."""
 
-    __slots__ = ("events",)
+    __slots__ = ("events", "_n_done")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self.events = list(events)
+        self._n_done = 0
         if not self.events:
             self.succeed({})
             return
         for ev in self.events:
             ev.add_callback(self._check)
-
-    def _check(self, ev: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every constituent event has fired; value is {event: value}."""
-
-    __slots__ = ("_n_done",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        self._n_done = 0
-        super().__init__(env, events)
 
     def _check(self, ev: Event) -> None:
         if self.triggered:
@@ -519,20 +480,6 @@ class AllOf(_Condition):
         self._n_done += 1
         if self._n_done == len(self.events):
             self.succeed({e: e._value for e in self.events})
-
-
-class AnyOf(_Condition):
-    """Fires when the first constituent event fires; value is that event's."""
-
-    __slots__ = ()
-
-    def _check(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            self.fail(ev._value)
-            return
-        self.succeed(ev._value)
 
 
 class Environment:
@@ -550,8 +497,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_event_count",
-                 "_pending", "_pending_n", "_hold", "_owed",
-                 "_timeout_pool")
+                 "_pending", "_pending_n", "_hold", "_owed")
 
     def __init__(self, initial_time: float = 0.0):
         self._now: float = float(initial_time)
@@ -567,8 +513,6 @@ class Environment:
         # 1 while a Completion's lone waiter runs and the end event behind
         # the Completion is not counted yet (see Completion._process)
         self._owed = 0
-        # free list of recycled timeouts
-        self._timeout_pool: List[Timeout] = []
 
     # -- clock -------------------------------------------------------------
     @property
@@ -595,16 +539,6 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        pool = self._timeout_pool
-        if pool and value is None:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay}")
-            t = pool.pop()
-            t._state = TRIGGERED
-            t._ok = True
-            t.delay = delay
-            self._schedule(t, delay)
-            return t
         return Timeout(self, delay, value)
 
     def fuse(self, delay: float) -> bool:
@@ -653,7 +587,7 @@ class Environment:
         if self._pending_n:
             self._settle()
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event._era, event))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, event._process))
 
     def _schedule_call(self, fn: Callable[[], None], delay: float = 0.0,
                        seq: int = 0) -> None:
@@ -668,7 +602,7 @@ class Environment:
             self._settle()
         if not seq:
             self._seq = seq = self._seq + 1
-        heapq.heappush(self._queue, (self._now + delay, seq, None, fn))
+        heapq.heappush(self._queue, (self._now + delay, seq, fn))
 
     def _inline(self, res: Any, start: Callable) -> Optional[tuple]:
         """Run in place a callback chain the running process waits on at once.
@@ -718,34 +652,19 @@ class Environment:
         if self._pending_n:
             self._settle()
         q = self._queue
-        if q and q[0][3] is None:  # the horizon marker of run(until=number)
+        if q and q[0][2] is None:  # the horizon marker of run(until=number)
             q = q[1:3]  # the heap's next-smallest entry is a root child
             return min(q)[0] if q else float("inf")
         return q[0][0] if q else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
-        t, _seq, era, event = heapq.heappop(self._queue)
-        if era is not None and era != event._era:
-            raise SimulationError(
-                "stale heap entry: event was recycled while scheduled"
-            )
+        t, _seq, fn = heapq.heappop(self._queue)
         if t < self._now:
             raise SimulationError("time went backwards; corrupted queue")
         self._now = t
         self._event_count += 1
-        if era is None:  # a bare entry (_schedule_call)
-            event()
-            return
-        event._process()
-        # Recycle iff the engine held the only reference (local + arg = 2):
-        # user-held events keep their full post-processing semantics.
-        if (event.__class__ is Timeout and _getrefcount(event) == 2
-                and len(self._timeout_pool) < _POOL_MAX):
-            event._state = RECYCLED
-            event._era += 1
-            event._value = None
-            self._timeout_pool.append(event)
+        fn()
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run until ``until`` fires (an Event), until time ``until`` (a
@@ -760,40 +679,24 @@ class Environment:
                 # several-callback event: its callbacks run under _hold,
                 # so no waiter fuses past the end of the run.
                 stop.callbacks.append(_stop_mark)
-            # Inlined stepping loop: hoists the queue, heap pop, free list
-            # and the refcount probe into locals — per-event method
-            # dispatch through step() costs ~25% on charge-light runs.  The
-            # processed counter is bumped before each event runs, as in
-            # step(), so a process reading it mid-run sees the same count
-            # as on the reference engine.
+            # Inlined stepping loop: hoists the queue and heap pop into
+            # locals — per-event method dispatch through step() costs ~25%
+            # on charge-light runs.  The processed counter is bumped before
+            # each event runs, as in step(), so a process reading it
+            # mid-run sees the same count as on the reference engine.
             q = self._queue
             pop = heapq.heappop
-            tpool = self._timeout_pool
-            getref = _getrefcount
             while stop._state != PROCESSED:
                 if not q:
                     raise SimulationError(
                         f"event queue drained before {stop!r} fired (deadlock?)"
                     )
-                t, _seq, era, event = pop(q)
-                if era is not None and era != event._era:
-                    raise SimulationError(
-                        "stale heap entry: event was recycled while scheduled"
-                    )
+                t, _seq, fn = pop(q)
                 if t < self._now:
                     raise SimulationError("time went backwards; corrupted queue")
                 self._now = t
                 self._event_count += 1
-                if era is None:  # a bare entry (_schedule_call)
-                    event()
-                    continue
-                event._process()
-                if (event.__class__ is Timeout and getref(event) == 2
-                        and len(tpool) < _POOL_MAX):
-                    event._state = RECYCLED
-                    event._era += 1
-                    event._value = None
-                    tpool.append(event)
+                fn()
             if not stop.ok:
                 raise stop._value
             return stop._value
@@ -806,7 +709,7 @@ class Environment:
             # real event, instead of running the process past it — no
             # per-charge horizon check needed.
             q = self._queue
-            marker = (horizon, _HORIZON_SEQ, 0, None)
+            marker = (horizon, _HORIZON_SEQ, None)
             heapq.heappush(q, marker)
             try:
                 while q[0] is not marker:
@@ -826,10 +729,9 @@ class ReferenceEnvironment(Environment):
 
     Fusion is permanently held off, so :meth:`fuse` and
     :meth:`~repro.sim.resources.Resource.grab` always refuse: every delay
-    and every resource grant is its own heap entry, and its un-inlined
-    stepping loop never fills the free list, so nothing is recycled.  Kept
-    so the differential tests can pin the fast path's equivalence on
-    every simulated-time observable, including ``processed_events``.
+    and every resource grant is its own heap entry.  Kept so the
+    differential tests can pin the fast path's equivalence on every
+    simulated-time observable, including ``processed_events``.
     """
 
     __slots__ = ()
@@ -837,41 +739,6 @@ class ReferenceEnvironment(Environment):
     def __init__(self, initial_time: float = 0.0):
         super().__init__(initial_time)
         self._hold = 1
-
-    def step(self) -> None:
-        t, _seq, era, event = heapq.heappop(self._queue)
-        if t < self._now:
-            raise SimulationError("time went backwards; corrupted queue")
-        self._now = t
-        self._event_count += 1
-        if era is None:  # a bare entry (_schedule_call)
-            event()
-        else:
-            event._process()
-
-    def run(self, until: Optional[Any] = None) -> Any:
-        if isinstance(until, Event):
-            stop = until
-            if stop._state != PROCESSED and _stop_mark not in stop.callbacks:
-                stop.callbacks.append(_stop_mark)  # seen by Completion
-            while stop._state != PROCESSED:
-                if not self._queue:
-                    raise SimulationError(
-                        f"event queue drained before {stop!r} fired (deadlock?)"
-                    )
-                self.step()
-            if not stop.ok:
-                raise stop._value
-            return stop._value
-        if until is not None:
-            horizon = float(until)
-            while self._queue and self._queue[0][0] <= horizon:
-                self.step()
-            self._now = max(self.now, horizon)
-            return None
-        while self._queue:
-            self.step()
-        return None
 
 
 # Resource builds on this module; a yielded one is a bare grant wait.

@@ -150,7 +150,7 @@ class QmcPackNio(Workload):
         teardown_done = {"count": 0}
 
         def body(th: OmpThread, tid: int):
-            env = th.env
+            # the spin-waits below poll every 50 µs as bare sleeps
             # ---------------- setup: ahead-of-time data transfer --------
             if tid == 0:
                 chunk = max(p.spline_bytes // SPLINE_CHUNKS, 1)
@@ -165,7 +165,7 @@ class QmcPackNio(Workload):
             else:
                 # other threads wait for the shared table to be published
                 while len(spline_chunks) < SPLINE_CHUNKS:
-                    yield env.timeout(50.0)
+                    yield 50.0
 
             walkers = yield from th.alloc(
                 f"walkers{tid}",
@@ -188,7 +188,7 @@ class QmcPackNio(Workload):
             )
             setup_done["count"] += 1
             while setup_done["count"] < p.n_threads:
-                yield env.timeout(50.0)
+                yield 50.0
 
             # ---------------- steady state -----------------------------
             reduction = yield from th.alloc(
@@ -266,7 +266,7 @@ class QmcPackNio(Workload):
             teardown_done["count"] += 1
             if tid == 0:
                 while teardown_done["count"] < p.n_threads:
-                    yield env.timeout(50.0)
+                    yield 50.0
                 yield from th.target_exit_data(
                     [MapClause(b, MapKind.RELEASE) for b in spline_chunks]
                 )

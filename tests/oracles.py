@@ -6,14 +6,50 @@
   table, the oracle the run-coalesced :class:`~repro.memory.PageTable`
   must be observably indistinguishable from.
 * :func:`pagetable_parity` — the randomized runs-vs-flat differential.
+* :func:`count_heap_pushes` — the event heap's push counter.
 """
 
+import contextlib
+import gc
+import heapq
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.memory import AddressRange, MapOrigin, PageTable, Pte
+
+
+@contextlib.contextmanager
+def count_heap_pushes(
+        kind: Callable[[tuple], Any] = lambda entry: "push") -> Iterator[Counter]:
+    """Count every ``heapq.heappush`` made inside the block, by
+    ``kind(entry)``; the yielded Counter is live while the block runs.
+
+    The patch is process-wide, so the cyclic collector is run first and
+    kept off for the block: a generator an earlier run left suspended
+    inside a ``try``/``finally`` that holds a lock (a run stopped with
+    ``until=``) releases that lock when it is collected, and the hand-over
+    pushes onto the dead run's heap.
+    """
+    counts: Counter = Counter()
+    push = heapq.heappush
+
+    def counting(queue, entry):
+        counts[kind(entry)] += 1
+        push(queue, entry)
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    heapq.heappush = counting
+    try:
+        yield counts
+    finally:
+        heapq.heappush = push
+        if enabled:
+            gc.enable()
 
 
 def run_observables(run, workload) -> Tuple:
@@ -196,7 +232,9 @@ def _observable_state(pt, probe: AddressRange):
 
 def pagetable_parity(seed: int, rounds: int) -> bool:
     """Randomized differential: apply one operation sequence to both
-    tables and compare every observable after each step."""
+    tables and compare every observable after each step, over the whole
+    span, the operation's own range and that range widened by a page on
+    each side (where the single-run fast paths answer)."""
     rnd = random.Random(seed)
     ps = 4096  # small page size keeps arithmetic honest without big loops
     span_pages = 64
@@ -236,6 +274,9 @@ def pagetable_parity(seed: int, rounds: int) -> bool:
                 return False
         elif runs.evict_range_frames(rng) != flat.evict_range_frames(rng):
             return False
-        if _observable_state(runs, probe) != _observable_state(flat, probe):
-            return False
+        lo = max(start - ps, 0)
+        near = AddressRange(lo, start + (n + 1) * ps - lo)
+        for rg in (probe, rng, near):
+            if _observable_state(runs, rg) != _observable_state(flat, rg):
+                return False
     return True

@@ -19,13 +19,13 @@ branches the bare waits take, so none of them can silently go dead:
   queued on the resource or already pushed to the heap.
 """
 
-import heapq
 import sys
 from collections import Counter
 from functools import partial
 from pathlib import Path
 
 import pytest
+from oracles import count_heap_pushes
 
 from repro.core import RuntimeConfig
 from repro.experiments.runner import execute
@@ -276,14 +276,14 @@ def test_yielded_delay_and_resource_resume_like_events():
 def test_copy_8_thread_cell_pushes_no_runtime_events(monkeypatch):
     """An 8-thread Copy QMCPack S2 TEST cell: the runtime's host threads
     (``core/``, ``hsa/``, ``omp/``) call no ``timeout()`` and no
-    ``acquire()``, and the cell pushes as many heap entries, and counts
-    as many events, as the runtime whose waits were Events."""
+    ``acquire()``, the workload's polls no ``timeout()``, and the cell
+    pushes as many heap entries, and counts as many events, as the
+    runtime whose waits were Events."""
     import repro
 
     layers = tuple(str(Path(repro.__file__).parent / layer)
                    for layer in ("core", "hsa", "omp"))
     callers = Counter()
-    kinds = Counter()
 
     def caller_layer():
         path = sys._getframe(2).f_code.co_filename
@@ -299,20 +299,21 @@ def test_copy_8_thread_cell_pushes_no_runtime_events(monkeypatch):
         callers["acquire", caller_layer()] += 1
         return acquire(self)
 
-    push = heapq.heappush
-
-    def counted_push(queue, item):
-        kinds["bare" if item[2] is None else type(item[3]).__name__] += 1
-        push(queue, item)
+    def entry_kind(entry):
+        fn = entry[2]  # an event pushes its _process, a bare entry anything else
+        if getattr(fn, "__name__", "") == "_process":
+            return type(fn.__self__).__name__
+        return "bare"
 
     monkeypatch.setattr(Environment, "timeout", counted_timeout)
     monkeypatch.setattr(Resource, "acquire", counted_acquire)
-    monkeypatch.setattr(heapq, "heappush", counted_push)
-    run = execute(QmcPackNio(size=2, n_threads=8, fidelity=Fidelity.TEST),
-                  RuntimeConfig.COPY)
+    with count_heap_pushes(entry_kind) as kinds:
+        run = execute(QmcPackNio(size=2, n_threads=8, fidelity=Fidelity.TEST),
+                      RuntimeConfig.COPY)
     monkeypatch.undo()
     assert callers["timeout", "runtime"] == callers["acquire", "runtime"] == 0
-    assert callers["timeout", "other"] == kinds["Timeout"] > 0  # the workload's own
+    # the workload's spin-wait polls are bare sleeps too
+    assert callers["timeout", "other"] == kinds["Timeout"] == 0
     assert kinds["Event"] == 0  # no grant events
     assert sum(kinds.values()) == 298_694
     assert run.sim_events == 396_230

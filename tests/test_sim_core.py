@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     SimulationError,
@@ -194,18 +193,6 @@ def test_allof_empty_fires_immediately():
         return env.now
 
     assert env.run(env.process(proc())) == 0.0
-
-
-def test_anyof_fires_on_first():
-    env = Environment()
-
-    def proc():
-        t1 = env.timeout(3.0, value="fast")
-        t2 = env.timeout(9.0, value="slow")
-        first = yield AnyOf(env, [t1, t2])
-        return (env.now, first)
-
-    assert env.run(env.process(proc())) == (3.0, "fast")
 
 
 def test_run_until_time_horizon():

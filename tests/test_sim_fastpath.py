@@ -1,6 +1,6 @@
 """Engine fast path: inline charge fusion (``Environment.fuse``), inline
 grants (``Resource.grab``) and lock cycles (``Resource.hold``), event
-recycling, interrupts, and the retained reference scheduler."""
+lifetime, interrupts, and the retained reference scheduler."""
 
 import contextlib
 import random
@@ -8,11 +8,11 @@ from collections import Counter
 from functools import partial
 
 import pytest
+from oracles import count_heap_pushes
 
 from repro.sim import (
     ENGINE_VERSION,
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -625,25 +625,8 @@ def test_reference_engine_never_holds():
 
 
 # ---------------------------------------------------------------------------
-# event recycling
+# event lifetime
 # ---------------------------------------------------------------------------
-
-
-def test_timeouts_are_recycled_when_unreferenced():
-    env = Environment()
-
-    def proc():
-        for _ in range(50):
-            yield env.timeout(1.0)
-
-    env.run(env.process(proc()))
-    assert len(env._timeout_pool) >= 1
-    # pooled objects are marked recycled and unusable
-    stale = env._timeout_pool[-1]
-    with pytest.raises(SimulationError):
-        stale.succeed()
-    with pytest.raises(SimulationError):
-        _ = stale.value
 
 
 def test_user_held_timeout_is_never_recycled():
@@ -662,48 +645,6 @@ def test_user_held_timeout_is_never_recycled():
     fired = []
     held[0].add_callback(lambda ev: fired.append(ev.value))
     assert fired == ["payload"]
-
-
-def test_yielding_recycled_event_raises():
-    env = Environment()
-
-    def warmup():
-        yield env.timeout(1.0)
-
-    env.run(env.process(warmup()))
-    assert env._timeout_pool
-    stale = env._timeout_pool[-1]
-
-    def proc():
-        yield stale
-
-    with pytest.raises(SimulationError, match="recycled"):
-        env.run(env.process(proc()))
-
-
-def test_recycled_timeout_reuse_is_clean():
-    """A pooled Timeout reinitialized through env.timeout behaves like a
-    fresh one (state, value, delay, scheduling)."""
-    env = Environment()
-
-    def phase1():
-        for _ in range(5):
-            yield env.timeout(1.0)
-
-    env.run(env.process(phase1()))
-    pooled = set(id(t) for t in env._timeout_pool)
-    got = []
-
-    def phase2():
-        t = env.timeout(3.0)
-        got.append((id(t) in pooled, t.delay))
-        start = env.now
-        v = yield t
-        got.append((env.now - start, v))
-
-    env.run(env.process(phase2()))
-    assert got[0] == (True, 3.0)
-    assert got[1] == (3.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -794,29 +735,6 @@ def test_interrupt_while_waiting_on_allof():
     env.run(env.process(attacker(p)))
     env.run(p)
     assert log == [("interrupted", "allof", 10.0)]
-
-
-def test_interrupt_while_waiting_on_anyof():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield AnyOf(env, [env.timeout(50.0), env.timeout(80.0)])
-            log.append("completed")
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause, env.now))
-
-    def attacker(p):
-        yield env.timeout(10.0)
-        p.interrupt("anyof")
-
-    p = env.process(victim())
-    env.run(env.process(attacker(p)))
-    env.run(p)
-    # the interrupted wait must not fire again when the timeouts complete
-    env.run(until=200.0)
-    assert log == [("interrupted", "anyof", 10.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -1415,9 +1333,8 @@ def test_callback_fusing_without_settling_fails_loudly(settled_on_every_pop):
 
 
 def test_reference_engine_builds_every_event_fresh(monkeypatch):
-    """The reference engine inherits the pool-aware ``timeout``; its
-    ``step`` never fills the free list, so it always builds fresh
-    timeouts and the oracle recycles nothing."""
+    """The reference engine builds every event fresh and processes each
+    one it counts: its event total is the run's ``sim_events``."""
     from repro.core import RuntimeConfig
     from repro.experiments.runner import execute
     from repro.workloads.base import Fidelity
@@ -1434,37 +1351,27 @@ def test_reference_engine_builds_every_event_fresh(monkeypatch):
     run = execute(QmcPackNio(size=2, n_threads=2, fidelity=Fidelity.TEST),
                   RuntimeConfig.COPY, env_cls=ReferenceEnvironment)
     assert [env.processed_events for env in envs] == [run.sim_events]
-    assert envs[0]._timeout_pool == []
 
 
 def _count_pushes(monkeypatch, workload, config):
     """Run ``workload`` under ``config`` counting heap pushes: returns the
     run, the pushes of each target region and the pushes of the run."""
-    import heapq
-
     from repro.experiments.runner import execute
     from repro.omp.api import OmpThread
-
-    pushes = [0]
-    push = heapq.heappush
-
-    def counting(queue, item):
-        pushes[0] += 1
-        push(queue, item)
 
     per_region = []
     target = OmpThread.target
 
     def counted_target(self, *args, **kwargs):
-        before = pushes[0]
+        before = pushes.total()
         rec = yield from target(self, *args, **kwargs)
-        per_region.append(pushes[0] - before)
+        per_region.append(pushes.total() - before)
         return rec
 
-    monkeypatch.setattr(heapq, "heappush", counting)
     monkeypatch.setattr(OmpThread, "target", counted_target)
-    run = execute(workload, config)
-    return run, per_region, pushes[0]
+    with count_heap_pushes() as pushes:
+        run = execute(workload, config)
+    return run, per_region, pushes.total()
 
 
 def test_eager_target_region_pushes_no_heap_entries(monkeypatch):
@@ -1515,3 +1422,50 @@ def test_copy_lbm_heap_pushes(monkeypatch):
         monkeypatch, Lbm404(Fidelity.TEST), RuntimeConfig.COPY)
     assert pushes == 3630
     assert run.sim_events == 11807
+
+
+def _drop_a_run_with_a_queued_lock_waiter():
+    """Stop a two-process lock run at ``until=50`` with the lock held and
+    a waiter queued, and drop it: the holder's generator is garbage that
+    only the cyclic collector frees, and its ``finally`` then hands the
+    lock over, pushing onto this dead run's heap."""
+    env = Environment()
+    lock = Mutex(env)
+
+    def user():
+        grant = lock.grab() or (yield lock)
+        try:
+            yield 100.0
+        finally:
+            lock.release(grant)
+
+    env.process(user())
+    env.process(user())
+    env.run(until=50.0)
+    assert (lock.in_use, lock.queue_length) == (1, 1)
+
+
+def test_heap_push_count_ignores_a_dropped_run(monkeypatch):
+    """The Copy lbm cell's push count holds with another run's garbage
+    waiting for the cyclic collector, which runs again mid-count."""
+    import gc
+
+    from repro.core import RuntimeConfig
+    from repro.omp.api import OmpThread
+    from repro.workloads.base import Fidelity
+    from repro.workloads.specaccel.lbm import Lbm404
+
+    target = OmpThread.target
+    collected = []
+
+    def collecting_target(self, *args, **kwargs):
+        if not collected:  # once, inside the counted run
+            collected.append(gc.collect())
+        return (yield from target(self, *args, **kwargs))
+
+    _drop_a_run_with_a_queued_lock_waiter()
+    monkeypatch.setattr(OmpThread, "target", collecting_target)
+    _, _, pushes = _count_pushes(
+        monkeypatch, Lbm404(Fidelity.TEST), RuntimeConfig.COPY)
+    assert collected
+    assert pushes == 3630
