@@ -42,10 +42,9 @@ class RuntimeConfig(enum.Enum):
     IMPLICIT_ZERO_COPY = "implicit_zero_copy"
     EAGER_MAPS = "eager_maps"
 
-    @property
-    def is_zero_copy(self) -> bool:
-        """Whether kernels receive host pointers (no shadow allocations)."""
-        return self is not RuntimeConfig.COPY
+    def __init__(self, value: str):
+        #: whether kernels receive host pointers (no shadow allocations)
+        self.is_zero_copy = value != "copy"
 
     @property
     def needs_xnack(self) -> bool:

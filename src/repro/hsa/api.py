@@ -55,6 +55,11 @@ class KernelRecord(NamedTuple):
 
 def _functional_copy(dst: np.ndarray, src: np.ndarray) -> None:
     """Move payload data; sizes may differ (modeled >> payload)."""
+    # 1-D only: for a non-contiguous N-D dst, reshape(-1) below copies and
+    # the write is lost, and that stays the result
+    if dst.ndim == 1 and dst.shape == src.shape:
+        dst[:] = src
+        return
     n = min(dst.size, src.size)
     if n:
         dst.reshape(-1)[:n] = src.reshape(-1)[:n]

@@ -28,7 +28,7 @@ __all__ = ["HostBuffer", "DeviceBuffer"]
 class HostBuffer:
     """Host-allocated memory (OS allocator) with a functional payload."""
 
-    __slots__ = ("name", "range", "payload", "region", "freed")
+    __slots__ = ("name", "range", "nbytes", "payload", "region", "freed")
 
     def __init__(
         self,
@@ -39,6 +39,8 @@ class HostBuffer:
     ):
         self.name = name
         self.range = rng
+        #: modeled size in bytes (drives all timing); ``range`` never rebinds
+        self.nbytes = rng.nbytes
         if payload is None:
             # default payload: capped so huge modeled buffers stay cheap
             elems = min(max(rng.nbytes // 8, 1), 4096)
@@ -50,11 +52,6 @@ class HostBuffer:
         self.payload = payload
         self.region = region
         self.freed = False
-
-    @property
-    def nbytes(self) -> int:
-        """Modeled size in bytes (drives all timing)."""
-        return self.range.nbytes
 
     def check_alive(self) -> None:
         if self.freed:

@@ -59,13 +59,10 @@ class MapKind(enum.Enum):
     RELEASE = "release"  #: decrement only, never transfers
     DELETE = "delete"    #: force refcount to zero, never transfers
 
-    @property
-    def copies_to_device(self) -> bool:
-        return self in (MapKind.TO, MapKind.TOFROM)
-
-    @property
-    def copies_to_host(self) -> bool:
-        return self in (MapKind.FROM, MapKind.TOFROM)
+    def __init__(self, value: str):
+        #: set once per member: every map op reads them
+        self.copies_to_device = value in ("to", "tofrom")
+        self.copies_to_host = value in ("from", "tofrom")
 
 
 class MapClause:

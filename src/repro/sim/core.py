@@ -32,14 +32,15 @@ Design constraints that shaped this module:
     Uncontended fixed delays and free resource grants
     are **fused** inline.  The running process calls
     ``if not env.fuse(us): yield us``: :meth:`Environment.fuse`
-    accumulates the charge in a scalar as long as no other scheduled
-    event falls inside the charged window (strict comparison, so
-    exact-time ties still interleave exactly as separate timeouts would)
-    and returns ``True``; the accumulator settles — one clock jump, no
-    heap event — before anything observable: reading ``env.now``,
-    scheduling any event, or suspending.  A contended charge returns
-    ``False`` and the caller yields the delay, a heap entry where the
-    reference engine has one.  Free grants work the same
+    advances the clock in place as long as no other scheduled event falls
+    inside the charged window (strict comparison, so exact-time ties
+    still interleave exactly as separate timeouts would), counts the
+    processed event and returns ``True``.  There is no accumulator: the
+    clock takes one addition per charge, ``now + us``, exactly where the
+    reference engine's timeout would pop, so back-to-back charges round
+    as they do there.  A contended charge returns ``False`` and the
+    caller yields the delay, a heap entry where the reference engine
+    has one.  Free grants work the same
     way through ``res.grab() or (yield res)``
     (:meth:`repro.sim.resources.Resource.grab`): a free unit taken while
     no heap entry is at or before the current time counts one processed
@@ -59,9 +60,8 @@ Design constraints that shaped this module:
     mark to its stop event, so that event's waiters run held off too
     and none of them fuses past the end of the run.  These calls are valid
     in a process's generator and in a callback the event loop runs (the
-    HSA operations' bare entries); a callback must settle (read
-    ``env.now``) before it returns, as the loop sets the next entry's
-    time without settling.
+    HSA operations' bare entries); the clock is always current, so a
+    callback needs no settle before it returns.
   - *dispatch*: ``run(until=Event)`` inlines the pop/advance/call loop
     with hoisted locals instead of calling :meth:`step` per event.
 
@@ -102,7 +102,7 @@ __all__ = [
 #: result can never be served across an engine whose numbers might differ.
 #: The fused and reference schedulers share one version: their numbers are
 #: bit-identical, pinned by the fused-vs-reference differential tests.
-ENGINE_VERSION = 3
+ENGINE_VERSION = 4
 
 
 class SimulationError(RuntimeError):
@@ -431,8 +431,6 @@ class Process(Event):
                     )
                 if nxt.env is not env:
                     raise SimulationError("yielded resource belongs to a different Environment")
-                if env._pending_n:  # suspending: settle, as for an event below
-                    env._settle()
                 self._waiting_on = nxt
                 nxt.request(self._cb)  # a bare grant: sends in the Grant
                 return
@@ -441,10 +439,6 @@ class Process(Event):
             if nxt._state == PROCESSED:
                 trigger = nxt
                 continue
-            # Suspending on a real event: settle fused charges first so the
-            # clock the next event fires against is fully advanced.
-            if env._pending_n:
-                env._settle()
             self._waiting_on = nxt
             nxt.callbacks.append(self._cb)
             return
@@ -490,49 +484,24 @@ class Environment:
     :meth:`timeout` and :meth:`process`, and fuses uncontended delays
     with :meth:`fuse`.
 
-    Reading :attr:`now` settles any fused-but-unsettled charges of the
-    currently executing process, so the clock is always fully advanced at
-    every observable point — the fusion invariant the fused-vs-reference
-    differential tests pin.
+    :attr:`now` is a plain attribute: a fused charge advances it in
+    place, so it reads what the reference engine's clock would at every
+    point.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_event_count",
-                 "_pending", "_pending_n", "_hold", "_owed")
+    __slots__ = ("now", "_queue", "_seq", "_event_count", "_hold", "_owed")
 
     def __init__(self, initial_time: float = 0.0):
-        self._now: float = float(initial_time)
+        self.now: float = float(initial_time)
         self._queue: List[tuple] = []
         self._seq = 0
         self._event_count = 0
-        # fused-charge accumulator (owned by the running process)
-        self._pending = 0.0
-        self._pending_n = 0
         # >0 while an event with several callbacks runs them (no fusion;
         # always >0 on the reference engine)
         self._hold = 0
         # 1 while a Completion's lone waiter runs and the end event behind
         # the Completion is not counted yet (see Completion._process)
         self._owed = 0
-
-    # -- clock -------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        if self._pending_n:
-            self._settle()
-        return self._now
-
-    def _settle(self) -> None:
-        """Fold accumulated charges into the clock.
-
-        Safe whenever the accumulation invariant holds (no scheduled event
-        inside the charged window, maintained by :meth:`fuse` and
-        :meth:`_schedule`); each fused charge counts as one processed
-        event so ``processed_events`` matches the reference engine.
-        """
-        self._now += self._pending
-        self._event_count += self._pending_n
-        self._pending = 0.0
-        self._pending_n = 0
 
     # -- factories --------------------------------------------------------
     def event(self) -> Event:
@@ -546,25 +515,27 @@ class Environment:
 
         ``if not env.fuse(us): yield us`` is the fused form of
         ``yield env.timeout(us)``.  If no heap entry is at or before
-        ``now + pending + delay`` (strictly: an exact-time tie must
-        interleave in FIFO order, which needs a real heap event) and no
-        other waiter of the resuming event still has to run at the
-        current time, the delay joins the accumulator, counts one
-        processed event once settled, and ``True`` is returned.
-        Otherwise nothing changes and ``False`` tells the caller to yield
-        the delay (or a real timeout).  Valid in a process's generator or
-        a settling event-loop callback; :class:`ReferenceEnvironment`
-        always refuses.
+        ``now + delay`` (strictly: an exact-time tie must interleave in
+        FIFO order, which needs a real heap event) and no other waiter of
+        the resuming event still has to run at the current time, the
+        clock advances in place by the one addition the reference
+        engine's timeout makes, the charge counts its processed event
+        (after an owed end event, see :class:`Completion`), and ``True``
+        is returned.  Otherwise nothing changes and ``False`` tells the
+        caller to yield the delay (or a real timeout).  Valid in a
+        process's generator or an event-loop callback;
+        :class:`ReferenceEnvironment` always refuses.
         """
         if delay < 0:
             raise ValueError(f"negative charge delay: {delay}")
         q = self._queue
-        if (not q or q[0][0] > self._now + self._pending + delay) and not self._hold:
+        end = self.now + delay
+        if (not q or q[0][0] > end) and not self._hold:
             if self._owed:
                 self._owed = 0
                 self._event_count += 1
-            self._pending += delay
-            self._pending_n += 1
+            self.now = end
+            self._event_count += 1
             return True
         return False
 
@@ -584,10 +555,8 @@ class Environment:
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if self._pending_n:
-            self._settle()
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event._process))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, event._process))
 
     def _schedule_call(self, fn: Callable[[], None], delay: float = 0.0,
                        seq: int = 0) -> None:
@@ -596,13 +565,11 @@ class Environment:
         It takes the next ``seq`` (or the reserved one given) and counts
         one processed event when popped, exactly where an :class:`Event`
         scheduled here would; ``fn()`` runs as that event's lone, unheld
-        callback and must settle before it returns (see :meth:`fuse`).
+        callback.
         """
-        if self._pending_n:
-            self._settle()
         if not seq:
             self._seq = seq = self._seq + 1
-        heapq.heappush(self._queue, (self._now + delay, seq, fn))
+        heapq.heappush(self._queue, (self.now + delay, seq, fn))
 
     def _inline(self, res: Any, start: Callable) -> Optional[tuple]:
         """Run in place a callback chain the running process waits on at once.
@@ -631,7 +598,7 @@ class Environment:
     def _elide(self) -> None:
         """Count the end event a callback chain's process would queue now:
         at once if the reference engine pops it next, else as a no-op."""
-        if self.peek() > self._now:  # peek() settles first
+        if self.peek() > self.now:
             self._event_count += 1
         else:
             self._schedule_call(_noop)
@@ -643,14 +610,10 @@ class Environment:
         Fused charges and grants count one each, so the total matches the
         reference engine event-for-event.
         """
-        if self._pending_n:
-            self._settle()
         return self._event_count
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._pending_n:
-            self._settle()
         q = self._queue
         if q and q[0][2] is None:  # the horizon marker of run(until=number)
             q = q[1:3]  # the heap's next-smallest entry is a root child
@@ -660,9 +623,9 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event."""
         t, _seq, fn = heapq.heappop(self._queue)
-        if t < self._now:
+        if t < self.now:
             raise SimulationError("time went backwards; corrupted queue")
-        self._now = t
+        self.now = t
         self._event_count += 1
         fn()
 
@@ -692,9 +655,9 @@ class Environment:
                         f"event queue drained before {stop!r} fired (deadlock?)"
                     )
                 t, _seq, fn = pop(q)
-                if t < self._now:
+                if t < self.now:
                     raise SimulationError("time went backwards; corrupted queue")
-                self._now = t
+                self.now = t
                 self._event_count += 1
                 fn()
             if not stop.ok:
@@ -717,7 +680,7 @@ class Environment:
             finally:
                 q.remove(marker)
                 heapq.heapify(q)
-            self._now = max(self.now, horizon)
+            self.now = max(self.now, horizon)
             return None
         while self._queue:
             self.step()

@@ -108,10 +108,7 @@ class Resource:
         return self._busy_time / (horizon * self.capacity)
 
     def _account(self) -> None:
-        env = self.env
-        if env._pending_n:  # what reading env.now does, without the property
-            env._settle()
-        now = env._now
+        now = self.env.now
         dt = now - self._last_change
         if dt > 0:
             self._busy_time += dt * self._in_use
@@ -155,14 +152,13 @@ class Resource:
         """
         env = self.env
         if self._in_use < self.capacity and not self._waiters and not env._hold:
-            if env._pending_n:
-                env._settle()
             q = env._queue
-            if not q or q[0][0] > env._now:
+            now = env.now
+            if not q or q[0][0] > now:
                 if env._owed:
                     env._owed = 0
                     env._event_count += 1
-                now = env._now  # _account(), inline
+                # _account(), inline
                 dt = now - self._last_change
                 if dt > 0:
                     self._busy_time += dt * self._in_use
@@ -182,7 +178,7 @@ class Resource:
         unit is free, nobody queues for one, fusion is not held off, and
         no heap entry is at or before ``now + delay`` (strict).  It then
         counts the grant's and the charge's processed events, advances the
-        clock as the release would settle it, and keeps the occupancy
+        clock as the fused charge would, and keeps the occupancy
         statistics bit-identical to that grab and release.  Otherwise it
         returns ``False`` and changes nothing.
         """
@@ -191,23 +187,22 @@ class Resource:
         env = self.env
         if self._in_use < self.capacity and not self._waiters and not env._hold:
             q = env._queue
-            if not q or q[0][0] > env._now + env._pending + delay:
-                if env._pending_n:
-                    env._settle()
+            now = env.now
+            end = now + delay
+            if not q or q[0][0] > end:
                 if env._owed:
                     env._owed = 0
                     env._event_count += 1
-                # grab's _account(), then release's at the settled clock
-                now = env._now
+                # grab's _account(), then release's at the charged clock
                 dt = now - self._last_change
                 if dt > 0:
                     self._busy_time += dt * self._in_use
                     self._last_change = now
-                env._now = now = now + delay
-                dt = now - self._last_change
+                env.now = end
+                dt = end - self._last_change
                 if dt > 0:
                     self._busy_time += dt * (self._in_use + 1)
-                    self._last_change = now
+                    self._last_change = end
                 env._event_count += 2
                 return True
         return False
@@ -219,9 +214,7 @@ class Resource:
             raise SimulationError("grant released twice")
         grant.active = False
         env = self.env
-        if env._pending_n:  # _account(), inline
-            env._settle()
-        now = env._now
+        now = env.now  # _account(), inline
         dt = now - self._last_change
         if dt > 0:
             self._busy_time += dt * self._in_use

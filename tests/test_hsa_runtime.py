@@ -6,6 +6,7 @@ import pytest
 from repro.core.params import CostModel
 from repro.driver import Kfd
 from repro.hsa import HsaRuntime, Signal
+from repro.hsa.api import _functional_copy
 from repro.memory import (
     GIB,
     MIB,
@@ -188,6 +189,47 @@ def test_partial_payload_copy_is_safe():
 
     run_proc(env, proc())
     assert np.array_equal(dst, src[:4])
+
+
+def _reshape_copy(dst, src):
+    """The payload move before its 1-D fast path: a flat prefix copy."""
+    n = min(dst.size, src.size)
+    if n:
+        dst.reshape(-1)[:n] = src.reshape(-1)[:n]
+
+
+def _same(a):
+    return a
+
+
+#: case -> (dst's owning array, the dst view of it, src)
+_PAYLOAD_PAIRS = {
+    "equal_1d": (lambda: np.zeros(8), _same, np.arange(8.0) + 0.5),
+    "dst_longer": (lambda: np.zeros(8), _same, np.arange(5.0)),
+    "src_longer": (lambda: np.zeros(5), _same, np.arange(8.0)),
+    "strided_dst": (lambda: np.zeros(16), lambda a: a[::2], np.arange(8.0)),
+    "float_into_int": (lambda: np.zeros(8, dtype=np.int64), _same,
+                       np.arange(8.0) + 0.7),
+    "c_contiguous_2d": (lambda: np.zeros((3, 4)), _same,
+                        np.arange(12.0).reshape(3, 4)),
+    "transposed_2d_dst": (lambda: np.zeros((3, 4)), np.transpose,
+                          np.arange(12.0).reshape(4, 3)),
+}
+
+
+@pytest.mark.parametrize("pair", list(_PAYLOAD_PAIRS))
+def test_functional_copy_matches_reshape_body(pair):
+    make, view, src = _PAYLOAD_PAIRS[pair]
+    moved = []
+    for copy in (_functional_copy, _reshape_copy):
+        owner = make()
+        copy(view(owner), src)
+        moved.append((owner.dtype, owner.shape, owner.tobytes()))
+    assert moved[0] == moved[1]
+    if pair == "transposed_2d_dst":  # reshape(-1) copies: the write is lost
+        assert not owner.any()
+    else:
+        assert owner.any()
 
 
 def test_negative_copy_size_rejected():

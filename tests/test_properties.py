@@ -19,7 +19,7 @@ from repro.memory import (
 )
 from repro.memory.buffers import HostBuffer
 from repro.omp.mapping import MappingError, PresentEntry, PresentTable
-from repro.sim import Environment
+from repro.sim import Environment, Mutex, ReferenceEnvironment
 from repro.trace.stats import cov, median
 
 pages = st.sampled_from([PAGE_4K, PAGE_2M])
@@ -197,6 +197,54 @@ def test_resource_never_exceeds_capacity(durations, capacity):
     env.run()
     assert concurrent[0] == 0
     assert peak[0] <= capacity
+
+
+#: one host step: a fused charge, a yielded sleep, a lock cycle through
+#: grab-or-wait, charge and release, or the same cycle as a ``hold``
+_host_steps = st.lists(
+    st.tuples(st.sampled_from(["fuse", "sleep", "cycle", "hold"]),
+              st.floats(0, 1e4, allow_nan=False, allow_infinity=False)),
+    max_size=12)
+
+
+def _charge(env, us):
+    """(generator) The fused-delay idiom of the modeled code."""
+    if not env.fuse(us):
+        yield us
+
+
+def _run_host_steps(env_cls, programs):
+    env = env_cls()
+    lock = Mutex(env)
+    log = []
+
+    def host(pid, steps):
+        for kind, us in steps:
+            if kind == "sleep":
+                yield us
+            elif kind == "fuse":
+                yield from _charge(env, us)
+            elif kind == "cycle" or not lock.hold(us):
+                grant = lock.grab() or (yield lock)
+                yield from _charge(env, us)
+                lock.release(grant)
+            # a fused charge is not read here, so back-to-back charges
+            # meet the clock only at the next logged step
+            log.append((None if kind == "fuse" else env.now, pid))
+
+    for pid, steps in enumerate(programs):
+        env.process(host(pid, steps))
+    env.run()
+    return log, env.now, env.processed_events
+
+
+@given(st.lists(_host_steps, min_size=1, max_size=3))
+@settings(deadline=None)
+def test_fused_engine_matches_reference_on_generated_host_steps(programs):
+    """Hosts sharing a lock: every step's clock and order, the final
+    clock and the event count match the reference engine's."""
+    assert (_run_host_steps(Environment, programs)
+            == _run_host_steps(ReferenceEnvironment, programs))
 
 
 # ---------------------------------------------------------------------------

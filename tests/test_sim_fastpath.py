@@ -14,7 +14,6 @@ from repro.sim import (
     ENGINE_VERSION,
     AllOf,
     Environment,
-    Event,
     Interrupt,
     Mutex,
     Process,
@@ -101,7 +100,7 @@ def test_charge_settles_before_now_read():
 
 
 def test_charge_settles_before_event_creation():
-    """An event scheduled mid-chain lands at the settled time."""
+    """An event scheduled mid-chain lands at the charged clock."""
     env = Environment()
     marks = []
 
@@ -151,8 +150,8 @@ def test_charge_contended_matches_timeout_interleaving():
 
 
 def test_zero_charges_are_counted():
-    """A zero-µs charge raises only the pending count; every settle point
-    must still fold it into processed_events."""
+    """A zero-µs charge leaves the clock where it is but still counts
+    one processed event."""
     results = {}
     for cls in ENGINES:
         env = cls()
@@ -297,15 +296,37 @@ def test_fuse_accumulates_without_heap_traffic():
 
     def proc():
         yield env.timeout(1.0)
-        seen.append(env.fuse(2.0))
-        seen.append(env.fuse(0.0))
-        seen.append((env._pending, env._pending_n, env._seq))
-        seen.append(env.now)  # settles
-        seen.append((env._pending, env._pending_n))
+        with count_heap_pushes() as pushes:
+            seen.append(env.fuse(2.0))
+            seen.append(env.fuse(0.0))
+        seen.append((env.now, env.processed_events, env._seq, pushes.total()))
 
     env.run(env.process(proc()))
-    assert seen == [True, True, (2.0, 2, 2), 3.0, (0.0, 0)]
+    # bootstrap, timeout and 2 fused charges so far; no heap push
+    assert seen == [True, True, (3.0, 4, 2, 0)]
     assert env.processed_events == 5  # bootstrap, timeout, 2 fused, the end
+
+
+def test_back_to_back_fused_charges_round_like_reference():
+    """Each fused charge is one addition to the clock, where its timeout
+    would pop: ``(0.1 + 0.2) + 0.3``, not ``0.1 + (0.2 + 0.3)``."""
+    results = {}
+    for cls in ENGINES:
+        env = cls()
+        seen = []
+
+        def proc():
+            yield 0.1
+            yield from _charge(env, 0.2)
+            yield from _charge(env, 0.3)
+            seen.append(env.now)
+
+        env.run(env.process(proc()))
+        results[cls] = (seen, env.processed_events)
+        if cls is Environment:
+            assert env._seq == 3  # the start, the sleep, the end: both fused
+    assert results[Environment] == results[ReferenceEnvironment]
+    assert results[Environment] == ([0.6000000000000001], 5)
 
 
 def test_fuse_refuses_on_a_heap_entry_inside_the_window():
@@ -488,7 +509,7 @@ def _cycle_with_units_in_use(fused):
             grant = res.grab()
             seen.append(env.fuse(1.3))
             res.release(grant)
-        seen.append((env._pending_n, res.in_use))
+        seen.append((env.now, env.processed_events, res.in_use))
         yield env.timeout(0.7)
         for grant in busy:
             res.release(grant)
@@ -503,7 +524,7 @@ def test_hold_matches_grab_charge_release_with_units_in_use():
     integral exactly where grab, fused charge and release leave them."""
     held = _cycle_with_units_in_use(True)
     assert held == _cycle_with_units_in_use(False)
-    assert held[0] == [True, (0, 2)]
+    assert held[0] == [True, (4.3, 7, 2)]
 
 
 def test_hold_refuses_on_a_heap_entry_inside_the_window():
@@ -945,8 +966,8 @@ def test_engine_version_exported():
     assert isinstance(ENGINE_VERSION, int) and ENGINE_VERSION >= 2
 
 
-def test_engine_version_is_3():
-    assert ENGINE_VERSION == 3
+def test_engine_version_is_4():
+    assert ENGINE_VERSION == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1270,66 +1291,35 @@ def test_grant_shapes_fused_vs_reference(shape):
 
 
 # ---------------------------------------------------------------------------
-# callback chains: a callback run from the event loop may fuse and grab,
-# but must settle before it returns — the loop assigns the next event's
-# time without settling
+# callback chains: a callback run from the event loop may fuse and grab
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def settled_on_every_pop(monkeypatch):
-    """Check the clock is settled at every pop: an event's ``_process`` and
-    every bare entry queued through ``Environment._schedule_call``."""
-    process = Event._process
+def test_callback_fusing_without_reading_the_clock_matches_reference():
+    """A bare entry fuses charges and returns without reading the clock;
+    the timeout popped next must still see the clock the charges left,
+    as on the reference engine, where each charge is its own entry."""
+    sides = {}
+    for cls in ENGINES:
+        env = cls()
+        log = []
 
-    def checked(self):
-        assert self.env._pending_n == 0, (
-            f"{type(self).__name__} popped with fused charges unsettled")
-        process(self)
+        def charges(*delays):
+            for us in delays:
+                if not env.fuse(us):
+                    env._schedule_call(lambda: None, us)  # the refused charge
 
-    schedule_call = Environment._schedule_call
+        def logs(_ev):
+            log.append(env.now)
 
-    def checked_schedule_call(self, fn, delay=0.0, seq=0):
-        def call():
-            assert self._pending_n == 0, (
-                f"bare entry {fn!r} popped with fused charges unsettled")
-            fn()
-
-        schedule_call(self, call, delay, seq)
-
-    monkeypatch.setattr(Event, "_process", checked)
-    monkeypatch.setattr(Environment, "_schedule_call", checked_schedule_call)
-
-
-@pytest.mark.parametrize("config", ["COPY", "IMPLICIT_ZERO_COPY", "EAGER_MAPS"])
-def test_runtime_callbacks_settle_before_returning(settled_on_every_pop, config):
-    from repro.core import RuntimeConfig
-    from repro.experiments.runner import execute
-    from repro.workloads.base import Fidelity
-    from repro.workloads.qmcpack import QmcPackNio
-
-    run = execute(QmcPackNio(size=2, n_threads=2, fidelity=Fidelity.TEST),
-                  RuntimeConfig[config])
-    assert run.sim_events > 0
-
-
-def test_callback_fusing_without_settling_fails_loudly(settled_on_every_pop):
-    env = Environment()
-
-    def settles():
-        assert env.fuse(1.0)
-        assert env.now == 1.0  # reading the clock settles
-
-    def leaves_charge_pending():
-        assert env.fuse(1.0)
-
-    env._schedule_call(settles)
-    env.timeout(5.0)
-    env.run()
-    env._schedule_call(leaves_charge_pending)
-    env.timeout(5.0)
-    with pytest.raises(AssertionError, match="unsettled"):
+        env._schedule_call(partial(charges, 1.0))
+        env.timeout(5.0).callbacks.append(logs)
         env.run()
+        env._schedule_call(partial(charges, 0.2, 0.3))
+        env.timeout(7.0).callbacks.append(logs)
+        env.run()
+        sides[cls] = (log, env.now, env.processed_events)
+    assert sides[Environment] == sides[ReferenceEnvironment]
 
 
 def test_reference_engine_builds_every_event_fresh(monkeypatch):
