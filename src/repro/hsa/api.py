@@ -124,7 +124,7 @@ class _Copy(_Chain):
         hsa = self.hsa
         if self.handler:
             self.sig.event.callbacks.append(self.on_signal)
-            hsa.env._event_count += 1  # the handler's bootstrap, popped next
+            hsa.env._count()  # the handler's bootstrap, popped next
         _when_granted(hsa.sdma, self.granted)
 
     def on_signal(self, _ev) -> None:

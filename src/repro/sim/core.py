@@ -40,13 +40,16 @@ Design constraints that shaped this module:
     reference engine's timeout would pop, so back-to-back charges round
     as they do there.  A contended charge returns ``False`` and the
     caller yields the delay, a heap entry where the reference engine
-    has one.  Free grants work the same
-    way through ``res.grab() or (yield res)``
-    (:meth:`repro.sim.resources.Resource.grab`): a free unit taken while
-    no heap entry is at or before the current time counts one processed
-    event and never touches the heap.  A critical section that holds
-    only a fixed charge fuses as a whole through ``res.hold(us)``: grant,
-    charge and release in one call, two events counted.  A kernel or copy
+    has one.  ``fuse(us, n)`` is the engine's one fusion test, and it
+    counts the ``n`` processed events a fused span stands for.  Free
+    grants go through it as ``res.grab() or (yield res)``
+    (:meth:`repro.sim.resources.Resource.grab`): a free unit with nobody
+    queued, then ``fuse(0.0)``, counting the grant's event off the heap.
+    A critical section that holds only a fixed charge fuses as a whole
+    through ``res.hold(us)``: the same check, then ``fuse(us, 2)`` for
+    the grant and the charge.  Pops that no fusion stands for (an inlined
+    chain's bootstrap, signal and end event) are counted by
+    :meth:`Environment._count`.  A kernel or copy
     the process waits on at once runs in the process's frame
     (:meth:`Environment._inline`) when ``grab()`` takes its unit: if its
     charge fuses too, it completes with no heap entry and no signal,
@@ -290,14 +293,14 @@ class Completion(Event):
                 raise
             if env._owed:
                 env._owed = 0
-                env._event_count += 1
+                env._count()
             return
         env._hold += 1
         try:
             Event._process(self)
         finally:
             env._hold -= 1
-        env._event_count += 1
+        env._count()
 
 
 class Process(Event):
@@ -510,7 +513,7 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def fuse(self, delay: float) -> bool:
+    def fuse(self, delay: float, n: int = 1) -> bool:
         """Charge ``delay`` µs in place if nothing can tell the difference.
 
         ``if not env.fuse(us): yield us`` is the fused form of
@@ -519,11 +522,14 @@ class Environment:
         FIFO order, which needs a real heap event) and no other waiter of
         the resuming event still has to run at the current time, the
         clock advances in place by the one addition the reference
-        engine's timeout makes, the charge counts its processed event
-        (after an owed end event, see :class:`Completion`), and ``True``
-        is returned.  Otherwise nothing changes and ``False`` tells the
-        caller to yield the delay (or a real timeout).  Valid in a
-        process's generator or an event-loop callback;
+        engine's timeout makes, the ``n`` processed events the fused span
+        stands for are counted (after an owed end event, see
+        :class:`Completion`), and ``True`` is returned: ``n`` is 1 for a
+        charge, and :class:`~repro.sim.resources.Resource` passes 0 µs
+        for a grant and 2 for a ``hold``'s grant plus charge.  Otherwise
+        nothing changes and ``False`` tells the caller to yield the delay
+        (or a real timeout).  This is the engine's one fusion test.  Valid
+        in a process's generator or an event-loop callback;
         :class:`ReferenceEnvironment` always refuses.
         """
         if delay < 0:
@@ -535,9 +541,14 @@ class Environment:
                 self._owed = 0
                 self._event_count += 1
             self.now = end
-            self._event_count += 1
+            self._event_count += n
             return True
         return False
+
+    def _count(self, n: int = 1) -> None:
+        """Count ``n`` processed events that never touch the heap: pops
+        the reference engine makes that no fusion test stands for."""
+        self._event_count += n
 
     def charge(self, delay: float) -> Timeout:
         """A plain :meth:`timeout`, never fused.
@@ -587,19 +598,19 @@ class Environment:
         grant = res.grab()  # counts an owed end event, then the grant
         if grant is None:
             return None
-        self._event_count += 1  # the bootstrap, popped before the grant
+        self._count()  # the bootstrap, popped before the grant
         us, finish = start(grant)
         if not self.fuse(us):
             return False, (us, finish)
         value = finish()
-        self._event_count += 2  # the signal's pop and the end event behind it
+        self._count(2)  # the signal's pop and the end event behind it
         return True, value
 
     def _elide(self) -> None:
         """Count the end event a callback chain's process would queue now:
         at once if the reference engine pops it next, else as a no-op."""
         if self.peek() > self.now:
-            self._event_count += 1
+            self._count()
         else:
             self._schedule_call(_noop)
 

@@ -19,16 +19,19 @@ Inside a process the idiomatic pattern is explicit::
         res.release(grant)
 
 :meth:`Resource.grab` takes a free unit inline, without a heap event,
-when the fused engine can prove nobody could observe the difference;
-otherwise the process yields the resource itself and waits through
-:meth:`Resource.request`, which pushes its :class:`Grant` as a bare heap
-entry where :meth:`Resource.acquire`'s event would have been.
+where a unit is free, nobody queues for one and
+:meth:`~repro.sim.core.Environment.fuse` accepts the grant as a zero-µs
+charge; otherwise the process yields the resource itself and waits
+through :meth:`Resource.request`, which pushes its :class:`Grant` as a
+bare heap entry where :meth:`Resource.acquire`'s event would have been.
 ``acquire()`` stays the public :class:`~repro.sim.core.Event` form (for
 workloads, ``AllOf`` over grants and tests).  A critical section that
 holds nothing but a fixed charge fuses as a whole: ``if not res.hold(us):``
-the pattern above with ``env.fuse(us)`` inside.
-:meth:`Resource.hold` never calls :meth:`Resource.release`, so a tracer
-wrapping ``release`` sees only that slow path.
+the pattern above with ``env.fuse(us)`` inside.  :meth:`Resource.hold`
+is the same free-unit check plus one ``fuse`` that counts the grant and
+the charge; it never calls :meth:`Resource.release`, so a tracer
+wrapping ``release`` sees only that slow path.  Only ``fuse`` decides
+whether a step may fuse: this module touches no private engine field.
 
 Engine callback chains (the HSA copies and kernels) take a unit with
 ``res.grab()`` or else :meth:`Resource.request`, which runs
@@ -86,9 +89,6 @@ class Resource:
         # (event, grant) per acquire(), (bound callback, None) per request():
         # (_noop, None) once Process.interrupt detached a waiting process
         self._waiters: Deque[tuple] = deque()
-        # occupancy bookkeeping for utilization diagnostics
-        self._busy_time = 0.0
-        self._last_change = env.now
 
     # -- stats -------------------------------------------------------------
     @property
@@ -99,28 +99,12 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def utilization(self) -> float:
-        """Mean fraction of capacity busy over ``[0, now]``."""
-        self._account()
-        horizon = self.env.now
-        if horizon <= 0:
-            return 0.0
-        return self._busy_time / (horizon * self.capacity)
-
-    def _account(self) -> None:
-        now = self.env.now
-        dt = now - self._last_change
-        if dt > 0:
-            self._busy_time += dt * self._in_use
-            self._last_change = now
-
     # -- acquire/release -----------------------------------------------------
     def acquire(self) -> Event:
         """Return an event firing with a :class:`Grant` when a unit frees."""
         ev = self.env.event()
         grant = Grant(self)
         if self._in_use < self.capacity and not self._waiters:
-            self._account()
             self._in_use += 1
             ev.succeed(grant)
         else:
@@ -133,7 +117,6 @@ class Resource:
         grant's event would have been."""
         call = partial(then, Grant(self))
         if self._in_use < self.capacity and not self._waiters:
-            self._account()
             self._in_use += 1
             self.env._schedule_call(call)
         else:
@@ -142,30 +125,14 @@ class Resource:
     def grab(self) -> Optional[Grant]:
         """Take a free unit inline: ``res.grab() or (yield res)``.
 
-        Succeeds only when a unit is free, nobody queues for one, no heap
-        entry is at or before the current time (the strict-tie rule: the
-        reference engine would pop this grant's event next) and fusion is
-        not held off (see :meth:`Environment.fuse`).  Then it takes the
-        unit and counts the one processed event the grant's event would
-        have been.  Otherwise it returns ``None`` and changes nothing.
-        Valid where :meth:`~repro.sim.core.Environment.fuse` is.
+        Succeeds where a unit is free, nobody queues for one and
+        ``env.fuse(0.0)`` accepts the grant's processed event (no heap
+        entry at or before ``now``, fusion not held off).  Otherwise it
+        returns ``None`` and changes nothing.
         """
-        env = self.env
-        if self._in_use < self.capacity and not self._waiters and not env._hold:
-            q = env._queue
-            now = env.now
-            if not q or q[0][0] > now:
-                if env._owed:
-                    env._owed = 0
-                    env._event_count += 1
-                # _account(), inline
-                dt = now - self._last_change
-                if dt > 0:
-                    self._busy_time += dt * self._in_use
-                    self._last_change = now
-                self._in_use += 1
-                env._event_count += 1
-                return Grant(self)
+        if self._in_use < self.capacity and not self._waiters and self.env.fuse(0.0):
+            self._in_use += 1
+            return Grant(self)
         return None
 
     def hold(self, delay: float) -> bool:
@@ -173,39 +140,15 @@ class Resource:
 
         ``if not res.hold(us): <grab or acquire, charge us, release>`` is
         the fused form of a critical section that holds nothing but a
-        fixed charge.  It succeeds exactly where :meth:`grab` followed by
-        :meth:`~repro.sim.core.Environment.fuse` would both succeed: a
-        unit is free, nobody queues for one, fusion is not held off, and
-        no heap entry is at or before ``now + delay`` (strict).  It then
-        counts the grant's and the charge's processed events, advances the
-        clock as the fused charge would, and keeps the occupancy
-        statistics bit-identical to that grab and release.  Otherwise it
-        returns ``False`` and changes nothing.
+        fixed charge.  It succeeds where a unit is free, nobody queues for
+        one and ``env.fuse(delay, 2)`` accepts the grant's and the
+        charge's events, so exactly where :meth:`grab` followed by
+        ``fuse(delay)`` would.  Otherwise it returns ``False`` and changes
+        nothing.
         """
         if delay < 0:
             raise ValueError(f"negative charge delay: {delay}")
-        env = self.env
-        if self._in_use < self.capacity and not self._waiters and not env._hold:
-            q = env._queue
-            now = env.now
-            end = now + delay
-            if not q or q[0][0] > end:
-                if env._owed:
-                    env._owed = 0
-                    env._event_count += 1
-                # grab's _account(), then release's at the charged clock
-                dt = now - self._last_change
-                if dt > 0:
-                    self._busy_time += dt * self._in_use
-                    self._last_change = now
-                env.now = end
-                dt = end - self._last_change
-                if dt > 0:
-                    self._busy_time += dt * (self._in_use + 1)
-                    self._last_change = end
-                env._event_count += 2
-                return True
-        return False
+        return self._in_use < self.capacity and not self._waiters and self.env.fuse(delay, 2)
 
     def release(self, grant: Grant) -> None:
         if grant.resource is not self:
@@ -213,17 +156,11 @@ class Resource:
         if not grant.active:
             raise SimulationError("grant released twice")
         grant.active = False
-        env = self.env
-        now = env.now  # _account(), inline
-        dt = now - self._last_change
-        if dt > 0:
-            self._busy_time += dt * self._in_use
-            self._last_change = now
         if self._waiters:
             # hand the unit straight over: in_use stays constant
             waiter, next_grant = self._waiters.popleft()
             if next_grant is None:  # a request(): the grant is bound in
-                env._schedule_call(waiter)
+                self.env._schedule_call(waiter)
             else:
                 waiter.succeed(next_grant)
         else:

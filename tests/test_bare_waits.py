@@ -223,7 +223,7 @@ def _run(monkeypatch, program, engine, idiom):
     env.run()
     monkeypatch.undo()
     observed = (log, env.now, env.processed_events,
-                [(r.in_use, r.queue_length, r.utilization()) for r in resources])
+                [(r.in_use, r.queue_length) for r in resources])
     return observed, branches
 
 

@@ -2,14 +2,17 @@
 grants (``Resource.grab``) and lock cycles (``Resource.hold``), event
 lifetime, interrupts, and the retained reference scheduler."""
 
+import ast
 import contextlib
 import random
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 from oracles import count_heap_pushes
 
+import repro
 from repro.sim import (
     ENGINE_VERSION,
     AllOf,
@@ -515,13 +518,12 @@ def _cycle_with_units_in_use(fused):
             res.release(grant)
 
     env.run(env.process(proc()))
-    return (seen, env.now, env.processed_events, env._seq,
-            res._busy_time, res._last_change, res.utilization())
+    return seen, env.now, env.processed_events, env._seq
 
 
 def test_hold_matches_grab_charge_release_with_units_in_use():
-    """The hold leaves the clock, the event count and the occupancy
-    integral exactly where grab, fused charge and release leave them."""
+    """The hold leaves the clock, the event count and the heap exactly
+    where grab, fused charge and release leave them."""
     held = _cycle_with_units_in_use(True)
     assert held == _cycle_with_units_in_use(False)
     assert held[0] == [True, (4.3, 7, 2)]
@@ -628,6 +630,24 @@ def test_hold_negative_raises():
         with pytest.raises(ValueError):
             lock.hold(-1.0)
         assert (env.now, env.processed_events, lock.in_use) == (0.0, 0, 0)
+
+
+@pytest.mark.parametrize("case", ["busy", "queued"])
+def test_hold_negative_raises_before_the_free_unit_check(case):
+    """A refused hold still rejects a negative delay: on a busy unit and
+    behind a queued waiter, on both engines, changing nothing."""
+    for cls in ENGINES:
+        env = cls()
+        lock = Mutex(env)
+        lock.acquire()
+        if case == "queued":
+            lock.acquire()
+        before = (env.now, env.processed_events, env._seq, lock.in_use,
+                  lock.queue_length)
+        with pytest.raises(ValueError):
+            lock.hold(-1.0)
+        assert (env.now, env.processed_events, env._seq, lock.in_use,
+                lock.queue_length) == before
 
 
 def test_reference_engine_never_holds():
@@ -1088,7 +1108,6 @@ def test_resource_programs_fused_vs_reference(seed):
                 log,
                 env.now,
                 env.processed_events,
-                [r.utilization() for r in res],
                 [(r.in_use, r.queue_length) for r in res],
             )
     assert len(set(map(repr, sides.values()))) == 1, sides
@@ -1152,7 +1171,7 @@ def test_uncontended_grants_stay_off_the_heap():
                 lock.release(grant)
 
         env.run(env.process(proc()))
-        results[cls] = (env.now, env.processed_events, lock.utilization())
+        results[cls] = (env.now, env.processed_events)
         if cls is Environment:
             assert env._seq == 2
     assert results[Environment] == results[ReferenceEnvironment]
@@ -1459,3 +1478,23 @@ def test_heap_push_count_ignores_a_dropped_run(monkeypatch):
         monkeypatch, Lbm404(Fidelity.TEST), RuntimeConfig.COPY)
     assert collected
     assert pushes == 3630
+
+
+# ---------------------------------------------------------------------------
+# engine fields
+# ---------------------------------------------------------------------------
+
+#: the engine's private fields: only ``sim/core.py`` may name them, so
+#: fusion and event counting go through ``Environment``'s methods
+ENGINE_FIELDS = {"_event_count", "_owed", "_hold", "_queue"}
+
+
+def test_only_the_engine_touches_its_private_fields():
+    root = Path(repro.__file__).parent
+    touched = sorted(
+        {str(path.relative_to(root))
+         for path in root.rglob("*.py")
+         for node in ast.walk(ast.parse(path.read_text(), str(path)))
+         if isinstance(node, ast.Attribute) and node.attr in ENGINE_FIELDS}
+    )
+    assert touched == ["sim/core.py"]

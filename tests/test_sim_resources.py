@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment, Jitter, Mutex, Resource, RngHub, SimulationError
 
@@ -86,6 +87,28 @@ def test_release_to_wrong_resource_rejected():
         r2.release(g)
 
 
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(1, 3), taken=st.integers(0, 5), wrong=st.booleans())
+def test_misreleased_grant_raises_its_own_error_and_changes_nothing(capacity, taken,
+                                                                     wrong):
+    """A grant released twice, or to another resource, is rejected by its
+    own check whatever the occupancy and queue it meets, not by a
+    negative occupancy, and no unit or waiter moves."""
+    env = Environment()
+    res, other = Resource(env, capacity), Resource(env, capacity)
+    grant = res.acquire().value
+    if not wrong:
+        res.release(grant)
+    target = other if wrong else res
+    for _ in range(taken):  # units in use, then waiters beyond capacity
+        target.acquire()
+    before = (target.in_use, target.queue_length, env._seq)
+    with pytest.raises(SimulationError, match="wrong resource" if wrong else "twice"):
+        target.release(grant)
+    assert (target.in_use, target.queue_length, env._seq) == before
+    assert grant.active is wrong
+
+
 def test_capacity_validation():
     env = Environment()
     with pytest.raises(ValueError):
@@ -111,21 +134,6 @@ def test_mutex_serializes():
     for (_, _s1, e1), (_, s2, _e2) in zip(intervals, intervals[1:], strict=False):
         assert e1 <= s2
     assert env.now == 12.0
-
-
-def test_utilization_accounting():
-    env = Environment()
-    res = Resource(env, capacity=2)
-
-    def worker():
-        grant = yield res.acquire()
-        yield env.timeout(10.0)
-        res.release(grant)
-
-    env.process(worker())
-    env.run()
-    # 1 unit busy for 10us out of 2 units * 10us
-    assert res.utilization() == pytest.approx(0.5)
 
 
 def test_queue_length_visible():
