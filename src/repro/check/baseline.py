@@ -15,7 +15,7 @@ known defect around a file or rewording a rule must not resurrect it.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, Sequence, Set
 
 from .findings import CheckReport, Finding
 

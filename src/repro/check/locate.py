@@ -26,14 +26,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .findings import Finding
 from .static.ir import (
-    Branch,
     EnterOp,
     ExitOp,
     GlobalSyncOp,
-    Loop,
-    Op,
     OutputOp,
-    Seq,
     TargetOp,
     WorkloadIR,
 )
@@ -44,21 +40,6 @@ __all__ = ["backfill_sources"]
 #: map kinds whose ``always`` modifier never transfers (mirrors the
 #: dynamic sanitizer's MC-S05 predicate)
 _NON_TRANSFER = frozenset({"alloc", "release", "delete"})
-
-
-def _iter_ops(ir: WorkloadIR):
-    def walk(seq: Seq):
-        for item in seq.items:
-            if isinstance(item, Op):
-                yield item
-            elif isinstance(item, Branch):
-                yield from walk(item.then)
-                yield from walk(item.orelse)
-            elif isinstance(item, Loop):
-                yield from walk(item.body)
-
-    for th in ir.threads:
-        yield from walk(th.body)
 
 
 def _index(ir: WorkloadIR) -> Tuple[Dict[str, int], Dict[str, int],
@@ -72,7 +53,7 @@ def _index(ir: WorkloadIR) -> Tuple[Dict[str, int], Dict[str, int],
     globals_: Dict[str, int] = {}
     outputs: Dict[str, int] = {}
     always_line: Optional[int] = None
-    for op in _iter_ops(ir):
+    for op in ir.ops():
         if isinstance(op, TargetOp):
             for g in op.globals_used:
                 globals_.setdefault(g, op.lineno)

@@ -23,7 +23,7 @@ the cost walker, only unbounded-per-iteration patterns warrant a lint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ....core.config import RuntimeConfig
 from ....omp.mapping import MapKind
@@ -42,6 +42,7 @@ from ..ir import (
     TargetOp,
     UpdateOp,
     WorkloadIR,
+    walk,
 )
 from ..rules import _relative_source, analyze_workload, rule_matrix
 from .intervals import ONE, ZERO, Interval
@@ -82,6 +83,38 @@ class LintHit:
     message: str
     lineno: int
     tid: int
+
+
+class LoopSummary(NamedTuple):
+    """What the loop-scoped lints (MC-W01/W03/W04, MC-A02/A03) share
+    about one symbolic loop."""
+
+    #: ``(site key, site, enter line)`` of each strong site the body both
+    #: map-enters and map-exits, by site key
+    churn: List[Tuple[str, AbstractBuffer, int]]
+    trips: int      #: the exact trip count, else the guaranteed minimum
+    trips_txt: str  #: the trip count as the messages spell it
+
+
+def summarize_loop(loop: Loop) -> LoopSummary:
+    enters: Dict[str, Tuple[AbstractBuffer, int]] = {}
+    exits = set()
+    for node in walk(loop.body):
+        if not isinstance(node, (EnterOp, ExitOp)):
+            continue
+        for c in node.clauses:
+            if c.buf.strong and c.kind is not None:
+                if isinstance(node, EnterOp):
+                    enters[c.buf.only.site] = (c.buf.only, node.lineno)
+                else:
+                    exits.add(c.buf.only.site)
+    churn = [(key, site, lineno)
+             for key, (site, lineno) in sorted(enters.items())
+             if key in exits]
+    if loop.trips is not None:
+        return LoopSummary(churn, loop.trips, f"{loop.trips} iterations")
+    return LoopSummary(churn, loop.min_trips,
+                       f">= {loop.min_trips} iteration(s)")
 
 
 class _Detector:
@@ -161,7 +194,7 @@ class _Detector:
         return self._op(node, rc)
 
     def _loop(self, loop: Loop, rc: Dict[str, Interval]) -> Dict[str, Interval]:
-        self._scan_loop(loop, rc)
+        self._scan_loop(loop)
         # stabilize the entry state (join-fixpoint), then one detection pass
         cur = dict(rc)
         for _ in range(8):
@@ -244,33 +277,14 @@ class _Detector:
                         op.lineno)
 
     # -- loop-scoped rules (MC-W01 / MC-W03 / MC-W04) ------------------------
-    def _scan_loop(self, loop: Loop, rc: Dict[str, Interval]) -> None:
-        enters: Dict[str, Tuple[AbstractBuffer, int]] = {}
-        exits: Dict[str, int] = {}
+    def _scan_loop(self, loop: Loop) -> None:
         allocs: Dict[str, AbstractBuffer] = {}
         kernel_sites: Dict[str, Tuple[str, int]] = {}
         globals_in_loop: Dict[str, Tuple[str, int]] = {}
-
-        def scan(node):
-            if isinstance(node, Seq):
-                for item in node.items:
-                    scan(item)
-            elif isinstance(node, Branch):
-                scan(node.then)
-                scan(node.orelse)
-            elif isinstance(node, Loop):
-                scan(node.body)
-            elif isinstance(node, AllocOp):
+        for node in walk(loop.body):
+            if isinstance(node, AllocOp):
                 if node.buf is not None:
                     allocs[node.buf.site] = node.buf
-            elif isinstance(node, EnterOp):
-                for c in node.clauses:
-                    if c.buf.strong and c.kind is not None:
-                        enters[c.buf.only.site] = (c.buf.only, node.lineno)
-            elif isinstance(node, ExitOp):
-                for c in node.clauses:
-                    if c.buf.strong and c.kind is not None:
-                        exits[c.buf.only.site] = node.lineno
             elif isinstance(node, TargetOp):
                 for c in node.clauses:
                     for s in c.buf.sites:
@@ -280,25 +294,18 @@ class _Detector:
                         kernel_sites.setdefault(s.site, (node.kernel, node.lineno))
                 for g in node.globals_used:
                     globals_in_loop.setdefault(g, (node.kernel, node.lineno))
-
-        scan(loop.body)
-        trips = loop.trips if loop.trips is not None else loop.min_trips
-        trips_txt = (
-            f"{loop.trips} iterations" if loop.trips is not None
-            else f">= {loop.min_trips} iteration(s)"
-        )
+        churn, trips, trips_txt = summarize_loop(loop)
 
         # MC-W01: enter/exit churn of the same site every iteration
-        for key, (site, lineno) in sorted(enters.items()):
-            if key in exits:
-                self.fire(
-                    "MC-W01", key, site.name,
-                    f"{site.name!r} is mapped and unmapped on every "
-                    f"iteration of the loop at line {loop.lineno} "
-                    f"({trips_txt}): under Eager Maps each enter pays a "
-                    "prefault ioctl for the same pages — hoist the "
-                    "enter/exit pair out of the loop",
-                    lineno)
+        for key, site, lineno in churn:
+            self.fire(
+                "MC-W01", key, site.name,
+                f"{site.name!r} is mapped and unmapped on every "
+                f"iteration of the loop at line {loop.lineno} "
+                f"({trips_txt}): under Eager Maps each enter pays a "
+                "prefault ioctl for the same pages — hoist the "
+                "enter/exit pair out of the loop",
+                lineno)
 
         # MC-W03: per-iteration fresh allocation touched by a kernel
         for key, site in sorted(allocs.items()):

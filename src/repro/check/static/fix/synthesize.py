@@ -21,13 +21,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ...findings import Finding
 from ..ir import (
     AbstractBuffer,
-    Branch,
     EnterOp,
     ExitOp,
-    Loop,
     Op,
     OutputOp,
-    Seq,
     TargetOp,
     WorkloadIR,
 )
@@ -216,22 +213,8 @@ class FixContext:
             key=lambda b: b.lineno,
         )
 
-    def iter_ops(self):
-        def walk(seq: Seq):
-            for item in seq.items:
-                if isinstance(item, Op):
-                    yield item
-                elif isinstance(item, Branch):
-                    yield from walk(item.then)
-                    yield from walk(item.orelse)
-                elif isinstance(item, Loop):
-                    yield from walk(item.body)
-
-        for th in self.ir.threads:
-            yield from walk(th.body)
-
     def output_reading(self, site: AbstractBuffer) -> Optional[OutputOp]:
-        for op in self.iter_ops():
+        for op in self.ir.ops():
             if isinstance(op, OutputOp) and any(
                     site in ref.sites for ref in op.bufs):
                 return op
@@ -322,26 +305,6 @@ def _dedent_lines(ctx: FixContext, first: int, last: int,
 # ---------------------------------------------------------------------------
 
 
-def _conditional_op_ids(ir: WorkloadIR) -> set:
-    """IDs of ops nested under a :class:`Branch` or :class:`Loop`."""
-    out: set = set()
-
-    def walk(seq: Seq, nested: bool) -> None:
-        for item in seq.items:
-            if isinstance(item, Op):
-                if nested:
-                    out.add(item.op_id)
-            elif isinstance(item, Branch):
-                walk(item.then, True)
-                walk(item.orelse, True)
-            elif isinstance(item, Loop):
-                walk(item.body, True)
-
-    for th in ir.threads:
-        walk(th.body, False)
-    return out
-
-
 def _fix_drop_exit(finding: Finding, ctx: FixContext
                    ) -> Tuple[List[CandidateFix], List[Refusal]]:
     """MC-S10: delete the map-exit that runs against an absent entry."""
@@ -352,9 +315,12 @@ def _fix_drop_exit(finding: Finding, ctx: FixContext
     # depends on the path, and deleting either would trade the underflow
     # for a leak on the other path.  Mirroring the strong-ops-only
     # discipline, refuse rather than guess.
-    conditional = _conditional_op_ids(ctx.ir)
-    for op in ctx.iter_ops():
-        if (isinstance(op, (EnterOp, ExitOp)) and op.op_id in conditional
+    # ops outside every Branch and Loop are the unconditional ones
+    unconditional = {item.op_id for th in ctx.ir.threads
+                     for item in th.body.items if isinstance(item, Op)}
+    for op in ctx.ir.ops():
+        if (isinstance(op, (EnterOp, ExitOp))
+                and op.op_id not in unconditional
                 and any(finding.buffer in {b.name for b in c.buf.sites}
                         for c in op.clauses)):
             return [], [Refusal(
@@ -487,7 +453,7 @@ def _fix_bind_wait(finding: Finding, ctx: FixContext
     assert finding.source is not None
     sites = ctx.alloc_sites(finding.buffer)
     target_op = next(
-        (op for op in ctx.iter_ops()
+        (op for op in ctx.ir.ops()
          if isinstance(op, TargetOp) and op.nowait and any(
              any(b in ref.sites for b in sites)
              for ref in tuple(c.buf for c in op.clauses) + op.touches)),

@@ -43,6 +43,7 @@ from .ir import (
     ThreadProgram,
     WaitOp,
     WorkloadIR,
+    walk,
 )
 
 __all__ = ["analyze_ir", "ThreadSummary", "InterpResult", "Defect"]
@@ -206,12 +207,12 @@ class _ThreadInterp:
                             heap[site] = rc.join(ZERO)
             return inflight
         if isinstance(op, WaitOp):
-            done = inflight if op.unknown else inflight & op.handle_ids
+            done = op.retires(inflight)
             for hid in sorted(done):
                 clauses, _refs = program.handles.get(hid, ((), frozenset()))
                 for clause in clauses:
                     self._apply_exit(heap, clause, op, report=False)
-            return inflight - done if not op.unknown else frozenset()
+            return inflight - done
         # Update/GlobalSync/HostWrite/Output: no present-table effect
         return inflight
 
@@ -319,21 +320,10 @@ class _ThreadInterp:
 
     def _collect_sets(self) -> None:
         """Record exited/nowait site sets for cross-thread passes."""
-        def walk(seq) -> None:
-            from .ir import Branch, Loop, Seq
-            for item in seq.items:
-                if isinstance(item, ExitOp):
-                    for clause in item.clauses:
-                        self.summary.exited_sites.update(clause.buf.sites)
-                elif isinstance(item, Branch):
-                    walk(item.then)
-                    walk(item.orelse)
-                elif isinstance(item, Loop):
-                    walk(item.body)
-                elif isinstance(item, Seq):  # pragma: no cover
-                    walk(item)
-
-        walk(self.program.body)
+        for node in walk(self.program.body):
+            if isinstance(node, ExitOp):
+                for clause in node.clauses:
+                    self.summary.exited_sites.update(clause.buf.sites)
         for _clauses, refs in self.program.handles.values():
             self.summary.nowait_refs.update(refs)
 
@@ -422,31 +412,21 @@ def analyze_ir(ir: WorkloadIR) -> InterpResult:
 
 def _cross_thread_exits(program: ThreadProgram, tid: int,
                         others_nowait: Dict[AbstractBuffer, int]) -> List[Defect]:
-    from .ir import Branch, Loop
-
     defects: List[Defect] = []
     seen: Set[Tuple[int, AbstractBuffer]] = set()
-
-    def walk(seq) -> None:
-        for item in seq.items:
-            if isinstance(item, ExitOp):
-                for clause in item.clauses:
-                    if not clause.buf.strong:
-                        continue
-                    site = clause.buf.only
-                    if site in others_nowait and (item.op_id, site) not in seen:
-                        seen.add((item.op_id, site))
-                        defects.append(Defect(
-                            kind="inflight", site=site, tid=tid,
-                            lineno=item.lineno, op_id=item.op_id,
-                            context=f"a nowait target region of thread "
-                            f"{others_nowait[site]} may still be in flight",
-                        ))
-            elif isinstance(item, Branch):
-                walk(item.then)
-                walk(item.orelse)
-            elif isinstance(item, Loop):
-                walk(item.body)
-
-    walk(program.body)
+    for op in walk(program.body):
+        if not isinstance(op, ExitOp):
+            continue
+        for clause in op.clauses:
+            if not clause.buf.strong:
+                continue
+            site = clause.buf.only
+            if site in others_nowait and (op.op_id, site) not in seen:
+                seen.add((op.op_id, site))
+                defects.append(Defect(
+                    kind="inflight", site=site, tid=tid,
+                    lineno=op.lineno, op_id=op.op_id,
+                    context=f"a nowait target region of thread "
+                    f"{others_nowait[site]} may still be in flight",
+                ))
     return defects

@@ -14,7 +14,7 @@ interpreter must treat conservatively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ...omp.mapping import MapKind
 
@@ -40,6 +40,7 @@ __all__ = [
     "ReturnNode",
     "ThreadProgram",
     "WorkloadIR",
+    "walk",
 ]
 
 
@@ -174,6 +175,11 @@ class WaitOp(Op):
     handle_ids: FrozenSet[int] = frozenset()
     unknown: bool = False             #: waits on an unresolvable handle
 
+    def retires(self, inflight: FrozenSet[int]) -> FrozenSet[int]:
+        """The in-flight handles this wait completes: every one when the
+        handle is unresolvable, else the ones it names."""
+        return inflight if self.unknown else inflight & self.handle_ids
+
 
 @dataclass
 class UpdateOp(Op):
@@ -244,6 +250,20 @@ class ReturnNode:
 Node = object  # documentation alias: Op | Seq | Branch | Loop | ReturnNode
 
 
+def walk(seq: Seq) -> Iterator[Node]:
+    """Every node under ``seq`` in pre-order: each item before what it
+    contains, a branch's then-arm before its else-arm.  This is the one
+    stateless traversal of the IR; analyses that carry state along paths
+    walk the CFG (:mod:`~.cfg`) or, for MapCost, the structure itself."""
+    for item in seq.items:
+        yield item
+        if isinstance(item, Branch):
+            yield from walk(item.then)
+            yield from walk(item.orelse)
+        elif isinstance(item, Loop):
+            yield from walk(item.body)
+
+
 @dataclass
 class ThreadProgram:
     """The extracted IR of one OpenMP host thread."""
@@ -274,3 +294,10 @@ class WorkloadIR:
 
     def thread(self, tid: int) -> ThreadProgram:
         return self.threads[tid]
+
+    def ops(self) -> Iterator[Op]:
+        """Every primitive op of every thread, in :func:`walk` order."""
+        for th in self.threads:
+            for node in walk(th.body):
+                if isinstance(node, Op):
+                    yield node

@@ -31,19 +31,10 @@ from ....core.config import RuntimeConfig
 from ....memory.layout import MIB
 from ....workloads.base import Workload
 from ...findings import CheckReport, Finding
-from ..ir import (
-    AbstractBuffer,
-    Branch,
-    EnterOp,
-    ExitOp,
-    Loop,
-    Seq,
-    TargetOp,
-    WorkloadIR,
-)
+from ..ir import AbstractBuffer, EnterOp, Loop, TargetOp, WorkloadIR, walk
 from ..rules import analyze_workload
 from ..cost.model import CostEnv, pages_of
-from ..cost.rules import LintHit, lint_findings
+from ..cost.rules import LintHit, lint_findings, summarize_loop
 from .model import PlaceSpec
 
 __all__ = [
@@ -110,22 +101,6 @@ class _PlaceDetector:
             return None
         return self.spec.remote_pages(pages)
 
-    # -- structural walk ---------------------------------------------------
-    def walk(self, node) -> None:
-        if isinstance(node, Seq):
-            for item in node.items:
-                self.walk(item)
-        elif isinstance(node, Branch):
-            self.walk(node.then)
-            self.walk(node.orelse)
-        elif isinstance(node, Loop):
-            self._scan_loop(node)
-            self.walk(node.body)
-        elif isinstance(node, TargetOp):
-            self._check_target(node)
-        elif isinstance(node, EnterOp):
-            self._check_copy_enter(node)
-
     # -- MC-A01: remote first-touch storm ---------------------------------
     def _check_target(self, op: TargetOp) -> None:
         self._check_copy_enter(op)
@@ -180,44 +155,19 @@ class _PlaceDetector:
 
     # -- loop-scoped rules (MC-A02 / MC-A03) --------------------------------
     def _scan_loop(self, loop: Loop) -> None:
-        enters: Dict[str, Tuple[AbstractBuffer, int]] = {}
-        exits: Dict[str, int] = {}
         kernel_sites: Dict[str, Tuple[AbstractBuffer, str, int]] = {}
-
-        def scan(node):
-            if isinstance(node, Seq):
-                for item in node.items:
-                    scan(item)
-            elif isinstance(node, Branch):
-                scan(node.then)
-                scan(node.orelse)
-            elif isinstance(node, Loop):
-                scan(node.body)
-            elif isinstance(node, EnterOp):
-                for c in node.clauses:
-                    if c.buf.strong and c.kind is not None:
-                        enters[c.buf.only.site] = (c.buf.only, node.lineno)
-            elif isinstance(node, ExitOp):
-                for c in node.clauses:
-                    if c.buf.strong and c.kind is not None:
-                        exits[c.buf.only.site] = node.lineno
-            elif isinstance(node, TargetOp):
+        for node in walk(loop.body):
+            if isinstance(node, TargetOp):
                 for c in node.clauses:
                     if c.buf.strong:
                         s = c.buf.only
                         kernel_sites.setdefault(
                             s.site, (s, node.kernel, node.lineno))
-
-        scan(loop.body)
-        trips = loop.trips if loop.trips is not None else loop.min_trips
-        trips_txt = (
-            f"{loop.trips} iterations" if loop.trips is not None
-            else f">= {loop.min_trips} iteration(s)"
-        )
+        churn, trips, trips_txt = summarize_loop(loop)
 
         # MC-A02: enter/exit churn of a remote-placed site every iteration
-        for key, (site, lineno) in sorted(enters.items()):
-            if key not in exits or ("MC-A02", key) in self._fired:
+        for key, site, lineno in churn:
+            if ("MC-A02", key) in self._fired:
                 continue
             remote = self._remote(site)
             if not remote:
@@ -256,7 +206,13 @@ class _PlaceDetector:
     def run(self) -> List[LintHit]:
         for program in self.ir.threads:
             self.tid = program.tid
-            self.walk(program.body)
+            for node in walk(program.body):
+                if isinstance(node, Loop):
+                    self._scan_loop(node)
+                elif isinstance(node, TargetOp):
+                    self._check_target(node)
+                elif isinstance(node, EnterOp):
+                    self._check_copy_enter(node)
         return self.raw
 
 

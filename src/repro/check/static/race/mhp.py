@@ -6,9 +6,9 @@ produces, computing at every block entry a single joined sync state:
 * the barrier **phase interval** (how many ``GlobalSyncOp`` barriers
   this thread has passed — widened to unbounded when a barrier sits in
   a loop),
-* the **may-set of in-flight nowait handles** (union at joins, exactly
-  the abstract interpreter's in-flight discipline: a wait subtracts the
-  handles it names, an unresolvable wait clears everything),
+* the **may-set of in-flight nowait handles** (union at joins; a wait
+  subtracts what :meth:`~..ir.WaitOp.retires` says, the rule the
+  abstract interpreter applies too),
 * the **must-set of completed handles** (intersection at joins) — the
   wait edges that suppress cross-thread pairs.
 
@@ -58,7 +58,7 @@ def _transfer(state: _State, op) -> _State:
     if isinstance(op, TargetOp) and op.nowait and op.handle_id is not None:
         return phase, inflight | {op.handle_id}, completed
     if isinstance(op, WaitOp):
-        done = inflight if op.unknown else inflight & op.handle_ids
+        done = op.retires(inflight)
         named = done if op.unknown else frozenset(op.handle_ids)
         return phase, inflight - done, completed | named
     return state
@@ -144,8 +144,7 @@ class _ThreadMHP:
         elif isinstance(op, TargetOp):
             launches.append((op, phase))
         elif isinstance(op, WaitOp):
-            done = inflight if op.unknown else inflight & op.handle_ids
-            for hid in done:
+            for hid in op.retires(inflight):
                 waits[hid] = waits[hid].join(phase) if hid in waits else phase
 
     def _flight(self, op: TargetOp, launch: PhaseInterval,

@@ -24,13 +24,11 @@ operands must share a site *and* may-cover >= 1 byte by the symbolic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ...findings import Finding
-from ...registry import dynamic_counterparts
 from ..ir import AbstractBuffer, WorkloadIR
-from ..rules import _relative_source, rule_matrix
+from ..rules import RawFinding, _xref, fold_findings
 from .mhp import analyze_thread, mhp
 from .model import Access, KernelFlight, ThreadAccesses, may_overlap
 
@@ -41,30 +39,12 @@ __all__ = ["RACE_RULE_IDS", "race_findings"]
 RACE_RULE_IDS: Tuple[str, ...] = ("MC-S20", "MC-S21", "MC-S22")
 
 
-def _xref(rule_id: str) -> str:
-    dyn = dynamic_counterparts(rule_id)
-    if not dyn:
-        return ""  # MC-S22 has no dynamic twin: the race is pre-runtime
-    return (f" [dynamic counterpart{'s' if len(dyn) > 1 else ''}: "
-            f"{', '.join(dyn)}]")
-
-
-@dataclass
-class _RawFinding:
-    rule_id: str
-    site: AbstractBuffer
-    message: str
-    lineno: int
-    tid: int
-    op_id: int
-
-
 class _RaceDetector:
     """Pair accesses/flights across (and within) threads into findings."""
 
     def __init__(self, threads: List[ThreadAccesses]):
         self.threads = threads
-        self.raw: List[_RawFinding] = []
+        self.raw: List[RawFinding] = []
         self._seen = set()
 
     def fire(self, rule_id: str, site: AbstractBuffer, message: str,
@@ -73,8 +53,8 @@ class _RaceDetector:
         if key in self._seen:
             return
         self._seen.add(key)
-        self.raw.append(_RawFinding(rule_id, site, message, lineno, tid,
-                                    op_id))
+        self.raw.append(RawFinding(rule_id, site, message, lineno, tid,
+                                   op_id))
 
     # -- same-thread: an access overtakes this thread's own nowait flight
     def _same_thread(self, ta: ThreadAccesses) -> None:
@@ -202,7 +182,7 @@ class _RaceDetector:
                     continue
                 self._read_vs_flight(acc, flight)
 
-    def run(self) -> List[_RawFinding]:
+    def run(self) -> List[RawFinding]:
         for ta in self.threads:
             self._same_thread(ta)
         for i, ta in enumerate(self.threads):
@@ -214,30 +194,4 @@ class _RaceDetector:
 def race_findings(ir: WorkloadIR) -> List[Finding]:
     """Run the MHP race analysis over one extracted workload IR."""
     threads = [analyze_thread(program) for program in ir.threads]
-    raw = _RaceDetector(threads).run()
-    grouped: Dict[Tuple[str, AbstractBuffer], List[_RawFinding]] = {}
-    for r in raw:
-        grouped.setdefault((r.rule_id, r.site), []).append(r)
-    source = _relative_source(ir.source_file)
-    findings: List[Finding] = []
-    for (rule_id, site), items in sorted(
-        grouped.items(), key=lambda kv: (kv[0][0], kv[0][1].site)
-    ):
-        items = sorted(items, key=lambda r: (r.lineno, r.op_id))
-        primary = items[0]
-        breaks_under, passes_under = rule_matrix(rule_id)
-        findings.append(Finding(
-            rule_id=rule_id,
-            buffer=site.name,
-            workload=ir.name,
-            message=primary.message,
-            tid=primary.tid,
-            breaks_under=breaks_under,
-            passes_under=passes_under,
-            related=tuple(
-                f"line {r.lineno} (tid {r.tid})" for r in items[1:]
-            ),
-            source=(source, primary.lineno or site.lineno)
-            if source else None,
-        ))
-    return findings
+    return fold_findings(_RaceDetector(threads).run(), ir)

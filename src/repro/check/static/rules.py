@@ -19,24 +19,26 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ...core.config import ALL_CONFIGS, RuntimeConfig, ZERO_COPY_CONFIGS
 from ...workloads.base import Fidelity, Workload
 from ..findings import CheckReport, Finding
 from ..registry import dynamic_counterparts, make_workload
 from .extract import ExtractionError, extract_workload
-from .interp import Defect, InterpResult, analyze_ir
-from .ir import AbstractBuffer, Branch, Loop, Op, Seq, WorkloadIR
+from .interp import Defect, analyze_ir
+from .ir import AbstractBuffer, WorkloadIR
 
 if TYPE_CHECKING:  # pragma: no cover
     from .place.model import PlaceSpec
 
 __all__ = [
     "ConfigSemantics",
+    "RawFinding",
     "SEMANTICS",
     "analyze_named",
     "analyze_workload",
+    "fold_findings",
     "rule_matrix",
     "static_report",
 ]
@@ -165,8 +167,8 @@ def _relative_source(path: str) -> str:
 
 def _xref(rule_id: str) -> str:
     dyn = dynamic_counterparts(rule_id)
-    if not dyn:  # pragma: no cover - every static rule has counterparts
-        return ""
+    if not dyn:
+        return ""  # MC-S22 has no dynamic twin: the race is pre-runtime
     return f" [dynamic counterpart{'s' if len(dyn) > 1 else ''}: {', '.join(dyn)}]"
 
 
@@ -197,51 +199,48 @@ def _message(defect: Defect) -> str:
     return core + _xref(_KIND_RULES[defect.kind])
 
 
-def _findings_from(result: InterpResult, workload_name: str) -> List[Finding]:
-    # one finding per (rule, site); further occurrences -> `related`
-    grouped: Dict[Tuple[str, AbstractBuffer], List[Defect]] = {}
-    for defect in result.defects:
-        grouped.setdefault((_KIND_RULES[defect.kind], defect.site),
-                           []).append(defect)
-    source = _relative_source(result.ir.source_file)
+@dataclass
+class RawFinding:
+    """One MapFlow or MapRace hit: a rule fired at one op on one site."""
+
+    rule_id: str
+    site: AbstractBuffer
+    message: str
+    lineno: int
+    tid: int
+    op_id: int
+
+
+def fold_findings(raw: Iterable[RawFinding], ir: WorkloadIR) -> List[Finding]:
+    """One finding per (rule, site), ordered by rule then site key; the
+    earliest hit by (line, op id) speaks for the group and the later
+    ones become ``related``."""
+    grouped: Dict[Tuple[str, AbstractBuffer], List[RawFinding]] = {}
+    for r in raw:
+        grouped.setdefault((r.rule_id, r.site), []).append(r)
+    source = _relative_source(ir.source_file)
     findings: List[Finding] = []
-    for (rule_id, site), defects in sorted(
+    for (rule_id, site), items in sorted(
         grouped.items(), key=lambda kv: (kv[0][0], kv[0][1].site)
     ):
-        defects = sorted(defects, key=lambda d: (d.lineno, d.op_id))
-        primary = defects[0]
+        items = sorted(items, key=lambda r: (r.lineno, r.op_id))
+        primary = items[0]
         breaks_under, passes_under = rule_matrix(rule_id)
-        related = tuple(
-            f"line {d.lineno} (tid {d.tid})" for d in defects[1:]
-        )
         findings.append(Finding(
             rule_id=rule_id,
             buffer=site.name,
-            workload=workload_name,
-            message=_message(primary),
+            workload=ir.name,
+            message=primary.message,
             tid=primary.tid,
             breaks_under=breaks_under,
             passes_under=passes_under,
-            related=related,
+            related=tuple(
+                f"line {r.lineno} (tid {r.tid})" for r in items[1:]
+            ),
             source=(source, primary.lineno or site.lineno)
             if source else None,
         ))
     return findings
-
-
-def _count_ops(ir: WorkloadIR) -> int:
-    def walk(seq: Seq) -> int:
-        n = 0
-        for item in seq.items:
-            if isinstance(item, Op):
-                n += 1
-            elif isinstance(item, Branch):
-                n += walk(item.then) + walk(item.orelse)
-            elif isinstance(item, Loop):
-                n += walk(item.body)
-        return n
-
-    return sum(walk(t.body) for t in ir.threads)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,9 @@ def analyze_workload(
         from .race.rules import race_findings
 
         result = analyze_ir(ir)
-        report.findings = _findings_from(result, wname)
+        report.findings = fold_findings(
+            (RawFinding(_KIND_RULES[d.kind], d.site, _message(d), d.lineno,
+                        d.tid, d.op_id) for d in result.defects), ir)
         # MapRace rides the same extraction: MHP race findings
         # (MC-S20/21/22) join the dataflow findings so `check --static`,
         # the differentials, SARIF and CI all see one static report
@@ -293,7 +294,7 @@ def analyze_workload(
         report.findings.extend(race)
         report.stats = {
             "static_threads": len(ir.threads),
-            "static_ops": _count_ops(ir),
+            "static_ops": sum(1 for _ in ir.ops()),
             "static_states": result.states_explored,
             "static_imprecision": len(ir.imprecision),
             "static_race_findings": len(race),

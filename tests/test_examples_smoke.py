@@ -5,7 +5,6 @@ by the benchmark harness, which runs the same code paths at scale.)
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"

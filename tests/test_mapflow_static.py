@@ -22,7 +22,6 @@ from repro.check.static.domains import (
     TOP,
     ZERO,
     IntervalSet,
-    Refcount,
     exact,
 )
 from repro.check.static.interp import analyze_ir
