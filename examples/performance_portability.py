@@ -52,9 +52,8 @@ def main():
     for name, cost, env in DEPLOYMENTS:
         config = select_config(env)
         workload = QmcPackNio(size=8, n_threads=4, fidelity=Fidelity.BENCH)
-        system = ApuSystem(cost=cost)
-        runtime = OpenMPRuntime(system, config)
-        result = runtime.run(workload.make_body(), n_threads=4)
+        runtime = OpenMPRuntime(ApuSystem(cost=cost), config)
+        result = runtime.run_workload(workload)
         times[name] = result.elapsed_us
         print(f"{name:<24}{config.label:<26}{result.elapsed_us / 1e6:>10.2f}")
 

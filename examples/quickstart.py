@@ -49,7 +49,7 @@ def main():
 
     results = {}
     for config in ALL_CONFIGS:
-        system = ApuSystem.mi300a()
+        system = ApuSystem()
         runtime = OpenMPRuntime(system, config)
         alpha = runtime.declare_target("alpha", np.array([3.0]))
         out = {}

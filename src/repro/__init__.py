@@ -7,7 +7,7 @@ Quick start::
     from repro import ApuSystem, OpenMPRuntime, RuntimeConfig
     from repro.omp import MapClause, MapKind
 
-    system = ApuSystem.mi300a()
+    system = ApuSystem()
     runtime = OpenMPRuntime(system, RuntimeConfig.IMPLICIT_ZERO_COPY)
 
     def body(th, tid):

@@ -70,15 +70,8 @@ def _run_instrumented(
     runtime = OpenMPRuntime(system, RECORD_CONFIG)
     rec = instrument(runtime)
     aborted = None
-    prepare = getattr(workload, "prepare", None)
     try:
-        if prepare is not None:
-            prepare(runtime)
-        runtime.run(
-            workload.make_body(),
-            n_threads=workload.n_threads,
-            outputs=workload.outputs.values,
-        )
+        runtime.run_workload(workload)
     except _PROGRAM_ERRORS as exc:
         aborted = exc
     return RecordedRun(

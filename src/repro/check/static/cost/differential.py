@@ -3,7 +3,7 @@
 For every clean registry workload under every runtime configuration:
 
 * the *predicted* side runs the cost walker over the extracted IR with
-  ``ApuSystem.__init__`` poisoned (the prediction must be genuinely
+  ``Environment.__init__`` poisoned (the prediction must be genuinely
   static — reusing the guard from the MapFlow differential);
 * the *measured* side runs one noise-free simulation and harvests the
   HSA trace, the run ledger and the KFD driver counters.
@@ -72,20 +72,13 @@ def measure_costs(workload, config: RuntimeConfig,
     from ....core.system import ApuSystem
     from ....omp.runtime import OpenMPRuntime
 
-    system = ApuSystem(cost=cost or CostModel(), seed=0)
-    runtime = OpenMPRuntime(system, config)
-    prepare = getattr(workload, "prepare", None)
-    if prepare is not None:
-        prepare(runtime)
-    result = runtime.run(
-        workload.make_body(),
-        n_threads=workload.n_threads,
-        outputs=workload.outputs.values,
-    )
+    runtime = OpenMPRuntime(ApuSystem(cost=cost or CostModel(), seed=0), config)
+    result = runtime.run_workload(workload)
+    driver = runtime.system.driver
     return harvest_counters(
-        system.hsa_trace, result.ledger,
-        pages_prefaulted=system.driver.pages_prefaulted,
-        pages_faulted=system.driver.xnack_faults_serviced,
+        result.hsa_trace, result.ledger,
+        pages_prefaulted=driver.pages_prefaulted,
+        pages_faulted=driver.xnack_faults_serviced,
     )
 
 
@@ -215,7 +208,7 @@ def cost_differential(
     """Run the full predicted-vs-measured sweep.
 
     The static phase (extraction + cost walk for every configuration)
-    runs with ``ApuSystem`` poisoned; only then does the measured phase
+    runs with ``Environment`` poisoned; only then does the measured phase
     simulate each cell.
     """
     from ...registry import WORKLOADS, make_workload

@@ -12,9 +12,9 @@ The static analyses' correctness argument is empirical and two-sided:
 * **Precision** (clean registry): the static report (MapFlow + MapRace)
   must hold *zero* findings on the 11 bundled clean workloads (a race
   finding counts like any other), and the static path must be genuinely
-  static — no :class:`~repro.core.system.ApuSystem` may be constructed
-  and no simulation event may fire while it analyzes (enforced here by
-  poisoning the constructor for the duration).
+  static — no simulation :class:`~repro.sim.Environment` may be
+  constructed and no simulation event may fire while it analyzes
+  (enforced here by poisoning the constructor for the duration).
 """
 
 from __future__ import annotations
@@ -38,22 +38,25 @@ class _SimulationForbidden(AssertionError):
 
 @contextlib.contextmanager
 def _forbid_simulation() -> Iterator[None]:
-    """Poison ``ApuSystem.__init__`` so any attempt to simulate during a
-    static pass fails loudly instead of silently degrading the claim."""
-    from ...core import system as system_mod
+    """Poison ``Environment.__init__`` so any attempt to simulate during a
+    static pass fails loudly instead of silently degrading the claim.
+    Every simulation, a plain :class:`~repro.core.system.ApuSystem` or a
+    multi-socket :class:`~repro.multisocket.card.ApuCard`, builds exactly
+    one :class:`~repro.sim.Environment`."""
+    from ...sim import Environment
 
-    original = system_mod.ApuSystem.__init__
+    original = Environment.__init__
 
     def poisoned(self, *args, **kwargs):  # pragma: no cover - must not run
         raise _SimulationForbidden(
-            "static analysis path instantiated ApuSystem"
+            "static analysis path instantiated a simulation Environment"
         )
 
-    system_mod.ApuSystem.__init__ = poisoned
+    Environment.__init__ = poisoned
     try:
         yield
     finally:
-        system_mod.ApuSystem.__init__ = original
+        Environment.__init__ = original
 
 
 @dataclass(frozen=True)

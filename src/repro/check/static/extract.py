@@ -1078,7 +1078,8 @@ def _scan_prepare(workload) -> Tuple[
     Dict[str, GlobalRef], Tuple[str, ...], Dict[str, Optional[int]]
 ]:
     """AST-scan ``prepare`` for ``self.<attr> = runtime.declare_target(
-    "<name>", ...)`` without running it (it needs a live runtime)."""
+    "<name>", ...)`` without running it (it needs a live runtime).  The
+    base class's empty ``prepare`` scans to nothing."""
     prepare = getattr(workload, "prepare", None)
     if prepare is None:
         return {}, (), {}

@@ -7,7 +7,7 @@ analysis points:
 
 * the *predicted* side extracts the workload once and runs the MapPlace
   walker (:func:`~.walker.predict_card`) for every (config, point) pair
-  with ``ApuSystem.__init__`` poisoned — the prediction phase must not
+  with ``Environment.__init__`` poisoned — the prediction phase must not
   simulate anything;
 * the *measured* side runs one noise-free :class:`~repro.multisocket.card.ApuCard`
   simulation per cell with every host thread pinned to the executing
@@ -96,7 +96,7 @@ def place_differential(
 
     The static phase (extraction + place walk for every configuration and
     point, plus the affinity-lint false-positive gate) runs with
-    ``ApuSystem`` poisoned; only then does the measured phase simulate.
+    ``Environment`` poisoned; only then does the measured phase simulate.
     """
     from ...registry import WORKLOADS, make_workload
 

@@ -262,7 +262,7 @@ def analyze_workload(
     (``place``).  Returns the report and the IR, which is ``None`` when
     extraction failed (the report's ``aborted`` then says why).
 
-    Pure static path: no :class:`~repro.core.system.ApuSystem` is
+    Pure static path: no simulation :class:`~repro.sim.Environment` is
     instantiated and no simulation event is emitted — the workload
     object is only used as a constant environment for partial
     evaluation of its thread-body source.  The analyses only read the

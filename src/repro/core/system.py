@@ -40,7 +40,6 @@ class ApuSystem:
         cost: Optional[CostModel] = None,
         seed: int = 0,
         detailed_trace: bool = False,
-        xnack_enabled: bool = True,
         env_cls: Type[Environment] = Environment,
     ):
         self.cost = cost or CostModel()
@@ -52,13 +51,7 @@ class ApuSystem:
         )
         self.cpu_pt = PageTable(self.cost.page_size, "cpu-pt")
         self.gpu_pt = PageTable(self.cost.page_size, "gpu-pt")
-        self.driver = Kfd(
-            self.cost,
-            self.physical,
-            self.cpu_pt,
-            self.gpu_pt,
-            xnack_enabled=xnack_enabled,
-        )
+        self.driver = Kfd(self.cost, self.physical, self.cpu_pt, self.gpu_pt)
         self.os_alloc = OsAllocator(
             self.physical, self.cpu_pt, on_unmap=self.driver.mmu_unmap
         )
@@ -72,25 +65,3 @@ class ApuSystem:
                 sigma=self.cost.fault_sigma,
                 scale=self.hsa.speed,
             )
-
-    @classmethod
-    def mi300a(
-        cls,
-        cost: Optional[CostModel] = None,
-        seed: int = 0,
-        noise: bool = False,
-        detailed_trace: bool = False,
-    ) -> "ApuSystem":
-        """The paper's testbed: one MI300A socket, THP on.
-
-        ``noise=True`` enables the measurement-noise model used by the
-        repetition/CoV experiments; deterministic otherwise.
-        """
-        c = cost or CostModel()
-        if noise:
-            c = c.with_noise()
-        return cls(cost=c, seed=seed, detailed_trace=detailed_trace)
-
-    @property
-    def now(self) -> float:
-        return self.env.now

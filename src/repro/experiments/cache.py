@@ -39,7 +39,7 @@ from .parallel import CellOutcome, ExperimentCell
 __all__ = ["CACHE_SCHEMA", "CellCache", "cell_digest", "workload_fingerprint"]
 
 #: Bumped when the entry format or digest recipe changes; part of the key.
-CACHE_SCHEMA = "repro-cell-v1"
+CACHE_SCHEMA = "repro-cell-v2"
 
 #: scalar types admitted into the workload fingerprint
 _SCALARS = (int, float, str, bool)
@@ -78,11 +78,6 @@ def cell_digest(cell: ExperimentCell) -> str:
         "metric": cell.metric,
         "noise": bool(cell.noise),
         "cost": cost.describe(),
-        # multi-socket card cells: socket count + placement spec join the
-        # digest so a card entry can never alias a plain single-system
-        # entry or another topology
-        "topology": getattr(cell, "topology", None),
-        "placement": getattr(cell, "placement", None),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

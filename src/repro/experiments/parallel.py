@@ -50,15 +50,6 @@ class ExperimentCell:
     metric: str = "steady_us"
     noise: bool = True
     cost: Optional[CostModel] = None
-    #: socket count of a multi-socket :class:`~repro.multisocket.card.ApuCard`
-    #: cell; ``None`` (the default) runs a plain single-system cell.  Card
-    #: cells must select a :class:`~repro.multisocket.card.CardResult`
-    #: metric (e.g. ``elapsed_us`` or ``remote_page_fraction``).
-    topology: Optional[int] = None
-    #: page-placement spec for a card cell (``first-touch`` / ``interleave``
-    #: / ``pinned:<home>``); both fields join the cache digest so card
-    #: entries never alias plain ones
-    placement: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -70,38 +61,10 @@ class CellOutcome:
     ledger: Dict[str, float] = field(default_factory=dict)
 
 
-def _execute_card_cell(cell: ExperimentCell) -> CellOutcome:
-    """Run one multi-socket card cell (module-level so it pickles)."""
-    from ..multisocket.card import ApuCard
-    from ..multisocket.topology import Topology
-
-    cost = cell.cost or CostModel()
-    if cell.noise:
-        cost = cost.with_noise()
-    card = ApuCard(
-        topology=Topology(n_sockets=cell.topology),
-        placement=cell.placement or "first-touch",
-        cost=cost,
-        seed=cell.seed,
-    )
-    res = card.run_workload(cell.factory(), cell.config)
-    ledger: Dict[str, float] = {}
-    for lg in res.per_socket_ledgers:
-        for name, v in lg.summary().items():
-            ledger[name] = ledger.get(name, 0) + v
-    return CellOutcome(
-        value=float(getattr(res, cell.metric)),
-        sim_events=res.sim_events,
-        ledger=ledger,
-    )
-
-
 def _execute_cell(cell: ExperimentCell) -> Tuple[Hashable, CellOutcome]:
     """Worker entry point (module-level so it pickles)."""
     from .runner import execute  # deferred: runner imports this module
 
-    if cell.topology is not None:
-        return cell.key, _execute_card_cell(cell)
     workload = cell.factory()
     run = execute(
         workload,

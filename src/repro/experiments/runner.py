@@ -60,14 +60,7 @@ def execute(
         cost=c, seed=seed, detailed_trace=detailed_trace, env_cls=env_cls
     )
     runtime = OpenMPRuntime(system, config, kernel_trace=kernel_trace)
-    prepare = getattr(workload, "prepare", None)
-    if prepare is not None:
-        prepare(runtime)
-    return runtime.run(
-        workload.make_body(),
-        n_threads=workload.n_threads,
-        outputs=workload.outputs.values,
-    )
+    return runtime.run_workload(workload)
 
 
 @dataclass

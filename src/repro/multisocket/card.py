@@ -105,18 +105,14 @@ class CardResult:
             out = out.merge(tr)
         return out
 
-    @property
-    def remote_kernel_bytes(self) -> int:
-        return sum(c.get("remote_kernel_bytes", 0) for c in self.per_socket_counters)
-
 
 class ApuCard:
     """An N-socket MI300A card in one shared address space.
 
-    ``topology`` (when given) wins over the ``n_sockets`` count;
+    ``topology`` (when given) wins over the ``n_sockets`` count and
+    sets the link parameters and ``remote_access_penalty``;
     ``placement`` is a :class:`PlacementPolicy` or spec string
-    (default first-touch, which reproduces the historical behavior);
-    ``remote_access_penalty`` defaults to the topology's value.
+    (default first-touch, which reproduces the historical behavior).
     """
 
     def __init__(
@@ -124,8 +120,6 @@ class ApuCard:
         n_sockets: int = 2,
         cost: Optional[CostModel] = None,
         seed: int = 0,
-        hbm_per_socket: Optional[int] = None,
-        remote_access_penalty: Optional[float] = None,
         topology: Optional[Topology] = None,
         placement: Union[PlacementPolicy, str, None] = None,
     ):
@@ -139,20 +133,14 @@ class ApuCard:
         self.topology = topology
         self.placement = placement
         self.n_sockets = topology.n_sockets
-        self.remote_access_penalty = (
-            topology.remote_access_penalty
-            if remote_access_penalty is None
-            else remote_access_penalty
-        )
         self.env = Environment()
         self.rng_hub = RngHub(seed)
         # one process: one CPU page table shared by every socket's cores
         self.cpu_pt = PageTable(self.cost.page_size, "cpu-pt")
-        hbm = hbm_per_socket or self.cost.hbm_bytes
         # per-socket HBM pools first, so every socket's PlacementView can
         # route allocations across all of them
         pools = [
-            _SocketMemory(s, hbm, self.cost.page_size)
+            _SocketMemory(s, self.cost.hbm_bytes, self.cost.page_size)
             for s in range(self.n_sockets)
         ]
         # per-socket telemetry (the measured side of MapPlace)
@@ -210,6 +198,8 @@ class ApuCard:
         return adjust
 
     def _make_adjuster(self, socket: int) -> Callable:
+        penalty = self.topology.remote_access_penalty
+
         def adjust(maps: Sequence[MapClause], compute_us: float) -> float:
             remote = local = 0
             for clause in maps:
@@ -228,13 +218,17 @@ class ApuCard:
                 return compute_us
             frac = remote / total
             self._remote_samples.append(frac)
-            return compute_us * (1.0 + self.remote_access_penalty * frac)
+            return compute_us * (1.0 + penalty * frac)
 
         return adjust
 
     # ------------------------------------------------------------------
-    def _setup(self, config: RuntimeConfig) -> List[OpenMPRuntime]:
-        """Fresh per-socket OpenMP runtimes with kernel adjusters installed."""
+    def _setup(self, config: RuntimeConfig, plan: Sequence[int]) -> List[OpenMPRuntime]:
+        """Check that every planned socket exists, then build fresh
+        per-socket OpenMP runtimes with kernel adjusters installed."""
+        for socket in plan:
+            if not 0 <= socket < self.n_sockets:
+                raise ValueError(f"no socket {socket} on a {self.n_sockets}-socket card")
         self._runtimes = [
             OpenMPRuntime(sock, config) for sock in self.sockets
         ]
@@ -249,7 +243,7 @@ class ApuCard:
     ) -> CardResult:
         """Run ``(socket, body)`` pairs: each body is an OpenMP host
         thread pinned to a socket, offloading to that socket's GPU."""
-        self._setup(config)
+        self._setup(config, [socket for socket, _ in thread_plan])
         return self._run(thread_plan, config)
 
     def run_workload(
@@ -263,17 +257,16 @@ class ApuCard:
         (default: everything on socket 0, the executing socket of the
         MapPlace differential).  Workload ``prepare`` (declare-target
         globals) flows through the first planned socket's runtime, so
-        global allocations see the placement policy too.
+        global allocations see the placement policy too; every planned
+        socket is checked before ``prepare`` runs.
         """
         if plan is None:
             plan = [0] * max(1, workload.n_threads)
         plan = list(plan)
         if not plan:
             raise ValueError("empty socket plan")
-        self._setup(config)
-        prepare = getattr(workload, "prepare", None)
-        if prepare is not None:
-            prepare(self._runtimes[plan[0]])
+        self._setup(config, plan)
+        workload.prepare(self._runtimes[plan[0]])
         body = workload.make_body()
         result = self._run([(s, body) for s in plan], config)
         result.outputs = dict(workload.outputs.values)
@@ -284,9 +277,6 @@ class ApuCard:
         thread_plan: Sequence[Tuple[int, Callable]],
         config: RuntimeConfig,
     ) -> CardResult:
-        for socket, _ in thread_plan:
-            if not 0 <= socket < self.n_sockets:
-                raise ValueError(f"no socket {socket} on a {self.n_sockets}-socket card")
         env = self.env
         t0 = env.now
         threads_per_socket: Dict[int, int] = {}

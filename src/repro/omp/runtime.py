@@ -77,6 +77,10 @@ _PER_THREAD_POOL_ALLOCS = (
     ("exception-buffer", 64 * KIB),
 )
 
+#: most kernel records one enabled kernel trace keeps; later launches
+#: are counted in ``KernelTrace.dropped``
+_KERNEL_TRACE_CAP = 200_000
+
 
 @dataclass
 class RunResult:
@@ -113,7 +117,6 @@ class OpenMPRuntime:
         system: ApuSystem,
         config: RuntimeConfig,
         kernel_trace: bool = False,
-        kernel_trace_cap: Optional[int] = 200_000,
     ):
         self.system = system
         self.env = system.env
@@ -128,7 +131,7 @@ class OpenMPRuntime:
         self.lock = Mutex(self.env, "libomptarget-device-lock")
         self.mm_lock = Mutex(self.env, "process-mm-lock")
         self.ledger = RunLedger()
-        self.kernel_trace = KernelTrace(enabled=kernel_trace, max_records=kernel_trace_cap)
+        self.kernel_trace = KernelTrace(enabled=kernel_trace, max_records=_KERNEL_TRACE_CAP)
         self.globals = GlobalRegistry()
         self.device_mem = MemoryManager(
             self.hsa, self.cost, enabled=self.cost.memmgr_enabled
@@ -248,6 +251,17 @@ class OpenMPRuntime:
             peak_hbm_bytes=self.system.physical.peak_bytes,
             outputs=outputs or {},
             sim_events=env.processed_events,
+        )
+
+    def run_workload(self, workload) -> RunResult:
+        """Run a :class:`~repro.workloads.base.Workload`: its ``prepare``
+        (declare-target globals), then its body on ``n_threads`` threads,
+        with its outputs attached to the result."""
+        workload.prepare(self)
+        return self.run(
+            workload.make_body(),
+            n_threads=workload.n_threads,
+            outputs=workload.outputs.values,
         )
 
     # hook used by OmpThread at kernel completion

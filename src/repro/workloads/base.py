@@ -74,6 +74,10 @@ class Workload:
         self.fidelity = fidelity
         self.outputs = WorkloadResult()
 
+    def prepare(self, runtime) -> None:
+        """Program-image setup before the run (``declare_target`` globals);
+        a no-op unless overridden."""
+
     def make_body(self) -> ThreadBody:  # pragma: no cover - interface
         raise NotImplementedError
 

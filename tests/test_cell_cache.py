@@ -58,8 +58,6 @@ def test_digest_is_stable_and_key_independent():
         {"factory": partial(QmcPackNio, size=4, n_threads=1, fidelity=Fidelity.TEST)},
         {"factory": partial(QmcPackNio, size=2, n_threads=2, fidelity=Fidelity.TEST)},
         {"factory": partial(QmcPackNio, size=2, n_threads=1, fidelity=Fidelity.BENCH)},
-        {"topology": 2},
-        {"placement": "interleave"},
     ],
 )
 def test_digest_changes_with_any_input(override):

@@ -18,7 +18,7 @@ from repro.check import (
 )
 from repro.cli import main
 from repro.core import RuntimeConfig
-from repro.workloads.base import Fidelity
+from repro.workloads.base import Fidelity, Workload
 
 COPY = RuntimeConfig.COPY
 USM = RuntimeConfig.UNIFIED_SHARED_MEMORY
@@ -192,18 +192,14 @@ def test_triad_is_clean_without_cross_check():
 # ---------------------------------------------------------------------------
 # MC-P01 dedup: repeated offenders land in Finding.related, not message
 # ---------------------------------------------------------------------------
-class _RepeatOffenderWorkload:
+class _RepeatOffenderWorkload(Workload):
     """Three kernels dereference the same unmapped buffer."""
 
     name = "unit-repeat-offender"
     n_threads = 1
 
     def __init__(self):
-        from repro.workloads.base import Workload
-
-        self._w = Workload(Fidelity.TEST)
-        self.outputs = self._w.outputs
-        self.fidelity = self._w.fidelity
+        super().__init__(Fidelity.TEST)
 
     def make_body(self):
         import numpy as np

@@ -122,8 +122,7 @@ def test_record_semantics(cls, values, text):
 def _map_op_digest(workload, config):
     runtime = OpenMPRuntime(ApuSystem(cost=CostModel(), seed=0), config)
     rec = instrument(runtime)
-    runtime.run(workload.make_body(), n_threads=workload.n_threads,
-                outputs=workload.outputs.values)
+    runtime.run_workload(workload)
     rows = "\n".join(
         repr((e.op, e.key, e.tid, e.t0, e.t1, e.refcount, e.is_new, e.removed))
         for e in rec.map_ops)

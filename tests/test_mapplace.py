@@ -22,8 +22,6 @@ from repro.check.static.place import (
 from repro.cli import main
 from repro.core import RuntimeConfig
 from repro.core.config import ALL_CONFIGS
-from repro.experiments.cache import CellCache, cell_digest
-from repro.experiments.parallel import ExperimentCell, run_cells
 from repro.memory import MIB
 from repro.multisocket import make_placement
 from repro.omp import MapClause, MapKind
@@ -283,60 +281,12 @@ def test_cli_differential_place_on_one_workload(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# card cells: cache + parallel fan-out
+# card runs
 # ---------------------------------------------------------------------------
 
 
 def _triad():
     return TriadStream(fidelity=Fidelity.TEST)
-
-
-def _card_cells():
-    return [
-        ExperimentCell(
-            key=("card", placement), factory=_triad, config=IZC,
-            seed=7, noise=False, metric="elapsed_us",
-            topology=2, placement=placement,
-        )
-        for placement in ("first-touch", "interleave", "pinned:1")
-    ]
-
-
-def test_card_cell_digests_never_alias():
-    cells = _card_cells()
-    plain = ExperimentCell(
-        key="plain", factory=_triad, config=IZC, seed=7, noise=False,
-        metric="elapsed_us",
-    )
-    digests = [cell_digest(c) for c in cells] + [cell_digest(plain)]
-    assert len(set(digests)) == len(digests)
-    wider = ExperimentCell(
-        key="w", factory=_triad, config=IZC, seed=7, noise=False,
-        metric="elapsed_us", topology=4, placement="first-touch",
-    )
-    assert cell_digest(wider) not in digests
-
-
-def test_card_cells_warm_cache_hit(tmp_path):
-    cells = _card_cells()
-    cache = CellCache(str(tmp_path / "cells"))
-    cold = run_cells(cells, jobs=1, cache=cache)
-    assert cache.stores == len(cells) and cache.hits == 0
-    warm_cache = CellCache(str(tmp_path / "cells"))
-    warm = run_cells(cells, jobs=1, cache=warm_cache)
-    assert warm_cache.hits == len(cells) and warm_cache.stores == 0
-    assert warm == cold
-
-
-def test_card_cells_jobs_and_order_invariant():
-    cells = _card_cells()
-    serial = run_cells(cells, jobs=1)
-    fanned = run_cells(cells, jobs=2)
-    reversed_ = run_cells(list(reversed(cells)), jobs=2)
-    assert fanned == serial
-    assert reversed_ == serial
-    # placement genuinely changes the measured number
-    assert serial[("card", "pinned:1")].value > serial[("card", "first-touch")].value
 
 
 def test_card_runs_are_seed_deterministic():

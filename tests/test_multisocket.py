@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.check.registry import make_workload, workload_names
 from repro.core import RuntimeConfig
 from repro.core.config import ALL_CONFIGS
+from repro.core.params import CostModel
+from repro.core.system import ApuSystem
 from repro.memory import MIB, PAGE_2M
 from repro.memory.physical import OutOfMemoryError
 from repro.multisocket import (
@@ -18,6 +21,8 @@ from repro.multisocket import (
 )
 from repro.multisocket.topology import _SocketMemory
 from repro.omp import MapClause, MapKind
+from repro.omp.runtime import OpenMPRuntime
+from repro.workloads import Fidelity
 
 
 def simple_body(nbytes=8 * MIB, kernels=3, compute_us=100.0):
@@ -96,7 +101,7 @@ def test_cross_socket_offload_pays_penalty():
 
 def test_remote_penalty_slows_kernels():
     def run(plan_socket):
-        card = ApuCard(n_sockets=2, remote_access_penalty=0.5)
+        card = ApuCard(topology=Topology(n_sockets=2, remote_access_penalty=0.5))
 
         def body(th, tid):
             rng = card.sockets[0].os_alloc.alloc(4 * PAGE_2M)
@@ -171,39 +176,36 @@ def test_sockets_run_concurrently():
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.value)
 def test_one_socket_card_matches_plain_system(config):
-    from repro.check.registry import make_workload
-    from repro.core.params import CostModel
-    from repro.core.system import ApuSystem
-    from repro.omp.runtime import OpenMPRuntime
-    from repro.workloads import Fidelity
+    """Every registry workload, on a 1-socket card and a plain system."""
+    for name in workload_names():
+        card = ApuCard(n_sockets=1, seed=0)
+        card_res = card.run_workload(make_workload(name, Fidelity.TEST), config)
 
-    card = ApuCard(n_sockets=1, seed=0)
-    card_res = card.run_workload(make_workload("triad", Fidelity.TEST), config)
+        runtime = OpenMPRuntime(ApuSystem(cost=CostModel(), seed=0), config)
+        plain = runtime.run_workload(make_workload(name, Fidelity.TEST))
 
-    plain_wl = make_workload("triad", Fidelity.TEST)
-    system = ApuSystem(cost=CostModel(), seed=0)
-    runtime = OpenMPRuntime(system, config)
-    prepare = getattr(plain_wl, "prepare", None)
-    if prepare is not None:
-        prepare(runtime)
-    runtime.run(
-        plain_wl.make_body(),
-        n_threads=plain_wl.n_threads,
-        outputs=plain_wl.outputs.values,
-    )
+        tr_card, tr_plain = card_res.per_socket_traces[0], plain.hsa_trace
+        assert {n: tr_card.count(n) for n in tr_card.names()} == {
+            n: tr_plain.count(n) for n in tr_plain.names()
+        }, name
+        assert {n: tr_card.total_us(n) for n in tr_card.names()} == {
+            n: tr_plain.total_us(n) for n in tr_plain.names()
+        }, name
+        assert card_res.per_socket_ledgers[0].summary() == plain.ledger.summary(), name
+        assert card_res.elapsed_us == plain.elapsed_us, name
+        assert set(card_res.outputs) == set(plain.outputs), name
+        for key, val in plain.outputs.items():
+            assert np.array_equal(card_res.outputs[key], val), (name, key)
+        assert card_res.remote_page_fraction == 0.0, name
 
-    tr_card, tr_plain = card_res.per_socket_traces[0], system.hsa_trace
-    assert {n: tr_card.count(n) for n in tr_card.names()} == {
-        n: tr_plain.count(n) for n in tr_plain.names()
-    }
-    assert {n: tr_card.total_us(n) for n in tr_card.names()} == {
-        n: tr_plain.total_us(n) for n in tr_plain.names()
-    }
-    assert card_res.per_socket_ledgers[0].summary() == runtime.ledger.summary()
-    assert set(card_res.outputs) == set(plain_wl.outputs.values)
-    for key, val in plain_wl.outputs.values.items():
-        assert np.array_equal(card_res.outputs[key], val), key
-    assert card_res.remote_page_fraction == 0.0
+
+@pytest.mark.parametrize("socket", [2, -1])
+def test_run_workload_rejects_bad_plan_before_prepare(socket):
+    card = ApuCard(n_sockets=2)
+    wl = make_workload("openfoam", Fidelity.TEST)
+    with pytest.raises(ValueError, match="no socket"):
+        card.run_workload(wl, plan=[socket])
+    assert wl.relax is None                 # prepare never ran
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +281,6 @@ def test_fault_surcharge_derived_from_link_parameters():
 
 
 def test_noise_streams_are_per_socket_seeded():
-    from repro.core.params import CostModel
-
     def run(seed):
         card = ApuCard(
             n_sockets=2, cost=CostModel().with_noise(), seed=seed

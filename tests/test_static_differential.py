@@ -65,13 +65,16 @@ def test_differential_clean_side_runs_zero_simulation():
 
 
 def test_forbid_simulation_poison_actually_fires():
+    """A plain system and a multi-socket card both trip the poison."""
     from repro.core.system import ApuSystem
+    from repro.multisocket import ApuCard
 
-    with _forbid_simulation(), \
-            pytest.raises(AssertionError, match="instantiated ApuSystem"):
-        ApuSystem()
-    # and is restored afterwards
-    ApuSystem()
+    for build in (ApuSystem, ApuCard):
+        with _forbid_simulation(), pytest.raises(
+                AssertionError, match="instantiated a simulation Environment"):
+            build()
+        # and is restored afterwards
+        build()
 
 
 def test_static_analysis_works_under_the_poison():

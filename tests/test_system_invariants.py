@@ -45,11 +45,7 @@ def check_translation_consistency(system):
 
 def run_workload(wl_factory, cfg):
     rt = make_runtime(cfg)
-    wl = wl_factory()
-    prepare = getattr(wl, "prepare", None)
-    if prepare:
-        prepare(rt)
-    rt.run(wl.make_body(), n_threads=wl.n_threads)
+    rt.run_workload(wl_factory())
     return rt
 
 
