@@ -42,7 +42,6 @@ from .findings import (
 from .lint import run_lint
 from .races import run_races
 from .registry import (
-    CANONICAL_MATRICES,
     RULE_FAMILIES,
     WORKLOADS,
     dynamic_counterparts,
@@ -56,7 +55,6 @@ from .sarif import to_sarif, write_sarif
 
 __all__ = [
     "Analysis",
-    "CANONICAL_MATRICES",
     "CheckRecorder",
     "CheckReport",
     "Finding",

@@ -6,7 +6,8 @@ an APU* because zero-copy makes every map a no-op — the defect only
 bites when the same binary moves to a discrete GPU (Legacy Copy
 semantics) or to a configuration that runs with XNACK disabled.  Each
 finding therefore carries ``breaks_under``/``passes_under`` sets over
-the four runtime configurations.
+the four runtime configurations: its rule's matrix, declared with the
+rule's ``breaks`` predicate in :mod:`repro.check.findings`.
 """
 
 from __future__ import annotations
@@ -15,25 +16,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.config import RuntimeConfig
 from .events import CheckRecorder, payload_hash
 from .findings import Finding
 
 __all__ = ["run_lint"]
-
-_COPYLIKE = (RuntimeConfig.COPY,)
-_XNACK_OFF = (RuntimeConfig.COPY, RuntimeConfig.EAGER_MAPS)
-_XNACK_ON = (RuntimeConfig.UNIFIED_SHARED_MEMORY, RuntimeConfig.IMPLICIT_ZERO_COPY)
-_ZERO_COPY = (
-    RuntimeConfig.UNIFIED_SHARED_MEMORY,
-    RuntimeConfig.IMPLICIT_ZERO_COPY,
-    RuntimeConfig.EAGER_MAPS,
-)
-_DEVICE_COPY_GLOBALS = (
-    RuntimeConfig.COPY,
-    RuntimeConfig.IMPLICIT_ZERO_COPY,
-    RuntimeConfig.EAGER_MAPS,
-)
 
 
 def _missing_map(rec: CheckRecorder, workload: str) -> List[Finding]:
@@ -73,8 +59,6 @@ def _missing_map(rec: CheckRecorder, workload: str) -> List[Finding]:
                     "services the faults (XNACK); a discrete GPU or an "
                     "XNACK-off configuration hard-faults here"
                 ),
-                breaks_under=_XNACK_OFF,
-                passes_under=_XNACK_ON,
             )
             seen[key] = f
             findings.append(f)
@@ -155,8 +139,6 @@ def _tofrom_missing_from(
                             "semantics the host would keep the stale "
                             "pre-kernel values"
                         ),
-                        breaks_under=_COPYLIKE,
-                        passes_under=_ZERO_COPY,
                         output_keys=matched,
                     ))
         elif typ == "kernel":
@@ -205,8 +187,6 @@ def _stale_global(rec: CheckRecorder, workload: str) -> List[Finding]:
                         "pointer-to-host globals see the new value; every "
                         "device-copy configuration computes with the stale one"
                     ),
-                    breaks_under=_DEVICE_COPY_GLOBALS,
-                    passes_under=(RuntimeConfig.UNIFIED_SHARED_MEMORY,),
                 ))
     return findings
 

@@ -19,17 +19,10 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core.config import RuntimeConfig
 from .events import CheckRecorder
 from .findings import Finding
 
 __all__ = ["run_races"]
-
-_ZERO_COPY = (
-    RuntimeConfig.UNIFIED_SHARED_MEMORY,
-    RuntimeConfig.IMPLICIT_ZERO_COPY,
-    RuntimeConfig.EAGER_MAPS,
-)
 
 
 def _overlaps(a, b) -> bool:
@@ -84,7 +77,6 @@ def _conflicting_map_ops(rec: CheckRecorder, workload: str) -> List[Finding]:
                     "overlapping ranges with no synchronization edge — "
                     "refcounts/transfers depend on lock arrival order"
                 ),
-                breaks_under=(RuntimeConfig.COPY,) + _ZERO_COPY,
             ))
         active.append(a)
     return findings
@@ -136,8 +128,6 @@ def _host_write_vs_kernel(rec: CheckRecorder, workload: str) -> List[Finding]:
                         "under Copy (kernel reads its shadow copy snapshot) "
                         "but a data race under every zero-copy configuration"
                     ),
-                    breaks_under=_ZERO_COPY,
-                    passes_under=(RuntimeConfig.COPY,),
                 )
                 first[dedup] = finding
                 findings.append(finding)

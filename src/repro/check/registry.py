@@ -10,17 +10,15 @@ runs.
 Rule side: the registry is also where the dynamic (MapCheck) and static
 (MapFlow) rule sets are stitched together.  Rules carry a ``family``
 (see :mod:`repro.check.findings`); :data:`RULE_FAMILIES` groups ids by
-family, :func:`static_counterparts`/:func:`dynamic_counterparts`
-translate between the two analyses, and :data:`CANONICAL_MATRICES`
-freezes each rule's per-configuration applicability so snapshot tests
-and the SARIF exporter share one source of truth.
+family, and :func:`static_counterparts`/:func:`dynamic_counterparts`
+translate between the two analyses.  Each rule's per-configuration
+matrix lives on the rule itself (:attr:`~repro.check.findings.Rule.matrix`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
-from ..core.config import ALL_CONFIGS, RuntimeConfig
 from ..memory.layout import MIB
 from ..workloads import (
     AllocChurn,
@@ -44,7 +42,6 @@ __all__ = [
     "make_workload",
     "workload_names",
     "RULE_FAMILIES",
-    "CANONICAL_MATRICES",
     "static_counterparts",
     "dynamic_counterparts",
 ]
@@ -99,54 +96,6 @@ def dynamic_counterparts(rule_id: str) -> Tuple[str, ...]:
         rid for rid in RULE_FAMILIES.get(family, ())
         if RULES[rid].analysis is not Analysis.STATIC and rid != rule_id
     )
-
-
-_COPY = RuntimeConfig.COPY
-_USM = RuntimeConfig.UNIFIED_SHARED_MEMORY
-_IZC = RuntimeConfig.IMPLICIT_ZERO_COPY
-_EAGER = RuntimeConfig.EAGER_MAPS
-_ALL = tuple(ALL_CONFIGS)
-
-#: rule id -> canonical ``(breaks_under, passes_under)`` as emitted by the
-#: analyses; ``None`` marks rules whose matrix is finding-dependent
-#: (MC-P04's is whatever configurations actually diverged).
-CANONICAL_MATRICES: Dict[
-    str,
-    Optional[Tuple[Tuple[RuntimeConfig, ...], Tuple[RuntimeConfig, ...]]],
-] = {
-    "MC-P01": ((_COPY, _EAGER), (_USM, _IZC)),
-    "MC-P02": ((_COPY,), (_USM, _IZC, _EAGER)),
-    "MC-P03": ((_COPY, _IZC, _EAGER), (_USM,)),
-    "MC-P04": None,
-    "MC-S01": (_ALL, ()),
-    "MC-S02": ((_COPY,), (_USM, _IZC, _EAGER)),
-    "MC-S03": (_ALL, ()),
-    "MC-S04": (_ALL, ()),
-    "MC-S05": (_ALL, ()),
-    "MC-R01": (_ALL, ()),
-    "MC-R02": ((_USM, _IZC, _EAGER), (_COPY,)),
-    "MC-S10": (_ALL, ()),
-    "MC-S11": (_ALL, ()),
-    "MC-S12": ((_COPY,), (_USM, _IZC, _EAGER)),
-    "MC-P10": ((_COPY, _EAGER), (_USM, _IZC)),
-    # MapRace static race rules: matrices derived from ConfigSemantics
-    # (race/rules.py) — MC-S20 mirrors MC-R02's shadow-isolation argument
-    "MC-S20": ((_USM, _IZC, _EAGER), (_COPY,)),
-    "MC-S21": (_ALL, ()),
-    "MC-S22": (_ALL, ()),
-    # MapCost perf-lint: "breaks" = pays the predicted overhead there
-    "MC-W01": ((_EAGER,), (_COPY, _USM, _IZC)),
-    "MC-W02": ((_COPY,), (_USM, _IZC, _EAGER)),
-    "MC-W03": ((_USM, _IZC), (_COPY, _EAGER)),
-    "MC-W04": ((_USM,), (_COPY, _IZC, _EAGER)),
-    "MC-W05": ((_USM, _IZC, _EAGER), (_COPY,)),
-    # MapPlace affinity lint: "breaks" = pays the remote-link cost there
-    # (place/rules.py derives these from ConfigSemantics × topology)
-    "MC-A01": ((_USM, _IZC), (_COPY, _EAGER)),
-    "MC-A02": ((_COPY, _EAGER), (_USM, _IZC)),
-    "MC-A03": ((_USM, _IZC, _EAGER), (_COPY,)),
-    "MC-A04": ((_COPY,), (_USM, _IZC, _EAGER)),
-}
 
 
 def workload_names():

@@ -284,11 +284,15 @@ def check_all(
     """Run MapCheck over every bundled workload.
 
     Workloads are independent (fresh instance, fresh simulated system,
-    fixed seed each), so ``jobs > 1`` fans them out over a process pool;
-    reports come back keyed by name and are re-assembled in sorted-name
-    order, and every finding list is itself emitted in sorted order —
-    parallel and serial output are byte-identical.
+    fixed seed each), so ``jobs > 1`` (``0`` = one per CPU) fans them out
+    over a process pool; reports come back keyed by name and are
+    re-assembled in sorted-name order, and every finding list is itself
+    emitted in sorted order — parallel and serial output are
+    byte-identical.
     """
+    from ..experiments.parallel import resolve_jobs
+
+    jobs = resolve_jobs(jobs)
     names = sorted(WORKLOADS)
     specs = [(name, fidelity, cross_check, static, dynamic, perf)
              for name in names]

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.config import ALL_CONFIGS, RuntimeConfig
 from ..omp.mapping import AlwaysMisuseError, PresentTable, RefcountUnderflowError
 from .events import CheckRecorder
 from .findings import Finding
 
 __all__ = ["run_sanitizer", "classify_abort"]
-
-_ALL = tuple(ALL_CONFIGS)
 
 
 def _underflows_and_absent(rec: CheckRecorder, workload: str) -> List[Finding]:
@@ -36,7 +33,6 @@ def _underflows_and_absent(rec: CheckRecorder, workload: str) -> List[Finding]:
                     "unbalanced exit would drive the refcount negative; "
                     "under Copy this double-frees the shadow device buffer"
                 ),
-                breaks_under=_ALL,
             ))
         elif ev.op in ("release_absent", "retain_absent"):
             verb = "unmap" if ev.op == "release_absent" else "retain"
@@ -49,7 +45,6 @@ def _underflows_and_absent(rec: CheckRecorder, workload: str) -> List[Finding]:
                     f"{verb} of {ev.name!r} which has no present-table "
                     "entry (double unmap, or exit without a matching enter)"
                 ),
-                breaks_under=_ALL,
             ))
     return findings
 
@@ -69,10 +64,6 @@ def _leaks(table: Optional[PresentTable], workload: str) -> List[Finding]:
                 f"device teardown (refcount {entry.refcount}) — a device "
                 "memory leak under Copy, stale presence bookkeeping under "
                 "the zero-copy configurations"
-            ),
-            breaks_under=(RuntimeConfig.COPY,),
-            passes_under=tuple(
-                c for c in ALL_CONFIGS if c is not RuntimeConfig.COPY
             ),
         ))
     return findings
@@ -108,7 +99,6 @@ def _use_after_unmap(rec: CheckRecorder, workload: str) -> List[Finding]:
                         f"[{k.submit_us:.1f}, {k.end_us:.1f}]us — under Copy "
                         "the kernel reads freed device memory"
                     ),
-                    breaks_under=_ALL,
                 ))
     return findings
 
@@ -123,7 +113,6 @@ def classify_abort(exc: BaseException, workload: str) -> Optional[Finding]:
             buffer="",
             workload=workload,
             message=f"'always' modifier misuse: {exc}",
-            breaks_under=_ALL,
         )
     if isinstance(exc, RefcountUnderflowError):
         return None  # already reported through the table observer

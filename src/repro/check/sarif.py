@@ -2,7 +2,7 @@
 
 One ``run`` per invocation, one ``result`` per finding, with the full
 rule catalog (ids, titles, summaries, severities, per-configuration
-applicability matrices from the registry) embedded in the tool
+applicability matrices from the rules) embedded in the tool
 component so SARIF viewers (GitHub code scanning, VS Code) render the
 findings with stable rule metadata.  Findings are emitted in
 :meth:`~repro.check.findings.Finding.sort_key` order, so the file is
@@ -15,11 +15,7 @@ import json
 from typing import Dict, List, Sequence
 
 from .findings import RULES, CheckReport, Finding, Severity
-from .registry import (
-    CANONICAL_MATRICES,
-    dynamic_counterparts,
-    static_counterparts,
-)
+from .registry import dynamic_counterparts, static_counterparts
 
 __all__ = ["to_sarif", "write_sarif"]
 
@@ -39,7 +35,7 @@ _LEVELS = {
 
 def _rule_descriptor(rule_id: str) -> Dict[str, object]:
     rule = RULES[rule_id]
-    matrix = CANONICAL_MATRICES.get(rule_id)
+    matrix = rule.matrix
     properties: Dict[str, object] = {
         "analysis": rule.analysis.value,
         "family": rule.family,

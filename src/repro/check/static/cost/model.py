@@ -129,7 +129,7 @@ class CostEnv:
             memmgr_threshold=cost.memmgr_threshold_bytes,
         )
 
-    # -- config predicates (mirror ConfigSemantics / RuntimeConfig) --------
+    # -- config predicates (over the RuntimeConfig flags) ----------------
     @property
     def copies(self) -> bool:
         """Maps move data / allocate device storage (Copy only)."""

@@ -7,10 +7,9 @@ per-iteration prefault ioctls under Eager Maps, re-faulted first
 touches under XNACK configs, double-indirected globals under USM,
 copies a zero-copy mapping makes redundant.  Each rule's
 ``breaks_under`` matrix ("breaks" = pays the predicted overhead there)
-is *derived* by evaluating a predicate over the same
-:class:`~repro.check.static.rules.ConfigSemantics` the correctness
-matrices use, and frozen against :data:`repro.check.registry.CANONICAL_MATRICES`
-by the snapshot tests.
+comes from its ``breaks`` predicate over the
+:class:`~repro.core.config.RuntimeConfig` flags, declared with every
+other rule in :mod:`repro.check.findings`.
 
 Detection is purely structural + refcount-abstract: a light present-set
 walk over the structured IR (configuration-independent — refcount
@@ -44,7 +43,7 @@ from ..ir import (
     WorkloadIR,
     walk,
 )
-from ..rules import _relative_source, analyze_workload, rule_matrix
+from ..rules import _relative_source, analyze_workload
 from .intervals import ONE, ZERO, Interval
 from .model import CostEnv, pages_of
 
@@ -60,8 +59,8 @@ __all__ = [
 #: MC-W03 fires when a loop's re-faulted pages total at least this many
 FAULT_STORM_PAGE_THRESHOLD = 64
 
-#: the MC-W rules; their overhead predicates live with every other static
-#: rule's in :mod:`repro.check.static.rules`
+#: the MC-W rules; their overhead predicates live with every other
+#: rule's in :mod:`repro.check.findings`
 PERF_RULE_IDS: Tuple[str, ...] = (
     "MC-W01", "MC-W02", "MC-W03", "MC-W04", "MC-W05",
 )
@@ -348,7 +347,7 @@ class _Detector:
 
 def lint_findings(raw: List[LintHit], ir: WorkloadIR) -> List[Finding]:
     """Fold raw MC-W/MC-A detector hits into findings: one per (rule,
-    site key), later hits as ``related``, matrices derived per rule."""
+    site key), later hits as ``related``."""
     grouped: Dict[Tuple[str, str], List[LintHit]] = {}
     for r in raw:
         grouped.setdefault((r.rule_id, r.site_key), []).append(r)
@@ -356,15 +355,12 @@ def lint_findings(raw: List[LintHit], ir: WorkloadIR) -> List[Finding]:
     findings: List[Finding] = []
     for (rule_id, _key), items in sorted(grouped.items()):
         primary = items[0]
-        breaks_under, passes_under = rule_matrix(rule_id)
         findings.append(Finding(
             rule_id=rule_id,
             buffer=primary.buffer,
             workload=ir.name,
             message=primary.message,
             tid=primary.tid,
-            breaks_under=breaks_under,
-            passes_under=passes_under,
             related=tuple(
                 f"line {r.lineno} (tid {r.tid})" for r in items[1:]
             ),

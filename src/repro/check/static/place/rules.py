@@ -10,9 +10,9 @@ on a 1-socket topology or under the executing socket's first-touch
 placement, which is what keeps the clean registry finding-free under
 the default spec).
 
-Break/pass matrices are derived from the same
-:class:`~repro.check.static.rules.ConfigSemantics` table the MC-S/MC-W
-matrices come from, evaluated per configuration:
+Break/pass matrices come from each rule's ``breaks`` predicate over the
+:class:`~repro.core.config.RuntimeConfig` flags, declared with every
+other rule in :mod:`repro.check.findings`:
 
 * MC-A01 — remote first-touch faults cost where XNACK services them;
 * MC-A02 — cross-socket map churn costs where map-enters actually
@@ -57,7 +57,7 @@ HOT_REMOTE_PAGE_VISITS = 256
 LINK_SATURATION_BYTES = 32 * MIB
 
 #: the MC-A rules; their "pays the remote-link cost" predicates live with
-#: every other static rule's in :mod:`repro.check.static.rules`
+#: every other rule's in :mod:`repro.check.findings`
 PLACE_RULE_IDS: Tuple[str, ...] = ("MC-A01", "MC-A02", "MC-A03", "MC-A04")
 
 

@@ -1,8 +1,8 @@
 """MapRace rules: intersect MHP pairs with buffer access summaries.
 
-Three rules, matrices *derived* from :class:`~..rules.ConfigSemantics`
-exactly like the MapFlow/MapCost rules (never hand-copied; frozen by
-the registry snapshot test):
+Three rules, matrices from each rule's ``breaks`` predicate in
+:mod:`repro.check.findings`, like every other rule (frozen by the
+registry snapshot test):
 
 * **MC-S20** — a host write may happen in parallel with a kernel
   reading the same allocation.  Benign under Copy (the kernel reads its
@@ -34,8 +34,8 @@ from .model import Access, KernelFlight, ThreadAccesses, may_overlap
 
 __all__ = ["RACE_RULE_IDS", "race_findings"]
 
-#: the MapRace rules; their break predicates live with every other static
-#: rule's in :mod:`repro.check.static.rules`
+#: the MapRace rules; their break predicates live with every other
+#: rule's in :mod:`repro.check.findings`
 RACE_RULE_IDS: Tuple[str, ...] = ("MC-S20", "MC-S21", "MC-S22")
 
 

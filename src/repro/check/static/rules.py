@@ -1,15 +1,11 @@
 """Turn raw MapFlow interpreter defects into MapCheck findings.
 
-This is the config-parametric half of the analysis: the interpreter
-(:mod:`~.interp`) decides *whether* a defect exists on some/every path;
-this module decides *under which runtime configurations it bites*, by
-evaluating a per-defect-kind break predicate against each
-configuration's semantics (XNACK servicing, shadow copies).  The
-resulting ``breaks_under``/``passes_under`` matrices are — by
-construction and frozen by the registry snapshot test — identical to
-the matrices the dynamic analyses attach to the same defect families.
-The predicate table covers every static family (MapFlow, MapRace, the
-MapCost perf lint, the MapPlace affinity lint).
+The interpreter (:mod:`~.interp`) decides *whether* a defect exists on
+some/every path; this module names the rule each defect kind reports as
+and folds repeated hits into one finding per (rule, site).  *Under
+which runtime configurations* a finding bites is the rule's own
+``breaks`` predicate (:mod:`repro.check.findings`), the same catalog
+the dynamic analyses' findings take their matrices from.
 
 :func:`analyze_workload` is the one static pipeline: it extracts a
 workload once and runs the requested families over that IR.
@@ -19,9 +15,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from ...core.config import ALL_CONFIGS, RuntimeConfig, ZERO_COPY_CONFIGS
 from ...workloads.base import Fidelity, Workload
 from ..findings import CheckReport, Finding
 from ..registry import dynamic_counterparts, make_workload
@@ -33,97 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .place.model import PlaceSpec
 
 __all__ = [
-    "ConfigSemantics",
     "RawFinding",
-    "SEMANTICS",
     "analyze_named",
     "analyze_workload",
     "fold_findings",
-    "rule_matrix",
     "static_report",
 ]
 
-
-@dataclass(frozen=True)
-class ConfigSemantics:
-    """The three facts about a runtime configuration the static rules
-    depend on (the dynamic analyses consult the same ones)."""
-
-    config: RuntimeConfig
-    #: XNACK page-fault servicing makes stray device touches of host
-    #: memory *work* instead of crash (paper §IV.C)
-    xnack: bool
-    #: the configuration materializes device shadow copies, so a leaked
-    #: present-table entry pins real device memory
-    shadow_copies: bool
-    #: GPU declare-target globals are pointers into host memory, so
-    #: every device access double-indirects (USM only)
-    pointer_globals: bool = False
-
-
-SEMANTICS: Dict[RuntimeConfig, ConfigSemantics] = {
-    cfg: ConfigSemantics(
-        config=cfg,
-        xnack=cfg in (RuntimeConfig.UNIFIED_SHARED_MEMORY,
-                      RuntimeConfig.IMPLICIT_ZERO_COPY),
-        shadow_copies=cfg not in ZERO_COPY_CONFIGS,
-        pointer_globals=cfg.globals_as_pointer,
-    )
-    for cfg in ALL_CONFIGS
-}
-
-#: static rule id -> "breaks (or, for the perf and affinity lints, pays
-#: its cost) under this configuration" predicate over the configuration's
-#: semantics; every static rule's matrix is derived from it by
-#: :func:`rule_matrix`, never hand-copied
-_RULE_PREDICATES: Dict[str, Callable[[ConfigSemantics], bool]] = {
-    # -- MapFlow -----------------------------------------------------------
-    # an underflowing exit corrupts the present table in every runtime —
-    # refcount bookkeeping exists under zero-copy too
-    "MC-S10": lambda s: True,
-    # destroying a mapping out from under an in-flight region is a
-    # use-after-free of runtime metadata regardless of configuration
-    "MC-S11": lambda s: True,
-    # a leaked entry only pins memory where a shadow copy exists
-    "MC-S12": lambda s: s.shadow_copies,
-    # an uncovered raw-pointer touch is serviced by XNACK or nothing
-    "MC-P10": lambda s: not s.xnack,
-    # -- MapRace -----------------------------------------------------------
-    # the kernel only sees the racing host write where no shadow copy
-    # isolates it (every zero-copy configuration)
-    "MC-S20": lambda s: not s.shadow_copies,
-    # present-table mutation order is racy under every runtime: the
-    # refcount bookkeeping exists under zero-copy too
-    "MC-S21": lambda s: True,
-    # an unwaited nowait result is nondeterministic everywhere — the
-    # copy-back itself is deferred to the missing wait
-    "MC-S22": lambda s: True,
-    # -- MapCost perf lint -------------------------------------------------
-    # per-iteration map churn only turns into per-iteration ioctls where
-    # enters prefault but nothing else (no copies, no fault servicing)
-    "MC-W01": lambda s: not s.xnack and not s.shadow_copies,
-    # a redundant 'to' only ever *could* have copied where maps move data
-    "MC-W02": lambda s: s.shadow_copies,
-    # re-faulting fresh allocations costs where XNACK services the faults
-    "MC-W03": lambda s: s.xnack,
-    # double indirection exists only where globals are host pointers
-    "MC-W04": lambda s: s.pointer_globals,
-    # 'target update' is redundant wherever the mapping already shares
-    "MC-W05": lambda s: not s.shadow_copies,
-    # -- MapPlace affinity lint (pays the remote-link cost) ----------------
-    # remote first-touch faults only cost where XNACK services them
-    "MC-A01": lambda s: s.xnack,
-    # map churn moves/installs remote pages where enters do real work:
-    # Copy's shadow copies and Eager's prefault ioctls (under the XNACK
-    # configs a map-enter is pure bookkeeping)
-    "MC-A02": lambda s: not s.xnack,
-    # the remote-access penalty applies where kernels read host memory
-    # directly — every zero-copy configuration
-    "MC-A03": lambda s: not s.shadow_copies,
-    # a shadow copy that streams remote bytes over the link exists only
-    # where maps materialize shadow copies
-    "MC-A04": lambda s: s.shadow_copies,
-}
 
 #: interpreter defect kind -> the MapFlow rule it reports as
 _KIND_RULES: Dict[str, str] = {
@@ -132,17 +43,6 @@ _KIND_RULES: Dict[str, str] = {
     "leak": "MC-S12",
     "uncovered": "MC-P10",
 }
-
-
-def rule_matrix(
-    rule_id: str,
-) -> Tuple[Tuple[RuntimeConfig, ...], Tuple[RuntimeConfig, ...]]:
-    """``(breaks_under, passes_under)`` for a static rule, derived by
-    evaluating its predicate per configuration."""
-    breaks = _RULE_PREDICATES[rule_id]
-    breaks_under = tuple(c for c in ALL_CONFIGS if breaks(SEMANTICS[c]))
-    passes_under = tuple(c for c in ALL_CONFIGS if not breaks(SEMANTICS[c]))
-    return breaks_under, passes_under
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +125,12 @@ def fold_findings(raw: Iterable[RawFinding], ir: WorkloadIR) -> List[Finding]:
     ):
         items = sorted(items, key=lambda r: (r.lineno, r.op_id))
         primary = items[0]
-        breaks_under, passes_under = rule_matrix(rule_id)
         findings.append(Finding(
             rule_id=rule_id,
             buffer=site.name,
             workload=ir.name,
             message=primary.message,
             tid=primary.tid,
-            breaks_under=breaks_under,
-            passes_under=passes_under,
             related=tuple(
                 f"line {r.lineno} (tid {r.tid})" for r in items[1:]
             ),

@@ -4,7 +4,6 @@ from .chrome import to_chrome_trace, write_chrome_trace
 from .analysis import (
     HsaCallRow,
     OverheadRow,
-    first_n_kernel_fault_advantage,
     hsa_call_comparison,
     overhead_decomposition,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "cov",
     "to_chrome_trace",
     "write_chrome_trace",
-    "first_n_kernel_fault_advantage",
     "hsa_call_comparison",
     "median",
     "order_of_magnitude",

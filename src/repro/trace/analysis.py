@@ -4,17 +4,15 @@
   configurations plus the Copy/* total-latency ratio.
 * :func:`overhead_decomposition` — Table III: MM and MI overheads of one
   run, both numerically and as the paper's order-of-magnitude strings.
-* :func:`first_n_kernel_fault_advantage` — the §V.A.4 analysis comparing
-  fault stalls absorbed by the first N kernel launches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .hsa_trace import HsaTrace
-from .kernel_trace import KernelTrace, RunLedger
+from .kernel_trace import RunLedger
 from .stats import order_of_magnitude
 
 __all__ = [
@@ -22,7 +20,6 @@ __all__ = [
     "hsa_call_comparison",
     "OverheadRow",
     "overhead_decomposition",
-    "first_n_kernel_fault_advantage",
 ]
 
 #: The HSA calls Table I reports, with the paper's "Used for" annotation.
@@ -99,16 +96,3 @@ def overhead_decomposition(config_label: str, ledger: RunLedger) -> OverheadRow:
     """
     return OverheadRow(config_label=config_label, mm_us=ledger.mm_us, mi_us=ledger.mi_us)
 
-
-def first_n_kernel_fault_advantage(
-    ktrace_faulting: KernelTrace, n: int = 100
-) -> Dict[str, float]:
-    """§V.A.4: how much fault stall the first ``n`` launches absorb vs the
-    rest of the run (the Eager-vs-IZC initial-phase analysis)."""
-    head = ktrace_faulting.total_fault_stall_us(first_n=n)
-    total = ktrace_faulting.total_fault_stall_us()
-    return {
-        "first_n_stall_us": head,
-        "remaining_stall_us": total - head,
-        "total_stall_us": total,
-    }

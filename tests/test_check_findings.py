@@ -1,6 +1,7 @@
 """Findings engine, report rendering, registry, and CLI wiring."""
 
 import json
+import os
 
 import pytest
 
@@ -243,6 +244,29 @@ def test_check_all_parallel_output_is_byte_identical_to_serial():
                          jobs=4)
     assert [r.render() for r in serial] == [r.render() for r in parallel]
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+
+
+def test_check_all_jobs_zero_means_one_worker_per_cpu(monkeypatch):
+    """``--jobs 0`` resolves like the figure commands' (one worker per
+    CPU); a pool that cannot start falls back to the serial reports."""
+    import repro.check.runner as runner
+
+    asked = []
+
+    class _NoPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            raise OSError("no process pool here")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _NoPool)
+    with pytest.warns(RuntimeWarning, match="running serially"):
+        fanned = runner.check_all(jobs=0, static=True, dynamic=False)
+    assert asked == [2]
+    serial = runner.check_all(jobs=1, static=True, dynamic=False)
+    assert [r.to_json() for r in fanned] == [r.to_json() for r in serial]
+    with pytest.raises(ValueError):
+        runner.check_all(jobs=-1, static=True, dynamic=False)
 
 
 def test_finding_sort_key_is_total_and_stable():

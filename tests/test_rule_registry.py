@@ -5,14 +5,18 @@ Any diff here is a deliberate, reviewed change to MapCheck's output
 format — CI configs, SARIF consumers and the paper-reproduction docs all
 key off these exact values."""
 
+import pytest
+
 from repro.check import (
-    CANONICAL_MATRICES,
     RULES,
     RULE_FAMILIES,
     Analysis,
     Severity,
+    check_workload,
 )
-from repro.check.static.rules import rule_matrix
+from repro.check.corpus import CORPUS, PERF_CORPUS
+from repro.check.static.place import PlaceSpec
+from repro.check.static.rules import analyze_workload
 from repro.core import RuntimeConfig
 
 COPY = RuntimeConfig.COPY
@@ -93,16 +97,23 @@ def test_rule_set_matches_snapshot_exactly():
         assert rule.family == family, rid
 
 
+def _catalog():
+    """rule id -> the matrix the rule catalog derives from its predicate"""
+    return {rid: rule.matrix for rid, rule in RULES.items()}
+
+
 def test_canonical_matrices_match_snapshot_exactly():
-    assert CANONICAL_MATRICES == _MATRICES
+    assert _catalog() == _MATRICES
 
 
 def test_every_rule_has_a_matrix_entry():
-    assert set(CANONICAL_MATRICES) == set(RULES)
+    assert set(_catalog()) == set(RULES)
+    # only MC-P04's matrix depends on the finding
+    assert [rid for rid, r in RULES.items() if r.breaks is None] == ["MC-P04"]
 
 
 def test_matrices_partition_the_config_space():
-    for rid, matrix in CANONICAL_MATRICES.items():
+    for rid, matrix in _catalog().items():
         if matrix is None:
             continue
         breaks_under, passes_under = matrix
@@ -112,48 +123,48 @@ def test_matrices_partition_the_config_space():
 
 def test_static_rule_matrices_derive_from_config_semantics():
     """The static rules must not hand-copy their matrices: they are
-    derived from per-config semantics (XNACK, shadow copies) and must
-    agree with the canonical table — and, transitively, with what the
-    dynamic counterpart analyses emit."""
+    derived from per-config semantics (XNACK, shadow copies) by each
+    rule's ``breaks`` predicate and must agree with the frozen table —
+    and, transitively, with what the dynamic counterpart analyses emit."""
     for rid in ("MC-S10", "MC-S11", "MC-S12", "MC-P10"):
-        assert rule_matrix(rid) == CANONICAL_MATRICES[rid], rid
+        assert RULES[rid].matrix == _MATRICES[rid], rid
 
 
 def test_perf_rule_matrices_derive_from_config_semantics():
-    """MC-W matrices likewise must be derived (from the extended
-    ConfigSemantics predicates), never hand-copied."""
+    """MC-W matrices likewise must be derived (from the rules' overhead
+    predicates), never hand-copied."""
     from repro.check.static.cost import PERF_RULE_IDS
 
     assert set(PERF_RULE_IDS) == {
         "MC-W01", "MC-W02", "MC-W03", "MC-W04", "MC-W05"
     }
     for rid in PERF_RULE_IDS:
-        assert rule_matrix(rid) == CANONICAL_MATRICES[rid], rid
+        assert RULES[rid].matrix == _MATRICES[rid], rid
 
 
 def test_race_rule_matrices_derive_from_config_semantics():
-    """MC-S20..S22 matrices likewise must be derived from the
-    ConfigSemantics predicates (Copy's shadow isolation makes MC-S20
-    benign there, exactly MC-R02's dynamic matrix), never hand-copied."""
+    """MC-S20..S22 matrices likewise must be derived from the rules'
+    predicates (Copy's shadow isolation makes MC-S20 benign there,
+    exactly MC-R02's dynamic matrix), never hand-copied."""
     from repro.check.static.race import RACE_RULE_IDS
 
     assert set(RACE_RULE_IDS) == {"MC-S20", "MC-S21", "MC-S22"}
     for rid in RACE_RULE_IDS:
-        assert rule_matrix(rid) == CANONICAL_MATRICES[rid], rid
+        assert RULES[rid].matrix == _MATRICES[rid], rid
     # MC-S20 must agree with its dynamic twin's matrix bit-for-bit
-    assert rule_matrix("MC-S20") == CANONICAL_MATRICES["MC-R02"]
-    assert rule_matrix("MC-S21") == CANONICAL_MATRICES["MC-R01"]
+    assert RULES["MC-S20"].matrix == RULES["MC-R02"].matrix
+    assert RULES["MC-S21"].matrix == RULES["MC-R01"].matrix
 
 
 def test_place_rule_matrices_derive_from_config_semantics():
-    """MC-A matrices likewise must be derived from the ConfigSemantics
-    predicates ("breaks" = pays the remote-link cost under that config),
-    never hand-copied."""
+    """MC-A matrices likewise must be derived from the rules' predicates
+    ("breaks" = pays the remote-link cost under that config), never
+    hand-copied."""
     from repro.check.static.place import PLACE_RULE_IDS
 
     assert set(PLACE_RULE_IDS) == {"MC-A01", "MC-A02", "MC-A03", "MC-A04"}
     for rid in PLACE_RULE_IDS:
-        assert rule_matrix(rid) == CANONICAL_MATRICES[rid], rid
+        assert RULES[rid].matrix == _MATRICES[rid], rid
 
 
 def test_families_group_static_with_dynamic():
@@ -165,3 +176,20 @@ def test_families_group_static_with_dynamic():
     assert RULE_FAMILIES["map-race"] == ("MC-R01", "MC-S21")
     assert RULE_FAMILIES["host-write-race"] == ("MC-R02", "MC-S20")
     assert RULE_FAMILIES["nowait-result"] == ("MC-S22",)
+
+
+@pytest.mark.parametrize(
+    "cls", [*CORPUS.values(), *PERF_CORPUS.values()], ids=lambda c: c.name)
+def test_emitted_findings_carry_the_frozen_matrix(cls):
+    """Every analysis that emits a finding — dynamic lint, sanitizer and
+    race detector, MapFlow, MapRace, the perf and affinity lints —
+    attaches exactly its rule's frozen matrix (MC-P04's alone depends on
+    which configurations diverged)."""
+    findings = check_workload(cls, cls.name).findings
+    findings += analyze_workload(
+        cls(), cls.name, perf=True, place=PlaceSpec.parse(4, "pinned:1"),
+    )[0].findings
+    assert findings
+    for f in findings:
+        if f.rule_id != "MC-P04":
+            assert (f.breaks_under, f.passes_under) == _MATRICES[f.rule_id], f

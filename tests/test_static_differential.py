@@ -29,7 +29,6 @@ from repro.check.registry import (
 from repro.check.static import static_dynamic_differential, static_report
 from repro.check.static.differential import _forbid_simulation
 from repro.check.static.fix import remediate
-from repro.check.static.rules import rule_matrix
 
 
 @functools.lru_cache(maxsize=1)
@@ -136,13 +135,10 @@ def test_race_finding_on_a_clean_workload_fails_the_differential(
     other static finding."""
     import repro.check.static.race.rules as race_rules
 
-    breaks_under, passes_under = rule_matrix("MC-S21")
-
     def one_race(ir):
         return [Finding(
             rule_id="MC-S21", buffer="phantom", workload=ir.name,
-            message="injected race", breaks_under=breaks_under,
-            passes_under=passes_under,
+            message="injected race",
         )]
 
     monkeypatch.setattr(race_rules, "race_findings", one_race)
