@@ -20,9 +20,6 @@
 from __future__ import annotations
 
 import contextlib
-import pickle
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -260,12 +257,10 @@ def check_named(
     return report
 
 
-def _check_one(
-    spec: Tuple[str, Fidelity, bool, bool, bool, bool],
-) -> Tuple[str, CheckReport]:
+def _check_one(spec: Tuple[str, Fidelity, bool, bool, bool, bool]) -> CheckReport:
     """Worker entry point (module-level so it pickles)."""
     name, fidelity, cross_check, static, dynamic, perf = spec
-    return name, check_named(
+    return check_named(
         name, fidelity, cross_check=cross_check,
         static=static, dynamic=dynamic, perf=perf,
     )
@@ -285,47 +280,14 @@ def check_all(
 
     Workloads are independent (fresh instance, fresh simulated system,
     fixed seed each), so ``jobs > 1`` (``0`` = one per CPU) fans them out
-    over a process pool; reports come back keyed by name and are
-    re-assembled in sorted-name order, and every finding list is itself
-    emitted in sorted order — parallel and serial output are
-    byte-identical.
+    over the process pool the experiment drivers use
+    (:func:`~repro.experiments.parallel.fan_out`); reports come back in
+    sorted-name order, and every finding list is itself emitted in
+    sorted order — parallel and serial output are byte-identical.
     """
-    from ..experiments.parallel import resolve_jobs
+    from ..experiments.parallel import fan_out
 
-    jobs = resolve_jobs(jobs)
-    names = sorted(WORKLOADS)
     specs = [(name, fidelity, cross_check, static, dynamic, perf)
-             for name in names]
-    by_name: Dict[str, CheckReport] = {}
-    if jobs > 1 and len(specs) > 1:
-        try:
-            pickle.dumps(specs)
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(specs))
-            ) as pool:
-                pending = {pool.submit(_check_one, s): s[0] for s in specs}
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        wname = pending.pop(fut)
-                        _, report = fut.result()
-                        by_name[wname] = report
-                        if progress is not None:
-                            progress(f"check {wname} done")
-            return [by_name[name] for name in names]
-        except (OSError, PermissionError, pickle.PicklingError) as exc:
-            # sandboxed platform / no semaphores: same results, serially
-            warnings.warn(
-                f"process pool unavailable ({exc}); running serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    reports = []
-    for name in names:
-        if progress is not None:
-            progress(f"check {name}")
-        reports.append(check_named(
-            name, fidelity, cross_check=cross_check,
-            static=static, dynamic=dynamic, perf=perf,
-        ))
-    return reports
+             for name in sorted(WORKLOADS)]
+    done = None if progress is None else lambda spec: progress(f"check {spec[0]} done")
+    return fan_out(_check_one, specs, jobs=jobs, progress=done)

@@ -128,24 +128,3 @@ class CostEnv:
             memmgr_enabled=cost.memmgr_enabled,
             memmgr_threshold=cost.memmgr_threshold_bytes,
         )
-
-    # -- config predicates (over the RuntimeConfig flags) ----------------
-    @property
-    def copies(self) -> bool:
-        """Maps move data / allocate device storage (Copy only)."""
-        return self.config is RuntimeConfig.COPY
-
-    @property
-    def xnack(self) -> bool:
-        """Kernels fault untranslated pages (USM / Implicit Z-C)."""
-        return self.config.needs_xnack
-
-    @property
-    def eager(self) -> bool:
-        """Every map-enter issues a prefault ioctl (Eager Maps)."""
-        return self.config is RuntimeConfig.EAGER_MAPS
-
-    @property
-    def pointer_globals(self) -> bool:
-        """GPU globals are pointers into host memory (USM only)."""
-        return self.config.globals_as_pointer

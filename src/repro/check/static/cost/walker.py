@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
+from ....core.config import RuntimeConfig
 from ....omp.mapping import MapKind
 from ..ir import (
     AbstractBuffer,
@@ -406,11 +407,11 @@ class _Walker:
         self.note(f"{why}; map-op counts widened")
         inf = Interval(0, None)
         state.bump("map_enters" if enter else "map_exits", inf)
-        if self.env.copies:
+        if not self.env.config.is_zero_copy:
             for k in (POOL_ALLOC, POOL_FREE, ASYNC_COPY, ASYNC_HANDLER,
                       SCACQUIRE, "h2d_bytes", "d2h_bytes"):
                 state.bump(k, inf)
-        if self.env.eager and enter:
+        if self.env.config is RuntimeConfig.EAGER_MAPS and enter:
             state.bump(SVM_SET, inf)
             state.bump("pages_prefaulted", inf)
 
@@ -444,7 +445,7 @@ class _Walker:
             s = state.clone()
             s.rc[key] = ONE
             s = self._device_alloc(s, nbytes)
-            if self.env.copies and clause.kind.copies_to_device:
+            if not self.env.config.is_zero_copy and clause.kind.copies_to_device:
                 self._h2d_async(s, nbytes)
             self._prefault(s, key, nbytes)
             cases.append(s)
@@ -452,14 +453,14 @@ class _Walker:
             s = state.clone()
             pre = Interval(max(rc.lo, 1), rc.hi)
             s.rc[key] = pre.add(ONE)
-            if self.env.copies and clause.kind.copies_to_device and clause.always:
+            if not self.env.config.is_zero_copy and clause.kind.copies_to_device and clause.always:
                 self._h2d_async(s, nbytes)
             self._prefault(s, key, nbytes)
             cases.append(s)
         return _join_all(cases)
 
     def _device_alloc(self, state: CostState, nbytes: Optional[int]) -> CostState:
-        if not self.env.copies:
+        if self.env.config.is_zero_copy:
             return state
         if nbytes is None:
             self.note("unresolved allocation size; pool traffic widened")
@@ -483,7 +484,7 @@ class _Walker:
         return _join_all(cases)
 
     def _device_free(self, state: CostState, nbytes: Optional[int]) -> None:
-        if not self.env.copies:
+        if self.env.config.is_zero_copy:
             return
         if nbytes is None:
             self.note("unresolved allocation size; pool traffic widened")
@@ -509,7 +510,7 @@ class _Walker:
         state.bump("d2h_bytes", self._bytes_iv(nbytes))
 
     def _prefault(self, state: CostState, key: str, nbytes: Optional[int]) -> None:
-        if not self.env.eager:
+        if self.env.config is not RuntimeConfig.EAGER_MAPS:
             return
         state.bump(SVM_SET, ONE)
         trans = state.trans.get(key, ZERO)
@@ -559,7 +560,7 @@ class _Walker:
         if delete or pre.lo <= 1:  # may be the last reference
             s = state.clone()
             s.rc.pop(key, None)
-            if self.env.copies and copies_back:
+            if not self.env.config.is_zero_copy and copies_back:
                 self._d2h_sync(s, nbytes)
             self._device_free(s, nbytes)
             cases.append(s)
@@ -568,7 +569,7 @@ class _Walker:
             post_lo = max(pre.lo, 2) - 1
             post_hi = None if pre.hi is None else pre.hi - 1
             s.rc[key] = Interval(post_lo, post_hi)
-            if self.env.copies and copies_back and clause.always:
+            if not self.env.config.is_zero_copy and copies_back and clause.always:
                 self._d2h_sync(s, nbytes)
             cases.append(s)
         return _join_all(cases)
@@ -644,7 +645,7 @@ class _Walker:
         sitemap: Dict[int, Optional[AbstractBuffer]],
     ) -> CostState:
         """First-touch XNACK servicing at kernel launch (USM / IZC)."""
-        if not self.env.xnack:
+        if not self.env.config.needs_xnack:
             return state
         seen = set()
         fault_sites: List[AbstractBuffer] = []
@@ -675,7 +676,7 @@ class _Walker:
                 state, self._pages_iv(nbytes, state.trans.get(key, ZERO)), site=site
             )
             state.trans[key] = ONE
-        if self.env.pointer_globals:
+        if self.env.config.globals_as_pointer:
             for name in op.globals_used:
                 nbytes = self.ir.global_sizes.get(name)
                 t = state.gtrans.get(name, ZERO)
@@ -729,7 +730,7 @@ class _Walker:
 
     # -- update / globals ------------------------------------------------------
     def _update(self, op: UpdateOp, state: CostState) -> CostState:
-        if not self.env.copies:
+        if self.env.config.is_zero_copy:
             return state  # zero-copy: motion is pure bookkeeping
         for to_device, refs in ((True, op.to), (False, op.from_)):
             byte_key = "h2d_bytes" if to_device else "d2h_bytes"
@@ -766,9 +767,9 @@ class _Walker:
         if nbytes is None:
             self.note(f"unresolved size for global {op.name!r}; bytes widened")
         iv = Interval.exact(nbytes) if nbytes is not None else Interval(0, None)
-        if self.env.pointer_globals:
+        if self.env.config.globals_as_pointer:
             return state  # USM: the device pointer aliases the host global
-        if self.env.copies:
+        if not self.env.config.is_zero_copy:
             state.bump(ASYNC_COPY, ONE)
             state.bump(SCACQUIRE, ONE)
             state.bump("h2d_bytes", iv)

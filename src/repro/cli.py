@@ -28,7 +28,8 @@ writes the findings as SARIF 2.1.0.  ``--baseline FILE`` suppresses
 findings whose fingerprints were accepted by an earlier
 ``--write-baseline FILE`` run (suppressed findings stay in SARIF,
 carrying ``suppressions``).  For ``check all``, ``--jobs`` fans the
-workloads out over a process pool with byte-identical output.
+workloads out over the experiments' process pool with byte-identical
+output.
 
 ``--differential KIND`` switches ``check`` into differential mode and
 validates the static analyses against simulation: ``flow`` (every

@@ -21,7 +21,7 @@ from .report import (
 from .cache import CACHE_SCHEMA, CellCache, cell_digest
 from .deepdive import EagerVsIzc, eager_vs_izc_analysis
 from .parallel import CellOutcome, ExperimentCell, run_cells
-from .runner import RatioResult, assemble_ratio, execute, ratio_experiment
+from .runner import RatioResult, execute, ratio_experiment, ratio_sweep
 from .tables import (
     PAPER_TABLE2,
     Table1Result,
@@ -48,13 +48,13 @@ __all__ = [
     "Table3Result",
     "EagerVsIzc",
     "ascii_chart",
-    "assemble_ratio",
     "collect_qmcpack_grid",
     "eager_vs_izc_analysis",
     "execute",
     "fig3_series",
     "fig4_series",
     "ratio_experiment",
+    "ratio_sweep",
     "run_cells",
     "render_cost_table",
     "render_place_table",

@@ -68,7 +68,6 @@ def workload_fingerprint(workload) -> Dict[str, object]:
 
 def cell_digest(cell: ExperimentCell) -> str:
     """SHA-256 over the canonical JSON of the cell's full input closure."""
-    cost = cell.cost if cell.cost is not None else CostModel()
     payload = {
         "schema": CACHE_SCHEMA,
         "engine_version": ENGINE_VERSION,
@@ -77,7 +76,7 @@ def cell_digest(cell: ExperimentCell) -> str:
         "seed": cell.seed,
         "metric": cell.metric,
         "noise": bool(cell.noise),
-        "cost": cost.describe(),
+        "cost": CostModel().describe(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.config import ZERO_COPY_CONFIGS, RuntimeConfig
-from ..core.params import CostModel
 from ..workloads.base import Fidelity
 from ..workloads.qmcpack import QmcPackNio
-from .parallel import ExperimentCell, run_cells
-from .runner import RatioResult, assemble_ratio
+from .runner import RatioResult, ratio_sweep
 
 __all__ = ["QmcPackGrid", "collect_qmcpack_grid", "fig3_series", "fig4_series"]
 
@@ -60,8 +58,6 @@ def collect_qmcpack_grid(
     fidelity: Fidelity = Fidelity.BENCH,
     reps: int = 4,
     noise: bool = True,
-    cost: Optional[CostModel] = None,
-    configs: Sequence[RuntimeConfig] = ZERO_COPY_CONFIGS,
     progress=None,
     jobs: int = 1,
     seed0: int = 1000,
@@ -81,42 +77,18 @@ def collect_qmcpack_grid(
     from disk — a warm rerun regenerates both figures with zero
     simulations.
     """
-    grid = QmcPackGrid(fidelity=fidelity, reps=reps)
-    all_configs = [RuntimeConfig.COPY] + list(configs)
-    cells = []
+    factories = {}
     for size in sizes:
         for t in threads:
             if progress is not None:
                 progress(f"qmcpack S{size} x {t} threads")
-            factory = partial(
+            factories[(size, t)] = partial(
                 QmcPackNio, size=size, n_threads=t, fidelity=fidelity
             )
-            cells.extend(
-                ExperimentCell(
-                    key=(size, t, config, rep),
-                    factory=factory,
-                    config=config,
-                    seed=seed0 + rep,
-                    metric="steady_us",
-                    noise=noise,
-                    cost=cost,
-                )
-                for config in all_configs
-                for rep in range(reps)
-            )
-    outcomes = run_cells(cells, jobs=jobs, cache=cache)
-    for size in sizes:
-        for t in threads:
-            name = QmcPackNio(size=size, n_threads=t, fidelity=fidelity).name
-            grid.cells[(size, t)] = assemble_ratio(
-                name,
-                all_configs,
-                reps,
-                outcomes,
-                metric="steady_us",
-                key=lambda config, rep, s=size, t=t: (s, t, config, rep),
-            )
-    return grid
+    return QmcPackGrid(fidelity=fidelity, reps=reps, cells=ratio_sweep(
+        factories, ZERO_COPY_CONFIGS, metric="steady_us", reps=reps,
+        noise=noise, seed0=seed0, jobs=jobs, cache=cache,
+    ))
 
 
 def fig3_series(

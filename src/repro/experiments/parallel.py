@@ -1,20 +1,21 @@
-"""Parallel fan-out of independent experiment cells.
+"""One process-pool fan-out for every batch of independent work.
 
 The paper's measurement protocol (§V) is embarrassingly parallel: every
 ``(workload, configuration, repetition)`` cell of a ratio experiment is
 an independent simulation on a fresh :class:`~repro.core.system.ApuSystem`
-with its own seed.  Serial execution order therefore carries no
-information — results are a pure function of the cell spec — and the
-drivers behind the figures and tables can fan cells out across a process
-pool without changing a single reported number.
+with its own seed, and every workload of ``check all`` is an independent
+check.  Serial execution order therefore carries no information, and
+:func:`fan_out` — the one process pool in the package — runs both kinds
+of batch without changing a single reported number.
 
 Determinism contract: each cell is seeded explicitly (``seed0 + rep``),
-results are keyed by cell and re-assembled in spec order, and the worker
-returns plain floats/ints (no shared state crosses the pool boundary).
-``jobs=1`` bypasses the pool entirely; ``jobs>1`` falls back to the
-serial path — with a warning, never with different results — when the
-platform cannot run a process pool or a workload factory does not
-pickle (e.g. an ad-hoc lambda or closure).
+results come back in item order whatever order the workers finish in,
+and a worker returns plain values (no shared state crosses the pool
+boundary).  ``jobs=1`` bypasses the pool entirely; ``jobs>1`` falls back
+to the serial path — with a warning, never with different results —
+when the platform cannot run a process pool or the batch does not
+pickle (e.g. an ad-hoc lambda or closure as a workload factory).  A
+task's own exception is never mistaken for either: it propagates once.
 """
 
 from __future__ import annotations
@@ -24,17 +25,20 @@ import pickle
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core.config import RuntimeConfig
-from ..core.params import CostModel
 
 __all__ = [
     "ExperimentCell",
     "CellOutcome",
+    "fan_out",
     "run_cells",
     "resolve_jobs",
 ]
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,6 @@ class ExperimentCell:
     seed: int
     metric: str = "steady_us"
     noise: bool = True
-    cost: Optional[CostModel] = None
 
 
 @dataclass(frozen=True)
@@ -65,19 +68,51 @@ def _execute_cell(cell: ExperimentCell) -> Tuple[Hashable, CellOutcome]:
     """Worker entry point (module-level so it pickles)."""
     from .runner import execute  # deferred: runner imports this module
 
-    workload = cell.factory()
-    run = execute(
-        workload,
-        cell.config,
-        cost=cell.cost,
-        seed=cell.seed,
-        noise=cell.noise,
-    )
+    run = execute(cell.factory(), cell.config, seed=cell.seed, noise=cell.noise)
     return cell.key, CellOutcome(
         value=float(getattr(run, cell.metric)),
         sim_events=run.sim_events,
         ledger=run.ledger.summary(),
     )
+
+
+def run_cells(
+    cells: Sequence[ExperimentCell], *, jobs: int = 1, cache=None
+) -> Dict[Hashable, CellOutcome]:
+    """Execute every cell and return ``{key: outcome}``.
+
+    Results are bit-identical for any ``jobs`` value: cells carry their
+    own seeds and run on fresh systems, so scheduling order is
+    irrelevant.
+
+    ``cache`` (a :class:`~repro.experiments.cache.CellCache`) composes
+    with ``jobs``: cached cells are served from disk, only the misses
+    fan out over the pool, and every fresh outcome is persisted.  The
+    cache is content-addressed, so a hit is by construction the outcome
+    the simulation would have produced.
+    """
+    keys = [c.key for c in cells]
+    if len(set(keys)) != len(keys):
+        raise ValueError("duplicate experiment-cell keys")
+    if cache is None:
+        # named at call time: a patched ``_execute_cell`` sees every cell
+        return dict(fan_out(_execute_cell, cells, jobs=jobs))
+    from .cache import cell_digest
+
+    digests = {cell.key: cell_digest(cell) for cell in cells}
+    out = {}
+    misses = []
+    for cell in cells:
+        got = cache.get(digests[cell.key])
+        if got is not None:
+            out[cell.key] = got
+        else:
+            misses.append(cell)
+    fresh = run_cells(misses, jobs=jobs)
+    for cell in misses:
+        cache.put(digests[cell.key], fresh[cell.key])
+    out.update(fresh)
+    return out
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -90,89 +125,65 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _run_serial(
-    cells: Sequence[ExperimentCell], progress: Optional[Callable[[str], None]]
-) -> Dict[Hashable, CellOutcome]:
-    out: Dict[Hashable, CellOutcome] = {}
-    for cell in cells:
-        if progress is not None:
-            progress(f"cell {cell.key}")
-        key, outcome = _execute_cell(cell)
-        out[key] = outcome
-    return out
+def _serially(why: str) -> None:
+    warnings.warn(f"{why}; running serially", RuntimeWarning, stacklevel=4)
 
 
-def run_cells(
-    cells: Sequence[ExperimentCell],
+def _pooled(fn, items, workers: int, progress) -> Optional[list]:
+    """:func:`fan_out`'s pool path; ``None`` (after a warning) when no
+    pool can run the batch."""
+    try:
+        pickle.dumps((fn, items))
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:  # a lambda, closure or lock
+        _serially(f"tasks not picklable ({exc})")
+        return None
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers)
+    except OSError as exc:  # sandboxed platform / no semaphores
+        _serially(f"process pool unavailable ({exc})")
+        return None
+    try:
+        try:
+            futures = {pool.submit(fn, item): item for item in items}
+        except OSError as exc:  # no worker process could be started
+            _serially(f"process pool unavailable ({exc})")
+            return None
+        pending = set(futures)
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for fut in done:
+                fut.result()  # a task's own exception surfaces here, once
+                if progress is not None:
+                    progress(futures[fut])
+        return [fut.result() for fut in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def fan_out(
+    fn: Callable[[T], R],
+    items: Sequence[T],
     *,
-    jobs: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
-    cache=None,
-) -> Dict[Hashable, CellOutcome]:
-    """Execute every cell and return ``{key: outcome}``.
+    jobs: Optional[int],
+    progress: Optional[Callable[[T], None]] = None,
+) -> List[R]:
+    """``[fn(item) for item in items]``, over a process pool of up to
+    ``resolve_jobs(jobs)`` workers when that is more than one.
 
-    Results are bit-identical for any ``jobs`` value: cells carry their
-    own seeds and run on fresh systems, so scheduling order is
-    irrelevant, and the caller re-assembles by key in its own order.
-
-    ``cache`` (a :class:`~repro.experiments.cache.CellCache`) composes
-    with ``jobs``: cached cells are served from disk, only the misses
-    fan out over the pool, and every fresh outcome is persisted.  The
-    cache is content-addressed, so a hit is by construction the outcome
-    the simulation would have produced.
+    Results come back in item order, whatever order the tasks finish in;
+    ``progress(item)`` is called as each one finishes.  An unpicklable
+    ``fn`` or batch, or a pool that cannot start, runs serially with a
+    :class:`RuntimeWarning`.  An exception raised by a task propagates
+    as is, once: the pending tasks are cancelled and nothing reruns.
     """
-    keys = [c.key for c in cells]
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate experiment-cell keys")
-    if cache is not None:
-        from .cache import cell_digest
-
-        digests = {cell.key: cell_digest(cell) for cell in cells}
-        out = {}
-        misses = []
-        for cell in cells:
-            got = cache.get(digests[cell.key])
-            if got is not None:
-                out[cell.key] = got
-            else:
-                misses.append(cell)
-        if progress is not None and cells:
-            progress(f"cache: {len(out)} hits, {len(misses)} misses")
-        if misses:
-            fresh = run_cells(misses, jobs=jobs, progress=progress)
-            for cell in misses:
-                cache.put(digests[cell.key], fresh[cell.key])
-            out.update(fresh)
-        return out
     jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(cells) <= 1:
-        return _run_serial(cells, progress)
-    try:
-        pickle.dumps(cells)
-    except Exception as exc:  # unpicklable factory (lambda/closure)
-        warnings.warn(
-            f"experiment cells not picklable ({exc}); running serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _run_serial(cells, progress)
-    out: Dict[Hashable, CellOutcome] = {}
-    try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            pending = {pool.submit(_execute_cell, cell): cell for cell in cells}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    cell = pending.pop(fut)
-                    key, outcome = fut.result()
-                    out[key] = outcome
-                    if progress is not None:
-                        progress(f"cell {cell.key} done")
-    except (OSError, PermissionError) as exc:  # sandboxed / no semaphores
-        warnings.warn(
-            f"process pool unavailable ({exc}); running serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _run_serial(cells, progress)
-    return out
+    if jobs > 1 and len(items) > 1:
+        results = _pooled(fn, items, min(jobs, len(items)), progress)
+        if results is not None:
+            return results
+    results = []
+    for item in items:
+        results.append(fn(item))
+        if progress is not None:
+            progress(item)
+    return results

@@ -2,20 +2,22 @@
 
 §V: SPECaccel experiments run 8 times, QMCPack 4 times; "the median value
 is used to compute ratios and we report the Coefficient of Variation".
-:func:`ratio_experiment` reproduces exactly that protocol: N noisy,
-independently-seeded simulations per configuration, medians ratioed
-against the Copy baseline, CoV per configuration.
+:func:`ratio_sweep` reproduces exactly that protocol for every workload
+of a figure or table at once: N noisy, independently-seeded simulations
+per configuration, medians ratioed against the Copy baseline, CoV per
+configuration.  :func:`ratio_experiment` is the one-workload case.
 
-Each (configuration, repetition) cell is an independent simulation, so
-``ratio_experiment(..., jobs=N)`` fans the cells out over a process pool
-(:mod:`repro.experiments.parallel`); ``jobs=1`` is the strictly serial
-path and any ``jobs`` value produces bit-identical results.
+Each (workload, configuration, repetition) cell is an independent
+simulation, so the sweep hands the whole batch to
+:func:`~repro.experiments.parallel.run_cells`, which fans it out over
+the package's one process pool; ``jobs=1`` is the strictly serial path
+and any ``jobs`` value produces bit-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Type
+from typing import Callable, Dict, Optional, Sequence, Tuple, Type
 
 from ..core.config import RuntimeConfig
 from ..core.params import CostModel
@@ -24,11 +26,12 @@ from ..omp.runtime import OpenMPRuntime, RunResult
 from ..sim import Environment
 from ..trace.stats import RepetitionStats
 from ..workloads.base import Workload
+from .parallel import ExperimentCell, run_cells
 
 __all__ = [
     "execute",
     "ratio_experiment",
-    "assemble_ratio",
+    "ratio_sweep",
     "RatioResult",
     "WorkloadFactory",
 ]
@@ -65,11 +68,9 @@ def execute(
 
 @dataclass
 class RatioResult:
-    """Outcome of one ratio experiment (one workload, all configurations)."""
+    """One workload's repetitions under every configuration, ratioed
+    against the Copy baseline."""
 
-    workload_name: str
-    metric: str
-    baseline: RuntimeConfig
     times: Dict[RuntimeConfig, RepetitionStats] = field(default_factory=dict)
     #: per-configuration ledger counters summed over repetitions
     #: (deterministic — used by the parallel-equivalence checks)
@@ -78,15 +79,15 @@ class RatioResult:
     sim_events: int = 0
 
     def ratio(self, config: RuntimeConfig) -> float:
-        """median(baseline) / median(config) — >1 means ``config`` wins."""
-        return self.times[self.baseline].ratio_of_medians(self.times[config])
+        """median(Copy) / median(config) — >1 means ``config`` wins."""
+        return self.times[RuntimeConfig.COPY].ratio_of_medians(self.times[config])
 
     def cov(self, config: RuntimeConfig) -> float:
         return self.times[config].cov
 
     def ratios(self) -> Dict[RuntimeConfig, float]:
         return {
-            cfg: self.ratio(cfg) for cfg in self.times if cfg is not self.baseline
+            cfg: self.ratio(cfg) for cfg in self.times if cfg is not RuntimeConfig.COPY
         }
 
     def summary(self) -> Dict[str, float]:
@@ -94,94 +95,87 @@ class RatioResult:
         for cfg, stats in self.times.items():
             out[f"{cfg.value}_median_us"] = stats.median
             out[f"{cfg.value}_cov"] = stats.cov
-            if cfg is not self.baseline:
+            if cfg is not RuntimeConfig.COPY:
                 out[f"{cfg.value}_ratio"] = self.ratio(cfg)
         return out
 
 
-def assemble_ratio(
-    workload_name: str,
+def ratio_sweep(
+    factories: Dict[Tuple, WorkloadFactory],
     configs: Sequence[RuntimeConfig],
-    reps: int,
-    outcomes,
     *,
-    baseline: RuntimeConfig = RuntimeConfig.COPY,
-    metric: str = "steady_us",
-    key=lambda config, rep: (config, rep),
-) -> RatioResult:
-    """Build a :class:`RatioResult` from completed experiment cells.
+    metric: str,
+    reps: int,
+    noise: bool,
+    seed0: int,
+    jobs: int,
+    cache,
+) -> Dict[Tuple, RatioResult]:
+    """The paper's measurement protocol for every workload of a sweep.
 
-    ``outcomes`` maps cell keys to
-    :class:`~repro.experiments.parallel.CellOutcome`; ``key`` translates
-    ``(config, rep)`` into the caller's cell-key scheme.  Assembly order
-    is fixed by ``configs``/``reps``, so results are independent of the
-    order the cells actually executed in.
+    ``factories`` maps a key prefix to a workload factory; every
+    ``(config, rep)`` cell of it is keyed ``prefix + (config, rep)`` and
+    seeded ``seed0 + rep``, Copy is prepended to ``configs`` when
+    missing, and all cells of all workloads go to
+    :func:`~repro.experiments.parallel.run_cells` as one batch (over
+    ``jobs`` workers, served from ``cache`` where it can be).  Returns
+    ``{prefix: RatioResult}``, assembled in ``configs``/``reps`` order,
+    so results do not depend on the order the cells ran in.
+
+    ``metric`` selects :attr:`RunResult.steady_us` (QMCPack figures, which
+    report steady-state computation ratios) or :attr:`RunResult.elapsed_us`
+    (SPECaccel, where start-up effects are part of the story).
     """
-    result = RatioResult(
-        workload_name=workload_name, metric=metric, baseline=baseline
-    )
-    for config in configs:
-        outs = [outcomes[key(config, rep)] for rep in range(reps)]
-        result.times[config] = RepetitionStats.from_values(
-            [o.value for o in outs]
+    if RuntimeConfig.COPY not in configs:
+        configs = [RuntimeConfig.COPY, *configs]
+    cells = [
+        ExperimentCell(
+            key=prefix + (config, rep),
+            factory=factory,
+            config=config,
+            seed=seed0 + rep,
+            metric=metric,
+            noise=noise,
         )
-        result.sim_events += sum(o.sim_events for o in outs)
-        ledger: Dict[str, float] = {}
-        for o in outs:
-            for name, v in o.ledger.items():
-                ledger[name] = ledger.get(name, 0) + v
-        result.ledgers[config] = ledger
-    return result
+        for prefix, factory in factories.items()
+        for config in configs
+        for rep in range(reps)
+    ]
+    outcomes = run_cells(cells, jobs=jobs, cache=cache)
+    results = {}
+    for prefix in factories:
+        result = results[prefix] = RatioResult()
+        for config in configs:
+            outs = [outcomes[prefix + (config, rep)] for rep in range(reps)]
+            result.times[config] = RepetitionStats.from_values(
+                [o.value for o in outs]
+            )
+            result.sim_events += sum(o.sim_events for o in outs)
+            ledger: Dict[str, float] = {}
+            for o in outs:
+                for name, v in o.ledger.items():
+                    ledger[name] = ledger.get(name, 0) + v
+            result.ledgers[config] = ledger
+    return results
 
 
 def ratio_experiment(
     factory: WorkloadFactory,
     configs: Sequence[RuntimeConfig],
     *,
-    baseline: RuntimeConfig = RuntimeConfig.COPY,
     metric: str = "steady_us",
     reps: int = 4,
     noise: bool = True,
-    cost: Optional[CostModel] = None,
-    seed0: int = 1000,
     jobs: int = 1,
-    progress=None,
     cache=None,
 ) -> RatioResult:
-    """The paper's measurement protocol for one workload.
+    """:func:`ratio_sweep` for one workload, seeded from 1000.
 
-    ``metric`` selects :attr:`RunResult.steady_us` (QMCPack figures, which
-    report steady-state computation ratios) or :attr:`RunResult.elapsed_us`
-    (SPECaccel, where start-up effects are part of the story).
-
-    ``jobs`` fans the (config, rep) cells out over a process pool; the
-    factory must be picklable for ``jobs > 1`` (use ``functools.partial``
-    over a workload class, not a lambda) or the runner falls back to the
-    serial path with a warning.
-
-    ``cache`` (a :class:`~repro.experiments.cache.CellCache`) serves
-    previously computed cells from disk and persists the fresh ones;
-    only cache misses are simulated (and fanned out over ``jobs``).
+    The factory must be picklable for ``jobs > 1`` (use
+    ``functools.partial`` over a workload class, not a lambda) or the
+    cells run serially with a warning.
     """
-    from .parallel import ExperimentCell, run_cells
-
-    if baseline not in configs:
-        configs = [baseline] + [c for c in configs if c is not baseline]
-    first = factory()
-    cells = [
-        ExperimentCell(
-            key=(config, rep),
-            factory=factory,
-            config=config,
-            seed=seed0 + rep,
-            metric=metric,
-            noise=noise,
-            cost=cost,
-        )
-        for config in configs
-        for rep in range(reps)
-    ]
-    outcomes = run_cells(cells, jobs=jobs, progress=progress, cache=cache)
-    return assemble_ratio(
-        first.name, configs, reps, outcomes, baseline=baseline, metric=metric
-    )
+    return ratio_sweep(
+        {(): factory}, configs, metric=metric, reps=reps, noise=noise,
+        seed0=1000, jobs=jobs, cache=cache,
+    )[()]

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.config import ZERO_COPY_CONFIGS, RuntimeConfig
-from ..core.params import CostModel
 from ..trace.analysis import HsaCallRow, OverheadRow, hsa_call_comparison, overhead_decomposition
 from ..workloads.base import Fidelity
 from ..workloads.qmcpack import QmcPackNio
 from ..workloads.specaccel import ALL_BENCHMARKS, Ep452, Stencil403
-from .parallel import ExperimentCell, run_cells
-from .runner import assemble_ratio, execute
+from .runner import execute, ratio_sweep
 
 __all__ = [
     "Table1Result",
@@ -57,10 +55,8 @@ class Table1Result:
 
 def table1_hsa_calls(
     *,
-    size: int = 2,
     threads: Sequence[int] = (1, 8),
     fidelity: Fidelity = Fidelity.FULL,
-    cost: Optional[CostModel] = None,
 ) -> Table1Result:
     """Regenerate Table I.
 
@@ -71,17 +67,11 @@ def table1_hsa_calls(
     discusses.  Deterministic (single run per cell — call counts carry no
     measurement noise).
     """
-    result = Table1Result(size=size, fidelity=fidelity)
+    result = Table1Result(size=2, fidelity=fidelity)
     for t in threads:
-        run_copy = execute(
-            QmcPackNio(size=size, n_threads=t, fidelity=fidelity),
-            RuntimeConfig.COPY,
-            cost=cost,
-        )
-        run_izc = execute(
-            QmcPackNio(size=size, n_threads=t, fidelity=fidelity),
-            RuntimeConfig.IMPLICIT_ZERO_COPY,
-            cost=cost,
+        run_copy, run_izc = (
+            execute(QmcPackNio(size=result.size, n_threads=t, fidelity=fidelity), config)
+            for config in (RuntimeConfig.COPY, RuntimeConfig.IMPLICIT_ZERO_COPY)
         )
         result.rows[t] = hsa_call_comparison(run_copy.hsa_trace, run_izc.hsa_trace)
     return result
@@ -140,7 +130,6 @@ def table2_specaccel(
     reps: int = 8,
     fidelity: Fidelity = Fidelity.FULL,
     noise: bool = True,
-    cost: Optional[CostModel] = None,
     progress=None,
     jobs: int = 1,
     seed0: int = 1000,
@@ -155,38 +144,19 @@ def table2_specaccel(
     process pool; results are bit-identical to the serial order.
     ``cache`` serves unchanged cells from disk (content-addressed).
     """
-    result = Table2Result(reps=reps, fidelity=fidelity)
-    configs = [RuntimeConfig.COPY] + list(ZERO_COPY_CONFIGS)
-    cells = []
+    factories = {}
     for name in benchmarks:
         if progress is not None:
             progress(f"specaccel {name}")
-        factory = partial(ALL_BENCHMARKS[name], fidelity=fidelity)
-        cells.extend(
-            ExperimentCell(
-                key=(name, config, rep),
-                factory=factory,
-                config=config,
-                seed=seed0 + rep,
-                metric="elapsed_us",
-                noise=noise,
-                cost=cost,
-            )
-            for config in configs
-            for rep in range(reps)
-        )
-    outcomes = run_cells(cells, jobs=jobs, cache=cache)
-    for name in benchmarks:
-        ratio = assemble_ratio(
-            name,
-            configs,
-            reps,
-            outcomes,
-            metric="elapsed_us",
-            key=lambda config, rep, n=name: (n, config, rep),
-        )
+        factories[(name,)] = partial(ALL_BENCHMARKS[name], fidelity=fidelity)
+    sweep = ratio_sweep(
+        factories, ZERO_COPY_CONFIGS, metric="elapsed_us", reps=reps,
+        noise=noise, seed0=seed0, jobs=jobs, cache=cache,
+    )
+    result = Table2Result(reps=reps, fidelity=fidelity)
+    for (name,), ratio in sweep.items():
         result.ratios[name] = ratio.ratios()
-        result.covs[name] = {cfg: ratio.cov(cfg) for cfg in configs}
+        result.covs[name] = {cfg: ratio.cov(cfg) for cfg in ratio.times}
     return result
 
 
@@ -215,16 +185,12 @@ TABLE3_CONFIGS = (
 )
 
 
-def table3_overheads(
-    *,
-    fidelity: Fidelity = Fidelity.FULL,
-    cost: Optional[CostModel] = None,
-) -> Table3Result:
+def table3_overheads(*, fidelity: Fidelity = Fidelity.FULL) -> Table3Result:
     """Regenerate Table III from kernel-trace ledgers (deterministic)."""
     result = Table3Result()
     for name, cls in (("stencil", Stencil403), ("ep", Ep452)):
         result.rows[name] = {}
         for config, label in TABLE3_CONFIGS:
-            run = execute(cls(fidelity=fidelity), config, cost=cost)
+            run = execute(cls(fidelity=fidelity), config)
             result.rows[name][label] = overhead_decomposition(label, run.ledger)
     return result

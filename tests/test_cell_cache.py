@@ -7,7 +7,6 @@ from functools import partial
 import pytest
 
 from repro.core.config import RuntimeConfig
-from repro.core.params import CostModel
 from repro.experiments.cache import (
     CACHE_SCHEMA,
     CellCache,
@@ -28,7 +27,6 @@ def _cell(**overrides):
         seed=7,
         metric="steady_us",
         noise=True,
-        cost=None,
     )
     spec.update(overrides)
     return ExperimentCell(**spec)
@@ -47,6 +45,15 @@ def test_digest_is_stable_and_key_independent():
     assert cell_digest(_cell(key=("other", 99))) == a
 
 
+def test_digest_bytes_are_pinned():
+    # every cell runs the default cost model, whose description is part
+    # of the digest; these bytes move only with CACHE_SCHEMA, the engine
+    # version or a cost constant, so a filled cache stays warm
+    assert cell_digest(_cell()) == (
+        "44c962d38e71eece57185c30c056ae125aa7a0d3992bdfdd2c32c8476d9c6602"
+    )
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -54,11 +61,12 @@ def test_digest_is_stable_and_key_independent():
         {"seed": 8},
         {"metric": "elapsed_us"},
         {"noise": False},
-        {"cost": CostModel(page_size=4096)},
         {"factory": partial(QmcPackNio, size=4, n_threads=1, fidelity=Fidelity.TEST)},
         {"factory": partial(QmcPackNio, size=2, n_threads=2, fidelity=Fidelity.TEST)},
         {"factory": partial(QmcPackNio, size=2, n_threads=1, fidelity=Fidelity.BENCH)},
     ],
+    # each input keeps its id when another leaves the list
+    ids=[f"override{i}" for i in (0, 1, 2, 3, 5, 6, 7)],
 )
 def test_digest_changes_with_any_input(override):
     assert cell_digest(_cell(**override)) != cell_digest(_cell())

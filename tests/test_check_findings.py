@@ -250,6 +250,7 @@ def test_check_all_jobs_zero_means_one_worker_per_cpu(monkeypatch):
     """``--jobs 0`` resolves like the figure commands' (one worker per
     CPU); a pool that cannot start falls back to the serial reports."""
     import repro.check.runner as runner
+    import repro.experiments.parallel as parallel
 
     asked = []
 
@@ -259,7 +260,7 @@ def test_check_all_jobs_zero_means_one_worker_per_cpu(monkeypatch):
             raise OSError("no process pool here")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
     with pytest.warns(RuntimeWarning, match="running serially"):
         fanned = runner.check_all(jobs=0, static=True, dynamic=False)
     assert asked == [2]

@@ -9,10 +9,13 @@ only from its cell spec.
 
 import json
 import warnings
+from concurrent.futures import Future
 from functools import partial
 
 import pytest
 
+import repro.check.runner as check_runner
+import repro.experiments.parallel as parallel
 from repro.core.config import RuntimeConfig
 from repro.experiments.parallel import (
     CellOutcome,
@@ -115,3 +118,102 @@ def test_resolve_jobs():
     assert resolve_jobs(1) == 1
     assert resolve_jobs(None) >= 1
     assert resolve_jobs(0) >= 1
+    with pytest.raises(ValueError):
+        resolve_jobs(-1)
+
+
+# ---------------------------------------------------------------------------
+# a task's own exception: surfaces once, never reruns
+# ---------------------------------------------------------------------------
+
+
+class _InProcessPool:
+    """Stands in for ``ProcessPoolExecutor`` in this process: the first
+    task runs when it is submitted, the rest wait in a queue that
+    ``shutdown`` runs, or cancels when asked to."""
+
+    def __init__(self):
+        self.submitted = 0
+        self.queued = []
+        self.cancelled = 0
+
+    def submit(self, fn, *args):
+        fut = Future()
+        self.submitted += 1
+        if self.submitted == 1:
+            self._run(fut, fn, args)
+        else:
+            self.queued.append((fut, fn, args))
+        return fut
+
+    @staticmethod
+    def _run(fut, fn, args):
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        queued, self.queued = self.queued, []
+        for fut, fn, args in queued:
+            if cancel_futures:
+                self.cancelled += fut.cancel()
+            else:
+                self._run(fut, fn, args)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    made = []
+
+    def make(max_workers):
+        made.append(_InProcessPool())
+        return made[-1]
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", make)
+    return made
+
+
+def _fail(calls, tag):
+    calls.append(tag)
+    raise OSError(f"task {tag} failed")
+
+
+def test_task_oserror_in_run_cells_surfaces_once(pools):
+    calls = []
+    cells = [
+        ExperimentCell(
+            key=(tag,), factory=partial(_fail, calls, tag),
+            config=RuntimeConfig.COPY, seed=1,
+        )
+        for tag in ("a", "b", "c")
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OSError, match="task a failed"):
+            run_cells(cells, jobs=2)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert calls == ["a"]
+    assert [p.cancelled for p in pools] == [2]
+
+
+def test_task_oserror_in_check_all_surfaces_once(pools, monkeypatch):
+    calls = []
+
+    def check_named(name, *args, **kwargs):
+        _fail(calls, name)
+
+    monkeypatch.setattr(check_runner, "check_named", check_named)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OSError, match="task alloc-churn failed"):
+            check_runner.check_all(jobs=2, static=True, dynamic=False)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert calls == ["alloc-churn"]
+    assert [p.cancelled for p in pools] == [len(check_runner.WORKLOADS) - 1]
