@@ -51,7 +51,7 @@ def payload_hash(arr: Optional[np.ndarray]) -> int:
     return zlib.crc32(np.ascontiguousarray(arr).tobytes())
 
 
-@dataclass
+@dataclass(slots=True)
 class MapOpEvent:
     """One map clause processed by a policy (enter or exit)."""
 
@@ -76,7 +76,7 @@ class MapOpEvent:
     seq: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TableEvent:
     """Raw present-table operation (sanitizer channel; includes rejected
     operations reported just before their exception)."""
@@ -89,7 +89,7 @@ class TableEvent:
     locked: bool                 #: device lock held during the operation
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelEvent:
     """One target-region kernel, from dispatch to completion."""
 
@@ -111,7 +111,7 @@ class KernelEvent:
     wait_t0: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class HostWriteEvent:
     tid: int
     t: float
@@ -120,7 +120,7 @@ class HostWriteEvent:
     payload_hash: int
 
 
-@dataclass
+@dataclass(slots=True)
 class GlobalSyncEvent:
     """Host→device refresh of a declare-target global (init, map(always,
     to:) or target update)."""
@@ -131,7 +131,7 @@ class GlobalSyncEvent:
     host_hash: int
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateEvent:
     """``target update`` motion clause."""
 
@@ -147,8 +147,8 @@ class UpdateEvent:
 class CheckRecorder:
     """Collects the MapCheck event streams during one instrumented run."""
 
-    def __init__(self, runtime):
-        self.rt = runtime
+    def __init__(self, env):
+        self.env = env  #: the run's clock; nothing else of the run is held
         self.map_ops: List[MapOpEvent] = []
         self.table_ops: List[TableEvent] = []
         self.kernels: List[KernelEvent] = []
@@ -157,14 +157,22 @@ class CheckRecorder:
         self.updates: List[UpdateEvent] = []
         self.buffers: Dict[str, HostBuffer] = {}
         self.globals: Dict[str, GlobalVar] = {}
+        #: one key string per buffer, shared by all of its events
+        self._keys: Dict[HostBuffer, str] = {}
         self._next_kid = 0
+
+    def _key(self, buf: HostBuffer) -> str:
+        key = self._keys.get(buf)
+        if key is None:
+            key = self._keys[buf] = buffer_key(buf)
+        return key
 
     # -- hook methods (called by runtime/policies/api) -------------------
     def note_map(self, op: str, clause: MapClause, tid: Optional[int],
                  t0: float, t1: float, *, is_new: bool, refcount: int,
                  removed: bool) -> None:
         buf = clause.buffer
-        key = buffer_key(buf)
+        key = self._key(buf)
         self.buffers[key] = buf
         if op == "enter":
             sync_device = clause.kind.copies_to_device and (is_new or clause.always)
@@ -184,30 +192,30 @@ class CheckRecorder:
 
     def note_table(self, op: str, buffer: Optional[HostBuffer],
                    refcount: Optional[int], locked: bool) -> None:
-        key = buffer_key(buffer) if buffer is not None else ""
+        key = self._key(buffer) if buffer is not None else ""
         name = buffer.name if buffer is not None else ""
         self.table_ops.append(TableEvent(
-            op=op, t=self.rt.env.now, key=key, name=name,
+            op=op, t=self.env.now, key=key, name=name,
             refcount=refcount, locked=locked,
         ))
 
     def begin_kernel(self, name: str, tid: int, t: float, maps, touches,
                      uncovered, globals_used) -> KernelEvent:
         for buf in list(touches):
-            self.buffers[buffer_key(buf)] = buf
+            self.buffers[self._key(buf)] = buf
         for glob in globals_used:
             self.globals[glob.name] = glob
-        mapped = tuple(buffer_key(c.buffer) for c in maps)
-        touched = tuple(buffer_key(b) for b in touches)
+        mapped = tuple(self._key(c.buffer) for c in maps)
+        touched = tuple(self._key(b) for b in touches)
         writes = tuple(
-            {buffer_key(c.buffer) for c in maps if c.kind.copies_to_host}
+            {self._key(c.buffer) for c in maps if c.kind.copies_to_host}
             | set(touched)
         )
         reads = tuple(set(mapped) | set(touched))
         ev = KernelEvent(
             kid=self._next_kid, name=name, tid=tid, t_dispatch=t,
             mapped=mapped, touched=touched,
-            uncovered=tuple(buffer_key(b) for b in uncovered),
+            uncovered=tuple(self._key(b) for b in uncovered),
             writes=writes, reads=reads,
             globals_read=tuple(
                 (g.name, payload_hash(g.host_payload)) for g in globals_used
@@ -230,7 +238,7 @@ class CheckRecorder:
                 ev.arg_hashes[key] = payload_hash(buf.payload)
 
     def note_host_write(self, tid: int, t: float, buf: HostBuffer) -> None:
-        key = buffer_key(buf)
+        key = self._key(buf)
         self.buffers[key] = buf
         self.host_writes.append(HostWriteEvent(
             tid=tid, t=t, key=key, name=buf.name,
@@ -247,7 +255,7 @@ class CheckRecorder:
 
     def note_update(self, tid: int, t: float, buf: HostBuffer, *,
                     to_device: bool, present: bool) -> None:
-        key = buffer_key(buf)
+        key = self._key(buf)
         self.buffers[key] = buf
         self.updates.append(UpdateEvent(
             tid=tid, t=t, key=key, name=buf.name, to_device=to_device,
@@ -268,7 +276,7 @@ class CheckRecorder:
 
 def instrument(runtime) -> CheckRecorder:
     """Attach a fresh recorder to ``runtime`` (and its present table)."""
-    rec = CheckRecorder(runtime)
+    rec = CheckRecorder(runtime.env)
     runtime.recorder = rec
     runtime.table.observer = rec
     runtime.table.lock_probe = lambda: runtime.lock.locked

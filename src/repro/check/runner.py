@@ -70,7 +70,13 @@ def _run_instrumented(
     try:
         runtime.run_workload(workload)
     except _PROGRAM_ERRORS as exc:
-        aborted = exc
+        # only the exception's type and message are read; its traceback's
+        # frames would keep the recorder alive in a reference cycle
+        aborted = exc.with_traceback(None)
+    finally:
+        # unhooked, a dropped RecordedRun frees its event streams by
+        # reference counting instead of at the next gen-2 collection
+        runtime.recorder = runtime.table.observer = runtime.table.lock_probe = None
     return RecordedRun(
         recorder=rec, runtime=runtime,
         outputs=dict(workload.outputs.values), aborted=aborted,
@@ -110,6 +116,9 @@ def _differential(
             execute(workload, config, cost=cost, seed=seed)
         except _PROGRAM_ERRORS as exc:
             outcomes[config] = f"crash: {type(exc).__name__}: {exc}"
+            # the dead run keeps its exception; the traceback's frames
+            # would chain back to the caller's recording
+            exc.with_traceback(None)
             continue
         diverged = sorted(
             key for key, ref in reference.items()

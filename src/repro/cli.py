@@ -56,8 +56,9 @@ differential as JSON; ``--sarif`` in fix mode attaches SARIF 2.1.0
 pinned remediation class.
 
 ``--jobs N`` fans the independent (workload, config, repetition) cells
-of an experiment out over N worker processes; results are bit-identical
-to ``--jobs 1``.  ``--cache`` additionally serves unchanged cells from a
+of an experiment out over N worker processes, one per CPU by default
+(``--jobs 0``); results are bit-identical to the serial ``--jobs 1``.
+``--cache`` additionally serves unchanged cells from a
 content-addressed on-disk store (``--cache-dir``), so a warm rerun of
 fig3/fig4/table2 performs zero simulations; any input change (workload
 parameters, cost model, engine version) changes the digest and re-runs
@@ -446,9 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--reps", type=int, default=4, help="repetitions")
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for experiment fan-out (0 = one per CPU); "
-        "results are identical for any value",
+        "--jobs", type=int, default=0,
+        help="worker processes for experiment and `check all` fan-out "
+        "(default 0 = one per CPU, 1 = serial); results are identical for "
+        "any value",
     )
     parser.add_argument(
         "--cache", action="store_true",

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from ..core.config import ZERO_COPY_CONFIGS, RuntimeConfig
 from .figures import QmcPackGrid, fig3_series, fig4_series
-from .tables import PAPER_TABLE2, Table1Result, Table2Result, Table3Result
+from .tables import PAPER_TABLE2, TABLE1_SIZE, Table1Result, Table2Result, Table3Result
 
 __all__ = [
     "render_cost_table",
@@ -72,7 +72,7 @@ def render_fig4(grid: QmcPackGrid, threads: int = 8) -> str:
 def render_table1(result: Table1Result) -> str:
     """Table I layout: per thread count, counts + latency ratio."""
     lines = [
-        f"Table I — HSA API call statistics, QMCPack NiO S{result.size} "
+        f"Table I — HSA API call statistics, QMCPack NiO S{TABLE1_SIZE} "
         f"(Copy vs Implicit Z-C), fidelity={result.fidelity.value}"
     ]
     for threads, rows in sorted(result.rows.items()):

@@ -23,6 +23,7 @@ from ..workloads.specaccel import ALL_BENCHMARKS, Ep452, Stencil403
 from .runner import execute, ratio_sweep
 
 __all__ = [
+    "TABLE1_SIZE",
     "Table1Result",
     "table1_hsa_calls",
     "Table2Result",
@@ -37,11 +38,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+#: the QMCPack NiO size Table I profiles (S2, as in the paper)
+TABLE1_SIZE = 2
+
+
 @dataclass
 class Table1Result:
     """HSA call comparison for each thread count."""
 
-    size: int
     fidelity: Fidelity
     #: thread count → comparison rows (Copy vs Implicit Z-C)
     rows: Dict[int, List[HsaCallRow]] = field(default_factory=dict)
@@ -67,10 +71,10 @@ def table1_hsa_calls(
     discusses.  Deterministic (single run per cell — call counts carry no
     measurement noise).
     """
-    result = Table1Result(size=2, fidelity=fidelity)
+    result = Table1Result(fidelity=fidelity)
     for t in threads:
         run_copy, run_izc = (
-            execute(QmcPackNio(size=result.size, n_threads=t, fidelity=fidelity), config)
+            execute(QmcPackNio(size=TABLE1_SIZE, n_threads=t, fidelity=fidelity), config)
             for config in (RuntimeConfig.COPY, RuntimeConfig.IMPLICIT_ZERO_COPY)
         )
         result.rows[t] = hsa_call_comparison(run_copy.hsa_trace, run_izc.hsa_trace)

@@ -18,6 +18,13 @@ def test_parser_rejects_unknown_command():
         parser.parse_args(["fig9"])
 
 
+def test_jobs_defaults_to_one_worker_per_cpu():
+    parser = build_parser()
+    assert parser.parse_args(["fig3"]).jobs == 0
+    assert parser.parse_args(["check", "all"]).jobs == 0
+    assert parser.parse_args(["table2", "--jobs", "1"]).jobs == 1
+
+
 def test_size_list_parsing():
     parser = build_parser()
     args = parser.parse_args(["fig3", "--sizes", "2,8,128"])
@@ -32,7 +39,8 @@ def test_table3_quick_end_to_end(capsys):
 
 
 def test_fig3_quick_end_to_end(capsys):
-    assert main(["fig3", "--quick", "--sizes", "2", "--threads", "1,4"]) == 0
+    assert main(["fig3", "--quick", "--sizes", "2", "--threads", "1,4",
+                 "--jobs", "1"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 3" in out and "NiO S2" in out
 
@@ -51,7 +59,7 @@ def test_cache_flag_parsing():
 
 
 def test_fig3_cache_warm_run_identical(tmp_path, capsys):
-    argv = ["fig3", "--quick", "--sizes", "2", "--threads", "1",
+    argv = ["fig3", "--quick", "--sizes", "2", "--threads", "1", "--jobs", "1",
             "--cache", "--cache-dir", str(tmp_path / "cache")]
     assert main(argv) == 0
     cold = capsys.readouterr().out
