@@ -173,7 +173,7 @@ def predict_profile(profile: AppProfile, app_cls=ProfiledApp) -> None:
     on HSA call counts for resolvable patterns; see
     ``repro check --differential cost``).
     """
-    from repro.check.static.cost import CostEnv, predict_costs
+    from repro.check.static.cost import predict_costs
     from repro.check.static.rules import analyze_workload
     from repro.experiments import render_cost_table
 
@@ -183,9 +183,7 @@ def predict_profile(profile: AppProfile, app_cls=ProfiledApp) -> None:
     if ir is None:
         print(f"  mapcost: {perf.aborted}; skipping prediction")
         return
-    predictions = {
-        c: predict_costs(ir, CostEnv.for_config(c)) for c in ALL_CONFIGS
-    }
+    predictions = {c: predict_costs(ir, c) for c in ALL_CONFIGS}
     table = render_cost_table(profile.name, predictions)
     print("\n".join("  " + line for line in table.splitlines()))
     for f in perf.sorted_findings():
@@ -205,7 +203,6 @@ def rank_placements(profile: AppProfile, app_cls=ProfiledApp) -> None:
     (``repro check --differential place``) pins these predictions against the
     instrumented card telemetry.
     """
-    from repro.check.static.cost import CostEnv
     from repro.check.static.extract import ExtractionError, extract_workload
     from repro.check.static.place import PlaceSpec, predict_place
     from repro.experiments import render_place_table
@@ -215,7 +212,6 @@ def rank_placements(profile: AppProfile, app_cls=ProfiledApp) -> None:
     except ExtractionError as exc:
         print(f"  mapplace: extraction failed ({exc}); skipping ranking")
         return
-    env = CostEnv.for_config(RuntimeConfig.IMPLICIT_ZERO_COPY)
     candidates = [
         PlaceSpec(2, "first-touch"),
         PlaceSpec(2, "interleave"),
@@ -223,7 +219,8 @@ def rank_placements(profile: AppProfile, app_cls=ProfiledApp) -> None:
         PlaceSpec(2, "pinned", home=1),
     ]
     ranked = sorted(
-        ((spec, predict_place(ir, env, spec)) for spec in candidates),
+        ((spec, predict_place(ir, RuntimeConfig.IMPLICIT_ZERO_COPY, spec))
+         for spec in candidates),
         key=lambda item: (
             item[1].interval("remote_kernel_bytes").lo,
             item[1].interval("remote_kernel_bytes").hi is None,

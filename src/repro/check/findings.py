@@ -457,8 +457,8 @@ class CheckReport:
             "stats": dict(self.stats),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def render_rule_table() -> str:

@@ -61,10 +61,9 @@ class RecordedRun:
 
 
 def _run_instrumented(
-    workload: Workload, *, cost: Optional[CostModel], seed: int
+    workload: Workload, cost: Optional[CostModel]
 ) -> RecordedRun:
-    system = ApuSystem(cost=cost or CostModel(), seed=seed)
-    runtime = OpenMPRuntime(system, RECORD_CONFIG)
+    runtime = OpenMPRuntime(ApuSystem(cost=cost), RECORD_CONFIG)
     rec = instrument(runtime)
     aborted = None
     try:
@@ -100,9 +99,7 @@ def _is_telemetry(key: str) -> bool:
 def _differential(
     factory: Callable[[], Workload],
     reference: Dict[str, object],
-    *,
     cost: Optional[CostModel],
-    seed: int,
 ) -> Dict[RuntimeConfig, str]:
     """Re-run under the other configurations; summarize each outcome."""
     from ..experiments.runner import execute
@@ -113,7 +110,7 @@ def _differential(
             continue
         workload = factory()
         try:
-            execute(workload, config, cost=cost, seed=seed)
+            execute(workload, config, cost=cost)
         except _PROGRAM_ERRORS as exc:
             outcomes[config] = f"crash: {type(exc).__name__}: {exc}"
             # the dead run keeps its exception; the traceback's frames
@@ -182,12 +179,12 @@ def check_workload(
     *,
     cross_check: bool = True,
     cost: Optional[CostModel] = None,
-    seed: int = 0,
 ) -> CheckReport:
-    """Run MapCheck over one workload factory (fresh instance per run)."""
+    """Run MapCheck over one workload factory (fresh instance per run),
+    on the deployment ``cost`` models (default: the MI300A APU)."""
     workload = factory()
     wname = name or workload.name
-    recorded = _run_instrumented(workload, cost=cost, seed=seed)
+    recorded = _run_instrumented(workload, cost)
     rec = recorded.recorder
     findings = run_lint(rec, wname, outputs=recorded.outputs)
     findings += run_sanitizer(
@@ -207,7 +204,7 @@ def check_workload(
         stats=rec.stats(),
     )
     if cross_check and recorded.aborted is None:
-        outcomes = _differential(factory, recorded.outputs, cost=cost, seed=seed)
+        outcomes = _differential(factory, recorded.outputs, cost)
         _confirm(findings, outcomes)
         report.findings.extend(
             _divergence_findings(findings, outcomes, wname)
@@ -230,8 +227,6 @@ def check_named(
     fidelity: Fidelity = Fidelity.TEST,
     *,
     cross_check: bool = True,
-    cost: Optional[CostModel] = None,
-    seed: int = 0,
     static: bool = False,
     dynamic: bool = True,
     perf: bool = False,
@@ -255,7 +250,7 @@ def check_named(
         return _static(static or not perf)
     report = check_workload(
         lambda: make_workload(name, fidelity), name,
-        cross_check=cross_check, cost=cost, seed=seed,
+        cross_check=cross_check,
     )
     if static or perf:
         extra = _static(static)

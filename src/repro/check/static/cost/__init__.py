@@ -7,7 +7,9 @@ counts directly from the extracted IR, without constructing a simulator:
 
 * :mod:`.intervals` — the ``[lo, hi]`` integer interval domain;
 * :mod:`.model` — the per-config HSA emission model (device init, the
-  libomptarget MemoryManager buckets, counter key taxonomy);
+  libomptarget MemoryManager buckets, counter key taxonomy) and the one
+  deployment it prices: the default ``CostModel``'s page size and
+  MemoryManager threshold, so every walk takes just a ``RuntimeConfig``;
 * :mod:`.walker` — the abstract cost interpreter over the structured IR;
 * :mod:`.rules` — the MC-W perf-lint rules and their config matrices;
 * :mod:`.differential` — static-vs-simulated validation (bit-exact HSA
@@ -21,7 +23,8 @@ from .model import (
     BOUNDED_KEYS,
     EXACT_KEYS,
     HSA_KEYS,
-    CostEnv,
+    MEMMGR_THRESHOLD,
+    PAGE_SIZE,
     device_init_counts,
 )
 from .rules import PERF_RULE_IDS, perf_report
@@ -29,7 +32,6 @@ from .walker import CostPrediction, predict_costs
 
 __all__ = [
     "Interval",
-    "CostEnv",
     "CostPrediction",
     "CounterCell",
     "CounterDifferential",
@@ -37,6 +39,8 @@ __all__ = [
     "BOUNDED_KEYS",
     "EXACT_KEYS",
     "HSA_KEYS",
+    "MEMMGR_THRESHOLD",
+    "PAGE_SIZE",
     "PERF_RULE_IDS",
     "device_init_counts",
     "predict_costs",

@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ....core.config import ALL_CONFIGS, RuntimeConfig
-from ....core.params import CostModel
 from ....workloads.base import Fidelity
 from ...findings import Finding
 from ..differential import _forbid_simulation
 from ..extract import extract_workload
-from .model import BOUNDED_KEYS, EXACT_KEYS, HSA_KEYS, CostEnv
+from .model import BOUNDED_KEYS, EXACT_KEYS, HSA_KEYS
 from .walker import CostPrediction, predict_costs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,13 +65,12 @@ def harvest_counters(trace, ledger, **driver: int) -> Dict[str, int]:
     return measured
 
 
-def measure_costs(workload, config: RuntimeConfig,
-                  cost: Optional[CostModel] = None) -> Dict[str, int]:
+def measure_costs(workload, config: RuntimeConfig) -> Dict[str, int]:
     """Run one noise-free simulation and harvest the measured counters."""
     from ....core.system import ApuSystem
     from ....omp.runtime import OpenMPRuntime
 
-    runtime = OpenMPRuntime(ApuSystem(cost=cost or CostModel(), seed=0), config)
+    runtime = OpenMPRuntime(ApuSystem(), config)
     result = runtime.run_workload(workload)
     driver = runtime.system.driver
     return harvest_counters(
@@ -198,14 +196,9 @@ class CounterDifferential:
         }
 
 
-def cost_differential(
-    names: Optional[Sequence[str]] = None,
-    *,
-    fidelity: Fidelity = Fidelity.TEST,
-    configs: Sequence[RuntimeConfig] = ALL_CONFIGS,
-    cost: Optional[CostModel] = None,
-) -> CounterDifferential:
-    """Run the full predicted-vs-measured sweep.
+def cost_differential(names: Optional[Sequence[str]] = None) -> CounterDifferential:
+    """Run the full predicted-vs-measured sweep at TEST fidelity, every
+    configuration.
 
     The static phase (extraction + cost walk for every configuration)
     runs with ``Environment`` poisoned; only then does the measured phase
@@ -217,15 +210,13 @@ def cost_differential(
     predictions: Dict[tuple, CostPrediction] = {}
     with _forbid_simulation():
         for name in names:
-            ir = extract_workload(make_workload(name, fidelity), name=name)
-            for config in configs:
-                predictions[(name, config)] = predict_costs(
-                    ir, CostEnv.for_config(config, cost)
-                )
+            ir = extract_workload(make_workload(name, Fidelity.TEST), name=name)
+            for config in ALL_CONFIGS:
+                predictions[(name, config)] = predict_costs(ir, config)
     result = CounterDifferential("cost")
     for name in names:
-        for config in configs:
-            measured = measure_costs(make_workload(name, fidelity), config, cost)
+        for config in ALL_CONFIGS:
+            measured = measure_costs(make_workload(name, Fidelity.TEST), config)
             result.cells.append(CounterCell(
                 workload=name,
                 config=config,

@@ -21,10 +21,8 @@ only need interval containment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ....core.config import RuntimeConfig
 from ....core.params import CostModel
 
 __all__ = [
@@ -39,11 +37,18 @@ __all__ = [
     "EXACT_KEYS",
     "BOUNDED_KEYS",
     "ALL_KEYS",
-    "CostEnv",
+    "PAGE_SIZE",
+    "MEMMGR_THRESHOLD",
     "device_init_counts",
     "size_class",
     "pages_of",
 ]
+
+#: the one deployment the static model prices, shared with the simulator:
+#: the default :class:`~repro.core.params.CostModel`'s GPU page size and
+#: MemoryManager threshold (the model assumes the memory manager is on)
+PAGE_SIZE = CostModel().page_size
+MEMMGR_THRESHOLD = CostModel().memmgr_threshold_bytes
 
 # traced HSA API names (repro.hsa.api / ZeroCopyPolicy.global_update)
 POOL_ALLOC = "memory_pool_allocate"
@@ -103,28 +108,6 @@ def size_class(nbytes: int) -> int:
     return size
 
 
-def pages_of(nbytes: int, page_size: int) -> int:
+def pages_of(nbytes: int) -> int:
     """GPU page-table pages a page-aligned allocation of ``nbytes`` spans."""
-    return max(1, -(-nbytes // page_size)) if nbytes > 0 else 0
-
-
-@dataclass(frozen=True)
-class CostEnv:
-    """Everything the cost walker needs to know about the deployment."""
-
-    config: RuntimeConfig
-    page_size: int
-    memmgr_enabled: bool
-    memmgr_threshold: int
-
-    @classmethod
-    def for_config(
-        cls, config: RuntimeConfig, cost: Optional[CostModel] = None
-    ) -> "CostEnv":
-        cost = cost or CostModel()
-        return cls(
-            config=config,
-            page_size=cost.page_size,
-            memmgr_enabled=cost.memmgr_enabled,
-            memmgr_threshold=cost.memmgr_threshold_bytes,
-        )
+    return max(1, -(-nbytes // PAGE_SIZE)) if nbytes > 0 else 0

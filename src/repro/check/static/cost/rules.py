@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ....core.config import RuntimeConfig
 from ....omp.mapping import MapKind
 from ....workloads.base import Workload
 from ...findings import CheckReport, Finding
@@ -45,7 +44,7 @@ from ..ir import (
 )
 from ..rules import _relative_source, analyze_workload
 from .intervals import ONE, ZERO, Interval
-from .model import CostEnv, pages_of
+from .model import pages_of
 
 __all__ = [
     "PERF_RULE_IDS",
@@ -119,17 +118,13 @@ def summarize_loop(loop: Loop) -> LoopSummary:
 class _Detector:
     """One refcount-abstract pass over a thread body, firing MC-W rules."""
 
-    def __init__(self, ir: WorkloadIR, env: CostEnv):
+    def __init__(self, ir: WorkloadIR):
         self.ir = ir
-        self.env = env
         self.raw: List[LintHit] = []
         self.tid = 0
-        #: (rule, site) pairs already reported, across threads
-        self._fired = set()
 
     def fire(self, rule_id: str, site_key: str, buffer: str,
              message: str, lineno: int) -> None:
-        self._fired.add((rule_id, site_key))
         self.raw.append(LintHit(
             rule_id, site_key, buffer, message, lineno, self.tid))
 
@@ -210,12 +205,11 @@ class _Detector:
         return post
 
     def _walk_silent(self, node, rc):
-        fired, raw = self._fired, self.raw
-        self._fired, self.raw = set(self._fired), []
+        raw, self.raw = self.raw, []
         try:
             return self.walk(node, rc)
         finally:
-            self._fired, self.raw = fired, raw
+            self.raw = raw
 
     def _op(self, op, rc: Dict[str, Interval]) -> Dict[str, Interval]:
         if isinstance(op, AllocOp):
@@ -312,7 +306,7 @@ class _Detector:
                 continue
             kernel, lineno = kernel_sites[key]
             nbytes = site.nbytes
-            pages = pages_of(nbytes, self.env.page_size) if nbytes else 0
+            pages = pages_of(nbytes) if nbytes else 0
             total = pages * max(trips, 1)
             if nbytes is not None and total < FAULT_STORM_PAGE_THRESHOLD:
                 continue
@@ -369,10 +363,9 @@ def lint_findings(raw: List[LintHit], ir: WorkloadIR) -> List[Finding]:
     return findings
 
 
-def perf_findings(ir: WorkloadIR, env: Optional[CostEnv] = None) -> List[Finding]:
+def perf_findings(ir: WorkloadIR) -> List[Finding]:
     """Run the MC-W detectors over one extracted workload IR."""
-    env = env or CostEnv.for_config(RuntimeConfig.COPY)
-    return lint_findings(_Detector(ir, env).run(), ir)
+    return lint_findings(_Detector(ir).run(), ir)
 
 
 def perf_report(workload: Workload, name: str = "") -> CheckReport:

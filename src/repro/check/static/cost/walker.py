@@ -60,7 +60,7 @@ from .model import (
     POOL_FREE,
     SCACQUIRE,
     SVM_SET,
-    CostEnv,
+    MEMMGR_THRESHOLD,
     device_init_counts,
     pages_of,
     size_class,
@@ -189,9 +189,9 @@ class CostPrediction:
 
 
 class _Walker:
-    def __init__(self, ir: WorkloadIR, env: CostEnv):
+    def __init__(self, ir: WorkloadIR, config: RuntimeConfig):
         self.ir = ir
-        self.env = env
+        self.config = config
         self.notes: List[str] = []
         self._noted = set()
         #: canonical site registry (the extractor may refine a site's
@@ -248,7 +248,7 @@ class _Walker:
         if nbytes is None:
             self.note("unresolved buffer size; page totals widened")
             return ZERO if trans.lo >= 1 else Interval(0, None)
-        pages = pages_of(nbytes, self.env.page_size)
+        pages = pages_of(nbytes)
         if trans.lo >= 1:
             return ZERO
         if trans.hi == 0:
@@ -407,11 +407,11 @@ class _Walker:
         self.note(f"{why}; map-op counts widened")
         inf = Interval(0, None)
         state.bump("map_enters" if enter else "map_exits", inf)
-        if not self.env.config.is_zero_copy:
+        if not self.config.is_zero_copy:
             for k in (POOL_ALLOC, POOL_FREE, ASYNC_COPY, ASYNC_HANDLER,
                       SCACQUIRE, "h2d_bytes", "d2h_bytes"):
                 state.bump(k, inf)
-        if self.env.config is RuntimeConfig.EAGER_MAPS and enter:
+        if self.config is RuntimeConfig.EAGER_MAPS and enter:
             state.bump(SVM_SET, inf)
             state.bump("pages_prefaulted", inf)
 
@@ -445,7 +445,7 @@ class _Walker:
             s = state.clone()
             s.rc[key] = ONE
             s = self._device_alloc(s, nbytes)
-            if not self.env.config.is_zero_copy and clause.kind.copies_to_device:
+            if not self.config.is_zero_copy and clause.kind.copies_to_device:
                 self._h2d_async(s, nbytes)
             self._prefault(s, key, nbytes)
             cases.append(s)
@@ -453,20 +453,20 @@ class _Walker:
             s = state.clone()
             pre = Interval(max(rc.lo, 1), rc.hi)
             s.rc[key] = pre.add(ONE)
-            if not self.env.config.is_zero_copy and clause.kind.copies_to_device and clause.always:
+            if not self.config.is_zero_copy and clause.kind.copies_to_device and clause.always:
                 self._h2d_async(s, nbytes)
             self._prefault(s, key, nbytes)
             cases.append(s)
         return _join_all(cases)
 
     def _device_alloc(self, state: CostState, nbytes: Optional[int]) -> CostState:
-        if self.env.config.is_zero_copy:
+        if self.config.is_zero_copy:
             return state
         if nbytes is None:
             self.note("unresolved allocation size; pool traffic widened")
             state.bump(POOL_ALLOC, Interval(0, None))
             return state
-        if not self.env.memmgr_enabled or nbytes > self.env.memmgr_threshold:
+        if nbytes > MEMMGR_THRESHOLD:
             state.bump(POOL_ALLOC, ONE)
             return state
         bucket = size_class(nbytes)
@@ -484,13 +484,13 @@ class _Walker:
         return _join_all(cases)
 
     def _device_free(self, state: CostState, nbytes: Optional[int]) -> None:
-        if self.env.config.is_zero_copy:
+        if self.config.is_zero_copy:
             return
         if nbytes is None:
             self.note("unresolved allocation size; pool traffic widened")
             state.bump(POOL_FREE, Interval(0, None))
             return
-        if not self.env.memmgr_enabled or nbytes > self.env.memmgr_threshold:
+        if nbytes > MEMMGR_THRESHOLD:
             state.bump(POOL_FREE, ONE)
             return
         bucket = size_class(nbytes)
@@ -510,7 +510,7 @@ class _Walker:
         state.bump("d2h_bytes", self._bytes_iv(nbytes))
 
     def _prefault(self, state: CostState, key: str, nbytes: Optional[int]) -> None:
-        if self.env.config is not RuntimeConfig.EAGER_MAPS:
+        if self.config is not RuntimeConfig.EAGER_MAPS:
             return
         state.bump(SVM_SET, ONE)
         trans = state.trans.get(key, ZERO)
@@ -560,7 +560,7 @@ class _Walker:
         if delete or pre.lo <= 1:  # may be the last reference
             s = state.clone()
             s.rc.pop(key, None)
-            if not self.env.config.is_zero_copy and copies_back:
+            if not self.config.is_zero_copy and copies_back:
                 self._d2h_sync(s, nbytes)
             self._device_free(s, nbytes)
             cases.append(s)
@@ -569,7 +569,7 @@ class _Walker:
             post_lo = max(pre.lo, 2) - 1
             post_hi = None if pre.hi is None else pre.hi - 1
             s.rc[key] = Interval(post_lo, post_hi)
-            if not self.env.config.is_zero_copy and copies_back and clause.always:
+            if not self.config.is_zero_copy and copies_back and clause.always:
                 self._d2h_sync(s, nbytes)
             cases.append(s)
         return _join_all(cases)
@@ -645,7 +645,7 @@ class _Walker:
         sitemap: Dict[int, Optional[AbstractBuffer]],
     ) -> CostState:
         """First-touch XNACK servicing at kernel launch (USM / IZC)."""
-        if not self.env.config.needs_xnack:
+        if not self.config.needs_xnack:
             return state
         seen = set()
         fault_sites: List[AbstractBuffer] = []
@@ -676,7 +676,7 @@ class _Walker:
                 state, self._pages_iv(nbytes, state.trans.get(key, ZERO)), site=site
             )
             state.trans[key] = ONE
-        if self.env.config.globals_as_pointer:
+        if self.config.globals_as_pointer:
             for name in op.globals_used:
                 nbytes = self.ir.global_sizes.get(name)
                 t = state.gtrans.get(name, ZERO)
@@ -730,7 +730,7 @@ class _Walker:
 
     # -- update / globals ------------------------------------------------------
     def _update(self, op: UpdateOp, state: CostState) -> CostState:
-        if self.env.config.is_zero_copy:
+        if self.config.is_zero_copy:
             return state  # zero-copy: motion is pure bookkeeping
         for to_device, refs in ((True, op.to), (False, op.from_)):
             byte_key = "h2d_bytes" if to_device else "d2h_bytes"
@@ -767,9 +767,9 @@ class _Walker:
         if nbytes is None:
             self.note(f"unresolved size for global {op.name!r}; bytes widened")
         iv = Interval.exact(nbytes) if nbytes is not None else Interval(0, None)
-        if self.env.config.globals_as_pointer:
+        if self.config.globals_as_pointer:
             return state  # USM: the device pointer aliases the host global
-        if not self.env.config.is_zero_copy:
+        if not self.config.is_zero_copy:
             state.bump(ASYNC_COPY, ONE)
             state.bump(SCACQUIRE, ONE)
             state.bump("h2d_bytes", iv)
@@ -805,14 +805,14 @@ class _Walker:
             counters.setdefault(k, ZERO)
         return CostPrediction(
             name=self.ir.name,
-            config=self.env.config,
+            config=self.config,
             counters=counters,
             notes=list(self.notes),
         )
 
 
 def predict_costs(
-    ir: WorkloadIR, env: CostEnv, include_init: bool = True
+    ir: WorkloadIR, config: RuntimeConfig, include_init: bool = True
 ) -> CostPrediction:
     """Predict per-config cost intervals for one extracted workload."""
-    return _Walker(ir, env).run(include_init=include_init)
+    return _Walker(ir, config).run(include_init=include_init)

@@ -23,7 +23,6 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from ...workloads.base import Fidelity
 from ..corpus import CORPUS
 from ..findings import Finding, RULES
 from ..registry import WORKLOADS, static_counterparts
@@ -150,13 +149,9 @@ def _match(dynamic: Finding, static_findings: List[Finding]) -> Optional[str]:
     return None
 
 
-def static_dynamic_differential(
-    *,
-    corpus: bool = True,
-    clean: bool = True,
-    fidelity: Fidelity = Fidelity.TEST,
-) -> DifferentialResult:
-    """Run the two-sided differential; see the module docstring."""
+def static_dynamic_differential(*, corpus: bool = True) -> DifferentialResult:
+    """Run the two-sided differential; see the module docstring.
+    ``corpus=False`` runs the clean-registry precision sweep alone."""
     result = DifferentialResult()
 
     if corpus:
@@ -180,13 +175,12 @@ def static_dynamic_differential(
                     static_rule=_match(f, static.findings),
                 ))
 
-    if clean:
-        with _forbid_simulation():
-            for name in sorted(WORKLOADS):
-                report = analyze_named(name, fidelity)
-                if report.aborted:
-                    result.aborts[name] = report.aborted
-                elif report.findings:
-                    result.false_positives[name] = list(report.findings)
+    with _forbid_simulation():
+        for name in sorted(WORKLOADS):
+            report = analyze_named(name)
+            if report.aborted:
+                result.aborts[name] = report.aborted
+            elif report.findings:
+                result.false_positives[name] = list(report.findings)
 
     return result

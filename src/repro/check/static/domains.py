@@ -1,31 +1,21 @@
-"""Abstract domains for MapFlow.
+"""Abstract domain for MapFlow.
 
-Two domains:
-
-* :class:`Refcount` — the per-buffer present-table refcount lattice.
-  The public shape is the four-point chain ``⊥ < 0 < 1 < ⊤`` from the
-  issue; the implementation refines the middle with exact small counts
-  (0..3) and a saturating ``>=SAT`` band so nested ``target data``
-  regions stay precise, plus a ``POS`` point ("present, count unknown")
-  so a weakly-exited nest does not immediately collapse to ``⊤``.  The
-  join is *flat on distinct exact values that disagree about presence*
-  — ``join(0, 1) = ⊤``, not ``1`` — because reporting rules need
-  "definitely absent on some path", which a chain lub would destroy.
-
-* :class:`IntervalSet` — a presence-interval set over byte offsets, the
-  domain for partial maps.  The bundled workload API today only maps
-  whole buffers, so the interpreter's coverage check degenerates to
-  all-or-nothing, but the domain (union/subtract/covers) is what a
-  future sub-buffer ``MapClause(buf[lo:hi])`` lowers onto and is kept
-  exercised by unit tests.
+:class:`Refcount` is the per-buffer present-table refcount lattice.
+The public shape is the four-point chain ``⊥ < 0 < 1 < ⊤``; the
+implementation refines the middle with exact small counts
+(0..3) and a saturating ``>=SAT`` band so nested ``target data``
+regions stay precise, plus a ``POS`` point ("present, count unknown")
+so a weakly-exited nest does not immediately collapse to ``⊤``.  The
+join is *flat on distinct exact values that disagree about presence*
+— ``join(0, 1) = ⊤``, not ``1`` — because reporting rules need
+"definitely absent on some path", which a chain lub would destroy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
 
-__all__ = ["Refcount", "IntervalSet"]
+__all__ = ["Refcount"]
 
 
 @dataclass(frozen=True)
@@ -125,58 +115,3 @@ _EXACT = {n: Refcount(n) for n in range(Refcount.MAX_EXACT + 2)}
 ZERO = _EXACT[0]
 ONE = _EXACT[1]
 
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Finite union of half-open byte intervals ``[lo, hi)``."""
-
-    intervals: Tuple[Tuple[int, int], ...] = ()
-
-    @staticmethod
-    def of(*pairs: Tuple[int, int]) -> "IntervalSet":
-        return IntervalSet(()).union(IntervalSet(tuple(
-            (lo, hi) for lo, hi in pairs if lo < hi
-        )))
-
-    @staticmethod
-    def _normalize(pairs: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
-        merged: List[Tuple[int, int]] = []
-        for lo, hi in sorted(p for p in pairs if p[0] < p[1]):
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return tuple(merged)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self._normalize(self.intervals + other.intervals))
-
-    def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        out: List[Tuple[int, int]] = []
-        for lo, hi in self.intervals:
-            cur = [(lo, hi)]
-            for slo, shi in other.intervals:
-                nxt: List[Tuple[int, int]] = []
-                for clo, chi in cur:
-                    if shi <= clo or slo >= chi:
-                        nxt.append((clo, chi))
-                        continue
-                    if clo < slo:
-                        nxt.append((clo, slo))
-                    if shi < chi:
-                        nxt.append((shi, chi))
-                cur = nxt
-            out.extend(cur)
-        return IntervalSet(self._normalize(out))
-
-    def covers(self, lo: int, hi: int) -> bool:
-        """Whether ``[lo, hi)`` is entirely inside the set."""
-        need = IntervalSet.of((lo, hi)).subtract(self)
-        return not need.intervals
-
-    @property
-    def empty(self) -> bool:
-        return not self.intervals
-
-    def total(self) -> int:
-        return sum(hi - lo for lo, hi in self.intervals)

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ....core.config import ALL_CONFIGS
 from ....workloads.base import Workload
 from ...findings import _SEV_ORDER, CheckReport, Finding
-from ..cost import BOUNDED_KEYS, EXACT_KEYS, CostEnv, predict_costs
+from ..cost import BOUNDED_KEYS, EXACT_KEYS, predict_costs
 from ..cost.intervals import Interval
 from ..ir import WorkloadIR
 from ..rules import _relative_source, analyze_workload
@@ -51,6 +51,9 @@ from .synthesize import FixContext, Refusal, SourceIndex, synthesize_fixes
 __all__ = ["AppliedFix", "RemediationResult", "remediate", "write_patches"]
 
 _ZERO = Interval(0, 0)
+#: fix rounds per workload: each round applies at most one fix, then
+#: re-analyzes the patched source
+MAX_ROUNDS = 8
 
 
 @dataclass
@@ -191,9 +194,8 @@ def _cost_delta(before: WorkloadIR, after: WorkloadIR
     delta: Dict[str, Dict[str, object]] = {}
     saved_total = 0
     for cfg in ALL_CONFIGS:
-        env = CostEnv.for_config(cfg)
-        b = predict_costs(before, env).counters
-        a = predict_costs(after, env).counters
+        b = predict_costs(before, cfg).counters
+        a = predict_costs(after, cfg).counters
         exact: Dict[str, object] = {}
         for key in EXACT_KEYS:
             bi, ai = b.get(key, _ZERO), a.get(key, _ZERO)
@@ -226,7 +228,6 @@ def remediate(
     name: Optional[str] = None,
     *,
     dynamic: bool = True,
-    max_rounds: int = 8,
     rebuild: Optional[Callable[[object], Workload]] = None,
 ) -> RemediationResult:
     """Synthesize, verify and rank fixes for one workload.
@@ -237,8 +238,8 @@ def remediate(
     workload from a sandbox module when the class needs constructor
     arguments (see :func:`.sandbox.load_patched`).
     """
-    return _remediate(factory, name, dynamic=dynamic, max_rounds=max_rounds,
-                      rebuild=rebuild, index_original=SourceIndex)
+    return _remediate(factory, name, dynamic=dynamic, rebuild=rebuild,
+                      index_original=SourceIndex)
 
 
 def _remediate(
@@ -246,7 +247,6 @@ def _remediate(
     name: Optional[str],
     *,
     dynamic: bool,
-    max_rounds: int = 8,
     rebuild: Optional[Callable[[object], Workload]] = None,
     index_original: Callable[[str], SourceIndex],
 ) -> RemediationResult:
@@ -281,7 +281,7 @@ def _remediate(
     cur_text, cur_build, cur_ir = original_text, factory, ir0
     cur_findings = _sorted_active(base_findings)
     with sandbox_dir() as tmpdir:
-        for rnd in range(1, max_rounds + 1):
+        for rnd in range(1, MAX_ROUNDS + 1):
             if not cur_findings:
                 break
             accepted = False

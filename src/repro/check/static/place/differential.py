@@ -30,10 +30,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ....core.config import ALL_CONFIGS, RuntimeConfig
-from ....core.params import CostModel
 from ....workloads.base import Fidelity
 from ..cost.differential import CounterCell, CounterDifferential, harvest_counters
-from ..cost.model import BOUNDED_KEYS, CostEnv
+from ..cost.model import BOUNDED_KEYS
 from ..cost.walker import CostPrediction
 from ..differential import _forbid_simulation
 from ..extract import extract_workload
@@ -58,21 +57,13 @@ _CARD_KEYS: Tuple[str, ...] = (
 
 
 def measure_place(
-    workload,
-    config: RuntimeConfig,
-    spec: PlaceSpec,
-    cost: Optional[CostModel] = None,
+    workload, config: RuntimeConfig, spec: PlaceSpec
 ) -> List[Dict[str, int]]:
     """Run one noise-free card simulation for an analysis point and
     harvest the measured counters of every socket."""
     from ....multisocket.card import ApuCard
 
-    card = ApuCard(
-        topology=spec.topology(),
-        placement=spec.placement_spec(),
-        cost=cost or CostModel(),
-        seed=0,
-    )
+    card = ApuCard(topology=spec.topology(), placement=spec.placement_spec())
     res = card.run_workload(workload, config)
     return [
         harvest_counters(
@@ -83,16 +74,10 @@ def measure_place(
     ]
 
 
-def place_differential(
-    names: Optional[Sequence[str]] = None,
-    *,
-    fidelity: Fidelity = Fidelity.TEST,
-    configs: Sequence[RuntimeConfig] = ALL_CONFIGS,
-    points: Sequence[PlaceSpec] = DEFAULT_POINTS,
-    cost: Optional[CostModel] = None,
-) -> CounterDifferential:
+def place_differential(names: Optional[Sequence[str]] = None) -> CounterDifferential:
     """Run the predicted-vs-measured sweep over every (workload, config,
-    analysis point) cell.
+    analysis point) cell at TEST fidelity, every configuration and the
+    :data:`DEFAULT_POINTS`.
 
     The static phase (extraction + place walk for every configuration and
     point, plus the affinity-lint false-positive gate) runs with
@@ -105,19 +90,18 @@ def place_differential(
     result = CounterDifferential("place")
     with _forbid_simulation():
         for name in names:
-            ir = extract_workload(make_workload(name, fidelity), name=name)
+            ir = extract_workload(make_workload(name, Fidelity.TEST), name=name)
             result.false_positives.extend(place_findings(ir, PlaceSpec()))
-            for config in configs:
-                env = CostEnv.for_config(config, cost)
-                for spec in points:
+            for config in ALL_CONFIGS:
+                for spec in DEFAULT_POINTS:
                     predictions[(name, config, spec)] = predict_card(
-                        ir, env, spec
+                        ir, config, spec
                     )
     for name in names:
-        for config in configs:
-            for spec in points:
+        for config in ALL_CONFIGS:
+            for spec in DEFAULT_POINTS:
                 per_socket = measure_place(
-                    make_workload(name, fidelity), config, spec, cost
+                    make_workload(name, Fidelity.TEST), config, spec
                 )
                 preds = predictions[(name, config, spec)]
                 for s, measured in enumerate(per_socket):

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ....core.config import RuntimeConfig
 from ....memory.layout import MIB
 from ....workloads.base import Workload
 from ...findings import CheckReport, Finding
 from ..ir import AbstractBuffer, EnterOp, Loop, TargetOp, WorkloadIR, walk
 from ..rules import analyze_workload
-from ..cost.model import CostEnv, pages_of
+from ..cost.model import PAGE_SIZE, pages_of
 from ..cost.rules import LintHit, lint_findings, summarize_loop
 from .model import PlaceSpec
 
@@ -70,9 +69,8 @@ class _PlaceDetector:
     """One structural pass over a thread body, firing MC-A rules for a
     given (topology, placement) analysis point."""
 
-    def __init__(self, ir: WorkloadIR, env: CostEnv, spec: PlaceSpec):
+    def __init__(self, ir: WorkloadIR, spec: PlaceSpec):
         self.ir = ir
-        self.env = env
         self.spec = spec
         self.raw: List[LintHit] = []
         self.tid = 0
@@ -93,7 +91,7 @@ class _PlaceDetector:
         nbytes = self.sites.get(site.site, site).nbytes
         if nbytes is None:
             return None
-        return pages_of(nbytes, self.env.page_size)
+        return pages_of(nbytes)
 
     def _remote(self, site: AbstractBuffer) -> Optional[int]:
         pages = self._pages(site)
@@ -141,7 +139,7 @@ class _PlaceDetector:
             remote = self._remote(site)
             if remote is None:
                 continue
-            remote_bytes = remote * self.env.page_size
+            remote_bytes = remote * PAGE_SIZE
             if remote_bytes < LINK_SATURATION_BYTES:
                 continue
             self.fire(
@@ -217,15 +215,11 @@ class _PlaceDetector:
 
 
 def place_findings(
-    ir: WorkloadIR,
-    spec: Optional[PlaceSpec] = None,
-    env: Optional[CostEnv] = None,
+    ir: WorkloadIR, spec: Optional[PlaceSpec] = None
 ) -> List[Finding]:
     """Run the MC-A detectors over one extracted workload IR at one
     (topology, placement) analysis point."""
-    spec = spec or PlaceSpec()
-    env = env or CostEnv.for_config(RuntimeConfig.IMPLICIT_ZERO_COPY)
-    return lint_findings(_PlaceDetector(ir, env, spec).run(), ir)
+    return lint_findings(_PlaceDetector(ir, spec or PlaceSpec()).run(), ir)
 
 
 def place_report(

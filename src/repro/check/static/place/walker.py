@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ....core.config import RuntimeConfig
 from ..ir import AbstractBuffer, TargetOp, WorkloadIR
 from .model import PLACE_BOUNDED_KEYS, PlaceSpec
 from ..cost.intervals import ZERO, Interval
-from ..cost.model import ALL_KEYS, CostEnv, device_init_counts, pages_of
+from ..cost.model import ALL_KEYS, PAGE_SIZE, device_init_counts, pages_of
 from ..cost.walker import CostPrediction, CostState, _Walker
 
 __all__ = ["predict_place", "predict_card"]
@@ -42,8 +43,8 @@ __all__ = ["predict_place", "predict_card"]
 class _PlaceWalker(_Walker):
     """MapCost walker + local/remote placement split."""
 
-    def __init__(self, ir: WorkloadIR, env: CostEnv, spec: PlaceSpec):
-        super().__init__(ir, env)
+    def __init__(self, ir: WorkloadIR, config: RuntimeConfig, spec: PlaceSpec):
+        super().__init__(ir, config)
         self.spec = spec
 
     # -- shared helpers ----------------------------------------------------
@@ -56,7 +57,7 @@ class _PlaceWalker(_Walker):
             nbytes = self.ir.global_sizes.get(global_name)
         if nbytes is None:
             return None
-        return pages_of(nbytes, self.env.page_size)
+        return pages_of(nbytes)
 
     def _remote_share(self, iv: Interval, n_pages: int) -> Interval:
         """Remote portion of ``iv`` faulted/visited pages out of an
@@ -119,26 +120,26 @@ class _PlaceWalker(_Walker):
                        Interval(min(remotes), max(remotes)))
 
     # -- entry -------------------------------------------------------------
-    def run(self, include_init: bool = True) -> CostPrediction:
-        pred = super().run(include_init=include_init)
+    def run(self) -> CostPrediction:
+        pred = super().run()
         for key in PLACE_BOUNDED_KEYS:
             pred.counters.setdefault(key, ZERO)
         pred.counters["remote_kernel_bytes"] = pred.counters[
             "remote_kernel_pages"
-        ].scale(self.env.page_size)
+        ].scale(PAGE_SIZE)
         return pred
 
 
 def predict_place(
-    ir: WorkloadIR, env: CostEnv, spec: PlaceSpec, include_init: bool = True
+    ir: WorkloadIR, config: RuntimeConfig, spec: PlaceSpec
 ) -> CostPrediction:
     """Predict the executing socket's cost + local/remote counters for
     one (config, topology, placement) point."""
-    return _PlaceWalker(ir, env, spec).run(include_init=include_init)
+    return _PlaceWalker(ir, config, spec).run()
 
 
 def predict_card(
-    ir: WorkloadIR, env: CostEnv, spec: PlaceSpec
+    ir: WorkloadIR, config: RuntimeConfig, spec: PlaceSpec
 ) -> List[CostPrediction]:
     """Per-socket predictions for a card run with every host thread
     pinned to the executing socket: the executing socket gets the full
@@ -146,7 +147,7 @@ def predict_card(
     out: List[CostPrediction] = []
     for s in range(spec.n_sockets):
         if s == spec.socket:
-            out.append(predict_place(ir, env, spec))
+            out.append(predict_place(ir, config, spec))
             continue
         counters: Dict[str, Interval] = {
             key: Interval.exact(count)
@@ -155,7 +156,7 @@ def predict_card(
         for key in ALL_KEYS + PLACE_BOUNDED_KEYS:
             counters.setdefault(key, ZERO)
         out.append(CostPrediction(
-            name=ir.name, config=env.config, counters=counters,
+            name=ir.name, config=config, counters=counters,
             notes=[f"socket {s}: idle (device boot only)"],
         ))
     return out

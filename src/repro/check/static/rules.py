@@ -215,8 +215,6 @@ def static_report(workload: Workload, name: str = "") -> CheckReport:
     return analyze_workload(workload, name)[0]
 
 
-def analyze_named(
-    name: str, fidelity: Fidelity = Fidelity.TEST
-) -> CheckReport:
-    """Static-analyze one bundled workload by registry name."""
-    return static_report(make_workload(name, fidelity), name)
+def analyze_named(name: str) -> CheckReport:
+    """Static-analyze one bundled workload by registry name (TEST fidelity)."""
+    return static_report(make_workload(name, Fidelity.TEST), name)

@@ -103,17 +103,10 @@ class CostModel:
     syscall_tail_p: float = 0.0
     syscall_tail_scale_us: float = 0.0
 
-    def with_noise(
-        self,
-        sigma: float = 0.01,
-        run_sigma: float = 0.03,
-        fault_sigma: float = 0.9,
-        tail_p: float = 2e-6,
-        tail_scale_us: float = 2.5e5,
-    ) -> "CostModel":
+    def with_noise(self) -> "CostModel":
         """A copy with measurement noise enabled.
 
-        The defaults reproduce the paper's CoV regime (§V.A.1): per-run
+        The values reproduce the paper's CoV regime (§V.A.1): per-run
         correlated machine noise gives every configuration a baseline CoV
         of ≈0.03; high-variance XNACK fault servicing pushes the
         unified-memory configurations toward ≈0.08–0.10; and a rare
@@ -123,11 +116,11 @@ class CostModel:
         """
         return replace(
             self,
-            jitter_sigma=sigma,
-            run_sigma=run_sigma,
-            fault_sigma=fault_sigma,
-            syscall_tail_p=tail_p,
-            syscall_tail_scale_us=tail_scale_us,
+            jitter_sigma=0.01,
+            run_sigma=0.03,
+            fault_sigma=0.9,
+            syscall_tail_p=2e-6,
+            syscall_tail_scale_us=2.5e5,
         )
 
     @classmethod

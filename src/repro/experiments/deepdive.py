@@ -20,10 +20,8 @@ benchmark and ``tests/test_deepdive.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.config import RuntimeConfig
-from ..core.params import CostModel
 from ..workloads.base import Fidelity
 from ..workloads.qmcpack import QmcPackNio
 from .runner import execute
@@ -46,24 +44,18 @@ class EagerVsIzc:
 
 
 def eager_vs_izc_analysis(
-    *,
-    size: int = 2,
-    n_threads: int = 1,
-    fidelity: Fidelity = Fidelity.FULL,
-    first_n: int = 100,
-    cost: Optional[CostModel] = None,
+    *, fidelity: Fidelity = Fidelity.FULL, first_n: int = 100
 ) -> EagerVsIzc:
-    """Run the §V.A.4 comparison with per-kernel tracing."""
+    """Run the §V.A.4 comparison (QMCPack NiO S2, one host thread) with
+    per-kernel tracing."""
     izc = execute(
-        QmcPackNio(size=size, n_threads=n_threads, fidelity=fidelity),
+        QmcPackNio(size=2, n_threads=1, fidelity=fidelity),
         RuntimeConfig.IMPLICIT_ZERO_COPY,
-        cost=cost,
         kernel_trace=True,
     )
     eager = execute(
-        QmcPackNio(size=size, n_threads=n_threads, fidelity=fidelity),
+        QmcPackNio(size=2, n_threads=1, fidelity=fidelity),
         RuntimeConfig.EAGER_MAPS,
-        cost=cost,
     )
     head = izc.kernel_trace.total_fault_stall_us(first_n=first_n)
     total = izc.kernel_trace.total_fault_stall_us()

@@ -7,8 +7,6 @@ can be regenerated mechanically).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..core.config import ZERO_COPY_CONFIGS, RuntimeConfig
 from .figures import QmcPackGrid, fig3_series, fig4_series
 from .tables import PAPER_TABLE2, TABLE1_SIZE, Table1Result, Table2Result, Table3Result
@@ -35,11 +33,10 @@ def _rule(width: int = 72) -> str:
     return "-" * width
 
 
-def render_fig3(grid: QmcPackGrid, sizes: Sequence[int] = ()) -> str:
+def render_fig3(grid: QmcPackGrid) -> str:
     """Fig. 3: one block per problem size, ratio vs thread count."""
-    sizes = list(sizes) or grid.sizes()
     lines = ["Fig. 3 — Copy/zero-copy steady-state time ratio vs OpenMP threads"]
-    for size in sizes:
+    for size in grid.sizes():
         lines.append(_rule())
         lines.append(f"NiO S{size}")
         header = "  threads | " + " | ".join(f"{_SHORT[c]:>12}" for c in ZERO_COPY_CONFIGS)
@@ -90,8 +87,8 @@ def render_table1(result: Table1Result) -> str:
     return "\n".join(lines)
 
 
-def render_table2(result: Table2Result, compare_paper: bool = True) -> str:
-    """Table II layout, optionally with the paper's values alongside."""
+def render_table2(result: Table2Result) -> str:
+    """Table II layout, with the paper's values alongside."""
     benchmarks = list(result.ratios)
     lines = [
         f"Table II — Copy / zero-copy total-time ratios, SPECaccel 2023 "
@@ -102,11 +99,8 @@ def render_table2(result: Table2Result, compare_paper: bool = True) -> str:
     for config in ZERO_COPY_CONFIGS:
         cells = "".join(f"{result.ratios[b][config]:>12.3f}" for b in benchmarks)
         lines.append(f"  {_SHORT[config]:<24}{cells}")
-        if compare_paper:
-            paper = "".join(
-                f"{PAPER_TABLE2[b][config]:>12.3f}" for b in benchmarks
-            )
-            lines.append(f"  {'  (paper)':<24}{paper}")
+        paper = "".join(f"{PAPER_TABLE2[b][config]:>12.3f}" for b in benchmarks)
+        lines.append(f"  {'  (paper)':<24}{paper}")
     lines.append(f"  max CoV observed: {result.max_cov():.3f} (paper: 0.03)")
     return "\n".join(lines)
 

@@ -494,8 +494,8 @@ class Environment:
 
     __slots__ = ("now", "_queue", "_seq", "_event_count", "_hold", "_owed")
 
-    def __init__(self, initial_time: float = 0.0):
-        self.now: float = float(initial_time)
+    def __init__(self):
+        self.now: float = 0.0
         self._queue: List[tuple] = []
         self._seq = 0
         self._event_count = 0
@@ -710,8 +710,8 @@ class ReferenceEnvironment(Environment):
 
     __slots__ = ()
 
-    def __init__(self, initial_time: float = 0.0):
-        super().__init__(initial_time)
+    def __init__(self):
+        super().__init__()
         self._hold = 1
 
 

@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .hsa_trace import HsaTrace
 from .kernel_trace import RunLedger
@@ -51,14 +51,10 @@ class HsaCallRow:
         return f"{self.latency_ratio:.2f}"
 
 
-def hsa_call_comparison(
-    trace_a: HsaTrace,
-    trace_b: HsaTrace,
-    calls: Sequence[tuple] = TABLE1_CALLS,
-) -> List[HsaCallRow]:
+def hsa_call_comparison(trace_a: HsaTrace, trace_b: HsaTrace) -> List[HsaCallRow]:
     """Compare two HSA traces call-by-call (Table I's Copy vs Implicit Z-C)."""
     rows = []
-    for call, used_for in calls:
+    for call, used_for in TABLE1_CALLS:
         rows.append(
             HsaCallRow(
                 call=call,

@@ -27,7 +27,8 @@ from repro.check import (
 from repro.check.corpus import PERF_CORPUS
 from repro.check.static.cost import (
     EXACT_KEYS,
-    CostEnv,
+    MEMMGR_THRESHOLD,
+    PAGE_SIZE,
     Interval,
     cost_differential,
     perf_report,
@@ -55,6 +56,7 @@ from repro.check.static.ir import (
 from repro.cli import main
 from repro.core import RuntimeConfig
 from repro.core.config import ALL_CONFIGS
+from repro.core.params import CostModel
 from repro.memory.layout import MIB
 from repro.omp.mapping import MapClause, MapKind
 from repro.workloads.base import Fidelity, Workload
@@ -82,6 +84,15 @@ def test_cost_differential_is_exact(name, config):
         assert cell.prediction.interval(key).is_exact, (name, config, key)
 
 
+def test_static_model_prices_the_simulated_deployment():
+    """The walker's page size and MemoryManager threshold are the default
+    simulator's, and its bucket model assumes the memory manager is on."""
+    cost = CostModel()
+    assert PAGE_SIZE == cost.page_size
+    assert MEMMGR_THRESHOLD == cost.memmgr_threshold_bytes
+    assert cost.memmgr_enabled is True
+
+
 def test_prediction_phase_is_simulation_free():
     """predict_costs never constructs a simulator — the poison guard
     stays armed across extraction and all four config walks."""
@@ -89,7 +100,7 @@ def test_prediction_phase_is_simulation_free():
         ir = extract_workload(make_workload("triad", Fidelity.TEST),
                               name="triad")
         for config in ALL_CONFIGS:
-            p = predict_costs(ir, CostEnv.for_config(config))
+            p = predict_costs(ir, config)
             assert p.counters
     # sanity: the guard would have tripped on any simulation attempt
     from repro.core.system import ApuSystem
@@ -123,23 +134,20 @@ def _kernel_loop(**kw) -> Loop:
 
 def test_walker_resolved_trip_count_is_exact():
     ir = _unit_ir(_kernel_loop(trips=100, min_trips=1, kind="for"))
-    p = predict_costs(ir, CostEnv.for_config(RuntimeConfig.COPY),
-                      include_init=False)
+    p = predict_costs(ir, RuntimeConfig.COPY, include_init=False)
     assert p.interval("kernels") == Interval.exact(100)
 
 
 def test_walker_unresolved_for_guarantees_one_trip():
     ir = _unit_ir(_kernel_loop(trips=None, min_trips=1, kind="for"))
-    p = predict_costs(ir, CostEnv.for_config(RuntimeConfig.COPY),
-                      include_init=False)
+    p = predict_costs(ir, RuntimeConfig.COPY, include_init=False)
     iv = p.interval("kernels")
     assert iv.lo == 1 and iv.hi is None
 
 
 def test_walker_while_fallback_admits_zero_trips():
     ir = _unit_ir(_kernel_loop(trips=None, min_trips=0, kind="while"))
-    p = predict_costs(ir, CostEnv.for_config(RuntimeConfig.COPY),
-                      include_init=False)
+    p = predict_costs(ir, RuntimeConfig.COPY, include_init=False)
     iv = p.interval("kernels")
     assert iv.lo == 0 and iv.hi is None
 
@@ -224,7 +232,7 @@ def test_extraction_while_and_partially_resolved_for():
 
 def _cell(factory, config):
     ir = extract_workload(factory(), name=factory.name)
-    pred = predict_costs(ir, CostEnv.for_config(config))
+    pred = predict_costs(ir, config)
     measured = measure_costs(factory(), config)
     return CounterCell(
         workload=factory.name, config=config,
@@ -244,7 +252,7 @@ def test_unresolved_loops_prediction_still_brackets_measurement(config):
     """No exactness possible here — but the interval must be sound."""
     ir = extract_workload(_UnresolvedLoopsWorkload(),
                           name="unit-unresolved-loops")
-    pred = predict_costs(ir, CostEnv.for_config(config))
+    pred = predict_costs(ir, config)
     measured = measure_costs(_UnresolvedLoopsWorkload(), config)
     iv = pred.interval("kernels")
     assert iv.hi is None                      # widened, not guessed

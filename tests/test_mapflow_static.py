@@ -21,7 +21,6 @@ from repro.check.static.domains import (
     POS,
     TOP,
     ZERO,
-    IntervalSet,
     exact,
 )
 from repro.check.static.interp import analyze_ir
@@ -81,24 +80,6 @@ def test_refcount_join_commutes():
     for a in pts:
         for b in pts:
             assert a.join(b) == b.join(a)
-
-
-# ---------------------------------------------------------------------------
-# presence-interval domain
-# ---------------------------------------------------------------------------
-def test_interval_set_union_and_covers():
-    s = IntervalSet.of((0, 100)).union(IntervalSet.of((100, 200)))
-    assert s.intervals == ((0, 200),)      # adjacent intervals merge
-    assert s.covers(10, 150)
-    assert not s.covers(150, 250)
-    assert s.total() == 200
-
-
-def test_interval_set_subtract_splits():
-    s = IntervalSet.of((0, 100)).subtract(IntervalSet.of((40, 60)))
-    assert s.intervals == ((0, 40), (60, 100))
-    assert not s.covers(30, 50)
-    assert IntervalSet.of().empty
 
 
 # ---------------------------------------------------------------------------

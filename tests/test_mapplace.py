@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.check.registry import make_workload, workload_names
-from repro.check.static.cost import CostEnv, CounterCell
+from repro.check.static.cost import PAGE_SIZE, CounterCell
 from repro.check.static.differential import _forbid_simulation
 from repro.check.static.extract import extract_workload
 from repro.check.static.place import (
@@ -199,13 +199,12 @@ def test_findings_carry_derived_matrices_and_spec_label():
 
 def test_predict_place_splits_kernel_pages_exactly():
     ir = extract_workload(_BigKernelWorkload(), name="unit-place-big")
-    env = CostEnv.for_config(IZC)
-    remote_all = predict_place(ir, env, PlaceSpec(2, "pinned", home=1))
+    remote_all = predict_place(ir, IZC, PlaceSpec(2, "pinned", home=1))
     assert remote_all.interval("remote_kernel_pages").is_exact
     assert remote_all.interval("remote_kernel_pages").lo == 128
     assert remote_all.interval("local_kernel_pages").lo == 0
-    assert remote_all.interval("remote_kernel_bytes").lo == 128 * env.page_size
-    local_all = predict_place(ir, env, PlaceSpec(2, "first-touch"))
+    assert remote_all.interval("remote_kernel_bytes").lo == 128 * PAGE_SIZE
+    local_all = predict_place(ir, IZC, PlaceSpec(2, "first-touch"))
     assert local_all.interval("remote_kernel_pages").lo == 0
     assert local_all.interval("local_kernel_pages").lo == 128
     # the remote fault share is bounded by the placement's remote pages
@@ -215,7 +214,7 @@ def test_predict_place_splits_kernel_pages_exactly():
 
 def test_predict_card_gives_idle_sockets_boot_only():
     ir = extract_workload(make_workload("triad", Fidelity.TEST), name="triad")
-    preds = predict_card(ir, CostEnv.for_config(IZC), PlaceSpec(4, "pinned", home=1))
+    preds = predict_card(ir, IZC, PlaceSpec(4, "pinned", home=1))
     assert len(preds) == 4
     for s, pred in enumerate(preds[1:], start=1):
         assert pred.interval("kernels").is_exact
@@ -230,9 +229,8 @@ def test_prediction_phase_is_pure_static():
     ir = extract_workload(make_workload("triad", Fidelity.TEST), name="triad")
     with _forbid_simulation():
         for config in ALL_CONFIGS:
-            env = CostEnv.for_config(config)
             for spec in DEFAULT_POINTS:
-                predict_card(ir, env, spec)
+                predict_card(ir, config, spec)
         place_findings(ir, PlaceSpec())
 
 
