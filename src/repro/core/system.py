@@ -18,7 +18,7 @@ from ..hsa.api import HsaRuntime
 from ..memory.os_alloc import OsAllocator
 from ..memory.pagetable import PageTable
 from ..memory.physical import PhysicalMemory
-from ..sim import Environment, Jitter, RngHub
+from ..sim import Environment, RngHub
 from ..trace.hsa_trace import HsaTrace
 from .params import CostModel
 
@@ -60,8 +60,8 @@ class ApuSystem:
             self.env, self.cost, self.driver, self.hsa_trace, self.rng_hub
         )
         if self.cost.fault_sigma > 0.0:
-            self.driver.stall_jitter = Jitter(
-                self.rng_hub.stream("driver.faults"),
+            self.driver.stall_jitter = self.rng_hub.jitter(
+                "driver.faults",
                 sigma=self.cost.fault_sigma,
                 scale=self.hsa.speed,
             )

@@ -11,11 +11,14 @@ of batch without changing a single reported number.
 Determinism contract: each cell is seeded explicitly (``seed0 + rep``),
 results come back in item order whatever order the workers finish in,
 and a worker returns plain values (no shared state crosses the pool
-boundary).  ``jobs=1`` bypasses the pool entirely; ``jobs>1`` falls back
-to the serial path — with a warning, never with different results —
-when the platform cannot run a process pool or the batch does not
-pickle (e.g. an ad-hoc lambda or closure as a workload factory).  A
-task's own exception is never mistaken for either: it propagates once.
+boundary).  ``jobs=1`` bypasses the pool entirely: the pool machinery
+(``concurrent.futures.process`` and ``multiprocessing``) is imported on
+first use, so a serial run never loads it.  ``jobs>1`` falls back to
+the serial path — with a warning, never with different results — when
+the platform cannot run a process pool (no ``_multiprocessing``, no
+semaphores) or the batch does not pickle (e.g. an ad-hoc lambda or
+closure as a workload factory).  A task's own exception is never
+mistaken for either: it propagates once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -138,8 +140,11 @@ def _pooled(fn, items, workers: int, progress) -> Optional[list]:
         _serially(f"tasks not picklable ({exc})")
         return None
     try:
+        # imported here: a serial run never loads the pool machinery
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         pool = ProcessPoolExecutor(max_workers=workers)
-    except OSError as exc:  # sandboxed platform / no semaphores
+    except (ImportError, OSError) as exc:  # no _multiprocessing / no semaphores
         _serially(f"process pool unavailable ({exc})")
         return None
     try:

@@ -33,7 +33,7 @@ from ..core.params import CostModel
 from ..driver.kfd import Kfd, PrefaultResult
 from ..driver.syscall import SyscallModel
 from ..memory.layout import AddressRange
-from ..sim import AllOf, Environment, Jitter, Resource, RngHub
+from ..sim import AllOf, Environment, Resource, RngHub
 from ..trace.hsa_trace import HsaTrace
 from .memory_pool import MemoryPool
 from .signals import Signal
@@ -197,11 +197,9 @@ class HsaRuntime:
         if cost.run_sigma > 0.0:
             speed = float(np.exp(hub.stream("machine").normal(0.0, cost.run_sigma)))
         self.speed = speed
-        self.op_jitter = Jitter(
-            hub.stream("hsa.ops"), sigma=cost.jitter_sigma, scale=speed
-        )
-        syscall_jitter = Jitter(
-            hub.stream("hsa.syscalls"),
+        self.op_jitter = hub.jitter("hsa.ops", sigma=cost.jitter_sigma, scale=speed)
+        syscall_jitter = hub.jitter(
+            "hsa.syscalls",
             sigma=cost.jitter_sigma,
             tail_p=cost.syscall_tail_p,
             tail_scale_us=cost.syscall_tail_scale_us,

@@ -5,13 +5,16 @@ on syscalls, interrupt interference, rare long stalls that produce the
 Eager-Maps CoV outliers in §V.A.1) is modeled with an explicit, seeded
 random stream.  Streams are derived from a root seed plus a stable string
 name, so adding a new noise source never perturbs existing ones — a
-requirement for regression-testing calibrated experiment outputs.
+requirement for regression-testing calibrated experiment outputs.  By
+the same token a stream nobody draws from need not exist:
+:meth:`RngHub.jitter` builds one only for a jitter that can draw, so a
+noiseless run seeds no generator at all (nor loads ``numpy.random``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -44,6 +47,19 @@ class RngHub:
         """A child hub (e.g. one per repetition) with an independent seed."""
         return RngHub(_derive_seed(self.root_seed, f"{name}[{index}]"))
 
+    def jitter(
+        self,
+        name: str,
+        sigma: float = 0.0,
+        tail_p: float = 0.0,
+        tail_scale_us: float = 0.0,
+        scale: float = 1.0,
+    ) -> "Jitter":
+        """A :class:`Jitter` drawing from stream ``name``, which is built
+        only if the jitter can draw."""
+        rng = self.stream(name) if Jitter.draws(sigma, tail_p) else None
+        return Jitter(rng, sigma, tail_p, tail_scale_us, scale)
+
 
 class Jitter:
     """Multiplicative noise model for operation latencies.
@@ -56,7 +72,9 @@ class Jitter:
     occasionally eats an OS-interference stall.
 
     ``sigma=0`` and ``tail_p=0`` make the jitter an exact no-op, which the
-    test suite relies on for deterministic latency assertions.
+    test suite relies on for deterministic latency assertions; such a
+    jitter never draws, so it takes ``rng=None``.  One that draws
+    without a generator is a :class:`ValueError`.
 
     A tail-free jitter owns its stream's normal draws, so it draws the
     factors ``_BLOCK`` at a time and hands them out one by one: numpy's
@@ -69,7 +87,7 @@ class Jitter:
 
     def __init__(
         self,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         sigma: float = 0.0,
         tail_p: float = 0.0,
         tail_scale_us: float = 0.0,
@@ -77,6 +95,8 @@ class Jitter:
     ):
         if sigma < 0 or not (0.0 <= tail_p <= 1.0) or tail_scale_us < 0 or scale <= 0:
             raise ValueError("invalid jitter parameters")
+        if rng is None and self.draws(sigma, tail_p):
+            raise ValueError("a jitter that draws needs a generator")
         self.rng = rng
         self.sigma = sigma
         self.tail_p = tail_p
@@ -88,6 +108,11 @@ class Jitter:
         self.scale = scale
         #: the rest of the current block of factors, last one next
         self._factors: list = []
+
+    @staticmethod
+    def draws(sigma: float, tail_p: float) -> bool:
+        """Whether a jitter with these parameters ever draws a number."""
+        return sigma > 0.0 or tail_p > 0.0
 
     def apply(self, latency_us: float) -> float:
         """Return the jittered latency; never less than zero."""
@@ -108,4 +133,4 @@ class Jitter:
     @classmethod
     def none(cls) -> "Jitter":
         """A jitter that changes nothing (deterministic runs)."""
-        return cls(np.random.default_rng(0), 0.0, 0.0, 0.0)
+        return cls(None)

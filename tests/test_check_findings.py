@@ -249,8 +249,9 @@ def test_check_all_parallel_output_is_byte_identical_to_serial():
 def test_check_all_jobs_zero_means_one_worker_per_cpu(monkeypatch):
     """``--jobs 0`` resolves like the figure commands' (one worker per
     CPU); a pool that cannot start falls back to the serial reports."""
+    import concurrent.futures
+
     import repro.check.runner as runner
-    import repro.experiments.parallel as parallel
 
     asked = []
 
@@ -260,7 +261,7 @@ def test_check_all_jobs_zero_means_one_worker_per_cpu(monkeypatch):
             raise OSError("no process pool here")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     with pytest.warns(RuntimeWarning, match="running serially"):
         fanned = runner.check_all(jobs=0, static=True, dynamic=False)
     assert asked == [2]

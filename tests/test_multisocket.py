@@ -1,5 +1,7 @@
 """Tests for the multi-socket APU card model (repro.multisocket)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,18 @@ def test_noise_streams_are_per_socket_seeded():
 
     assert run(3) == run(3)
     assert run(3) != run(4)
+
+
+def test_noisy_two_socket_run_is_pinned():
+    """A ``with_noise()`` card run at seed 3, pinned at the values the
+    per-socket hubs gave when every socket seeded all its streams."""
+    card = ApuCard(n_sockets=2, cost=CostModel().with_noise(), seed=3)
+    res = card.run([(0, simple_body()), (1, simple_body())])
+    rows = [tr.as_rows() for tr in res.per_socket_traces]
+    assert repr(res.elapsed_us) == "9543.117990091176"
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "05688557db7cdbfa13de18d617281059b278009af19a0b27ea68a9fb89721a92"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,19 @@ because each (workload, config, rep) cell runs on a fresh system seeded
 only from its cell spec.
 """
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures import Future
 from functools import partial
 
 import pytest
 
+import repro
 import repro.check.runner as check_runner
-import repro.experiments.parallel as parallel
 from repro.core.config import RuntimeConfig
 from repro.experiments.parallel import (
     CellOutcome,
@@ -176,7 +180,8 @@ def pools(monkeypatch):
         made.append(_InProcessPool())
         return made[-1]
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", make)
+    # where ``_pooled`` looks the pool class up, on first use
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
     return made
 
 
@@ -217,3 +222,74 @@ def test_task_oserror_in_check_all_surfaces_once(pools, monkeypatch):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert calls == ["alloc-churn"]
     assert [p.cancelled for p in pools] == [len(check_runner.WORKLOADS) - 1]
+
+
+# ---------------------------------------------------------------------------
+# load on use: a serial, noiseless run imports no pool and no numpy.random
+# ---------------------------------------------------------------------------
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this ``repro``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+
+
+_LOADED = """
+import sys
+print(sorted(m for m in ("concurrent.futures.process", "multiprocessing",
+                         "numpy.random") if m in sys.modules))
+"""
+
+
+def test_serial_noiseless_runs_load_no_pool_and_no_numpy_random():
+    out = _fresh_python("""
+from repro.check import check_named
+from repro.experiments.figures import collect_qmcpack_grid
+from repro.experiments.parallel import fan_out
+from repro.workloads import Fidelity
+collect_qmcpack_grid(sizes=(2,), threads=(1,), fidelity=Fidelity.TEST, reps=1,
+                     noise=False, jobs=1)
+check_named("triad")
+assert fan_out(abs, [-1, -2], jobs=1) == [1, 2]
+""" + _LOADED)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_noisy_run_loads_numpy_random():
+    out = _fresh_python("""
+from repro.core.config import RuntimeConfig
+from repro.experiments.runner import execute
+from repro.workloads import Fidelity, QmcPackNio
+execute(QmcPackNio(size=2, n_threads=1, fidelity=Fidelity.TEST),
+        RuntimeConfig.COPY, seed=1, noise=True)
+""" + _LOADED)
+    assert out.stdout.splitlines()[-1] == "['numpy.random']"
+
+
+def test_no_multiprocessing_runs_serially():
+    """Without ``_multiprocessing`` the package still imports; ``jobs=1``
+    runs quietly and ``jobs=2`` warns and returns the serial results."""
+    out = _fresh_python("""
+import sys, warnings
+sys.modules["_multiprocessing"] = None
+from repro.experiments.parallel import fan_out
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    serial = fan_out(abs, [-1, -2, -3], jobs=1)
+print(serial, [str(w.message) for w in caught])
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    pooled = fan_out(abs, [-1, -2, -3], jobs=2)
+print(pooled, [w.category.__name__ for w in caught])
+print(any("running serially" in str(w.message) for w in caught))
+""")
+    assert out.stdout.splitlines() == [
+        "[1, 2, 3] []",
+        "[1, 2, 3] ['RuntimeWarning']",
+        "True",
+    ]

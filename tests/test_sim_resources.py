@@ -198,6 +198,19 @@ def test_jitter_validation():
         Jitter(rng, sigma=-1.0)
     with pytest.raises(ValueError):
         Jitter(rng, tail_p=2.0)
+    for draws in (dict(sigma=0.1), dict(tail_p=0.01, tail_scale_us=5.0)):
+        with pytest.raises(ValueError, match="needs a generator"):
+            Jitter(None, **draws)
+
+
+def test_hub_builds_streams_only_for_jitters_that_draw():
+    from repro.core import ApuSystem, CostModel
+
+    assert ApuSystem(seed=1).rng_hub._streams == {}
+    noisy = ApuSystem(cost=CostModel().with_noise(), seed=1)
+    assert sorted(noisy.rng_hub._streams) == [
+        "driver.faults", "hsa.ops", "hsa.syscalls", "machine",
+    ]
 
 
 def _scalar_jitter(rng, latencies, sigma, tail_p=0.0, tail_scale_us=0.0, scale=1.0):
